@@ -3,9 +3,8 @@
 from .config import DataConfig, RunConfig
 from .graphs import (Batch, Dataset, Graph, batch_graphs,
                      generate_planted_motif_dataset, load_dataset,
-                     save_dataset, split_dataset, unbatch_graphs)
-from .trainer import (ModelState, checkpoint_load, checkpoint_save, train,
-                      train_baseline_graphcl, train_groupcl, train_groupig)
+                     save_dataset)
+from .trainer import ModelState, checkpoint_load, checkpoint_save, train
 from .evaluation import (EmbeddingTable, ProbeResult, count_head_params,
                          extract_embeddings, linear_probe, query_cosine_matrix)
 
@@ -14,7 +13,5 @@ __all__ = [
     "ProbeResult", "RunConfig", "batch_graphs", "checkpoint_load",
     "checkpoint_save", "count_head_params", "extract_embeddings",
     "generate_planted_motif_dataset", "linear_probe", "load_dataset",
-    "query_cosine_matrix", "save_dataset", "split_dataset", "train",
-    "train_baseline_graphcl", "train_groupcl", "train_groupig",
-    "unbatch_graphs",
+    "query_cosine_matrix", "save_dataset", "train",
 ]

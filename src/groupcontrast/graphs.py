@@ -149,20 +149,6 @@ def batch_graphs(graphs: list[Graph]) -> Batch:
     )
 
 
-def unbatch_graphs(batch: Batch) -> list[Graph]:
-    out = []
-    for g, (lo, hi) in enumerate(batch.segments):
-        edges = tuple(
-            (u - lo, v - lo) for u, v in batch.edges if lo <= u < hi and lo <= v < hi)
-        out.append(Graph(
-            num_nodes=hi - lo,
-            node_features=batch.features[lo:hi].copy(),
-            edges=edges,
-            label=batch.labels[g],
-        ))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # file format: one JSON object per line with fields n, x (row-major), e
 # (flat endpoint pairs), optional y
@@ -292,41 +278,3 @@ def generate_planted_motif_dataset(
         feats += rng.normal(0.0, _NOISE_SIGMA, size=feats.shape)
         graphs.append(Graph(num_nodes=n, node_features=feats, edges=edges, label=label))
     return Dataset(graphs=tuple(graphs), feature_dim=feature_dim, num_classes=2)
-
-
-def split_dataset(
-    dataset: Dataset,
-    fractions: tuple[float, float, float] = (0.8, 0.1, 0.1),
-    seed: int = 0,
-) -> tuple[Dataset, Dataset, Dataset]:
-    """Seeded shuffle then contiguous train/validation/test split."""
-    if any(f <= 0 for f in fractions):
-        raise GraphError("split fractions must be positive")
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise GraphError(f"split fractions must sum to 1, got {sum(fractions)}")
-    n = len(dataset)
-    order = stream_rng(seed, "split").permutation(n)
-    n_train = int(n * fractions[0])
-    n_val = int(n * fractions[1])
-    n_test = n - n_train - n_val
-    if min(n_train, n_val, n_test) <= 0:
-        raise GraphError("every split must be non-empty")
-    shuffled = [dataset.graphs[i] for i in order]
-    parts = (
-        shuffled[:n_train],
-        shuffled[n_train:n_train + n_val],
-        shuffled[n_train + n_val:],
-    )
-    return tuple(
-        Dataset(graphs=tuple(p), feature_dim=dataset.feature_dim,
-                num_classes=dataset.num_classes)
-        for p in parts
-    )
-
-
-def split_class_counts(split: Dataset, num_classes: int) -> list[int]:
-    counts = [0] * num_classes
-    for g in split.graphs:
-        if g.label is not None:
-            counts[g.label] += 1
-    return counts

@@ -1,5 +1,5 @@
-"""Loss terms: dot-product discriminator, Jensen-Shannon intra-space MI
-estimator, non-parameterized and parameterized inter-space CLUB penalties,
+"""Loss terms: Jensen-Shannon intra-space MI estimator with dot-product
+scores, non-parameterized and parameterized inter-space CLUB penalties,
 and the combined objectives.
 
 All losses are means over batch/groups/pairs so the diversity weight and the
@@ -15,7 +15,7 @@ import numpy as np
 
 from . import tensor as T
 from .encoder import glorot_uniform
-from .tensor import ContractError, DimensionError, Tensor
+from .tensor import ContractError, Tensor
 
 
 @dataclass(frozen=True)
@@ -37,45 +37,32 @@ def _const(x) -> Tensor:
     return Tensor(x.values if isinstance(x, Tensor) else x)
 
 
-def discriminator(u, r) -> float:
-    """Agreement score of two representations: their inner product."""
-    uv = np.asarray(u.values if isinstance(u, Tensor) else u, dtype=np.float64).reshape(-1)
-    rv = np.asarray(r.values if isinstance(r, Tensor) else r, dtype=np.float64).reshape(-1)
-    if uv.shape != rv.shape:
-        raise DimensionError(f"discriminator: dims {uv.shape} vs {rv.shape}")
-    return float(uv @ rv)
-
-
-def _check_groups(u_groups: Sequence[Tensor], r_groups: Sequence[Tensor]):
-    if len(u_groups) != len(r_groups):
-        raise ContractError("views carry different group counts")
-    b = u_groups[0].shape[0]
-    for g in list(u_groups) + list(r_groups):
-        if g.shape[0] != b:
-            raise ContractError("group tensors carry different batch sizes")
-    return b
+def _stack(groups: Sequence[Tensor]) -> Tensor:
+    """The p (B, d) group tensors as one (B, p, d) tensor."""
+    b, d = groups[0].shape
+    try:
+        return T.reshape(T.concat(list(groups), axis=1), (b, len(groups), d))
+    except ValueError as exc:
+        raise ContractError("group tensors carry different shapes") from exc
 
 
 def js_terms(u_groups: Sequence[Tensor], r_groups: Sequence[Tensor]) -> tuple[Tensor, Tensor]:
     """Positive and negative halves of the JS MI loss, each as a scalar mean.
 
     Positive pairs are same-graph same-group across views; negative pairs are
-    all off-diagonal same-group cross-view pairs in the batch.
+    all off-diagonal same-group cross-view pairs in the batch. Entry [k, i, j]
+    of the (p, B, B) score block scores graph i's group k in view u against
+    graph j's group k in view r.
     """
-    b = _check_groups(u_groups, r_groups)
+    u, r = _stack(u_groups), _stack(r_groups)
+    if u.shape != r.shape:
+        raise ContractError(f"views carry different group shapes {u.shape} vs {r.shape}")
+    b, p, _ = u.shape
     if b < 2:
         raise ContractError("JS loss needs a batch of at least 2 graphs for negatives")
-    p = len(u_groups)
-    eye = Tensor(np.eye(b))
-    off = Tensor(1.0 - np.eye(b))
-    pos_sum = None
-    neg_sum = None
-    for uk, rk in zip(u_groups, r_groups):
-        scores = T.matmul(uk, T.transpose(rk))
-        pos_k = T.tsum(T.mul(T.softplus(T.neg(scores)), eye))
-        neg_k = T.tsum(T.mul(T.softplus(scores), off))
-        pos_sum = pos_k if pos_sum is None else T.add(pos_sum, pos_k)
-        neg_sum = neg_k if neg_sum is None else T.add(neg_sum, neg_k)
+    scores = T.matmul(T.transpose(u, (1, 0, 2)), T.transpose(r, (1, 2, 0)))
+    pos_sum = T.tsum(T.mul(T.softplus(T.neg(scores)), Tensor(np.eye(b))))
+    neg_sum = T.tsum(T.mul(T.softplus(scores), Tensor(1.0 - np.eye(b))))
     pos = T.smul(pos_sum, 1.0 / (p * b))
     neg = T.smul(neg_sum, 1.0 / (p * b * (b - 1)))
     return pos, neg
@@ -93,27 +80,29 @@ def js_terms_nodewise(
     segments: Sequence[tuple[int, int]],
 ) -> tuple[Tensor, Tensor]:
     """JS terms with node-level partners: positives pair a graph's group
-    embedding with its own nodes, negatives with all other graphs' nodes."""
+    embedding with its own nodes, negatives with all other graphs' nodes.
+
+    The negative sum is the softplus sum over all (graph, group, node) scores
+    minus the one over each node's own-graph scores, so no graph-by-node
+    mask is needed.
+    """
     b = u_groups[0].shape[0]
-    n = r_nodes.shape[0]
+    n, d = r_nodes.shape
     if b < 2:
         raise ContractError("node-wise JS loss needs at least 2 graphs")
-    member = np.zeros((b, n))
-    for g, (lo, hi) in enumerate(segments):
-        member[g, lo:hi] = 1.0
-    n_pos = int(member.sum())
-    n_neg = b * n - n_pos
-    pos_mask = Tensor(member)
-    neg_mask = Tensor(1.0 - member)
     p = len(u_groups)
-    pos_sum = None
-    neg_sum = None
-    for uk in u_groups:
-        scores = T.matmul(uk, T.transpose(r_nodes))
-        pos_k = T.tsum(T.mul(T.softplus(T.neg(scores)), pos_mask))
-        neg_k = T.tsum(T.mul(T.softplus(scores), neg_mask))
-        pos_sum = pos_k if pos_sum is None else T.add(pos_sum, pos_k)
-        neg_sum = neg_k if neg_sum is None else T.add(neg_sum, neg_k)
+    owner = np.zeros((n, b))
+    for g, (lo, hi) in enumerate(segments):
+        owner[lo:hi, g] = 1.0
+    n_pos = int(owner.sum())
+    n_neg = b * n - n_pos
+    u = _stack(u_groups)
+    scores = T.matmul(T.reshape(u, (b * p, d)), T.transpose(r_nodes))
+    all_sum = T.tsum(T.softplus(scores))
+    u_own = T.reshape(T.matmul(Tensor(owner), T.reshape(u, (b, p * d))), (n, p, d))
+    own = T.matmul(u_own, T.reshape(r_nodes, (n, d, 1)))   # (N, p, 1)
+    pos_sum = T.tsum(T.softplus(T.neg(own)))
+    neg_sum = T.sub(all_sum, T.tsum(T.softplus(own)))
     pos = T.smul(pos_sum, 1.0 / (p * n_pos))
     neg = T.smul(neg_sum, 1.0 / (p * n_neg))
     return pos, neg
@@ -121,21 +110,17 @@ def js_terms_nodewise(
 
 def interspace_penalty_nonparam(u_groups: Sequence[Tensor]) -> Tensor:
     """Mean over graphs and unordered group pairs of SP(dot of the two
-    group embeddings); the joint term of the simplified CLUB bound."""
+    group embeddings); the joint term of the simplified CLUB bound. The
+    pairs are the strict upper triangle of each graph's (p, p) Gram matrix."""
     p = len(u_groups)
     if p < 2:
         warnings.warn("inter-space penalty needs at least 2 groups; returning 0")
         return Tensor(0.0)
     b = u_groups[0].shape[0]
-    total = None
-    n_pairs = 0
-    for k in range(p):
-        for l in range(k + 1, p):
-            dots = T.tsum(T.mul(u_groups[k], u_groups[l]), axis=1)
-            s = T.tsum(T.softplus(dots))
-            total = s if total is None else T.add(total, s)
-            n_pairs += 1
-    return T.smul(total, 1.0 / (n_pairs * b))
+    u = _stack(u_groups)
+    gram = T.matmul(u, T.transpose(u, (0, 2, 1)))          # (B, p, p)
+    total = T.tsum(T.mul(T.softplus(gram), Tensor(np.triu(np.ones((p, p)), 1))))
+    return T.smul(total, 1.0 / (p * (p - 1) // 2 * b))
 
 
 def init_varnet_params(rng: np.random.Generator, dim: int, prefix: str = "var") -> dict[str, np.ndarray]:
@@ -165,26 +150,28 @@ def _club_expression(
     prefix: str = "var",
 ) -> Tensor:
     """Mean over graphs and ordered group pairs (k != l) of
-    sum_i(-lv_i - (u^(l)_i - mu_i)^2 / exp(lv_i))."""
+    sum_i(-lv_i - (u^(l)_i - mu_i)^2 / exp(lv_i)), where mu and lv are the
+    variational nets applied to u^(k).
+
+    The nets run once on all B * p group rows. Entry [g, k, l] of the
+    (B, p, p, d) residual block is u^(l) - mu(u^(k)) for graph g; the
+    diagonal k == l is masked off.
+    """
     p = len(u_groups)
     if p < 2:
         raise ContractError("parameterized CLUB needs at least 2 groups")
-    b = u_groups[0].shape[0]
-    total = None
-    n_pairs = 0
-    for k in range(p):
-        mu = _varnet_forward(u_groups[k], var_params, "mu", prefix)
-        lv = _varnet_forward(u_groups[k], var_params, "lv", prefix)
-        inv_var = T.exp(T.neg(lv))
-        for l in range(p):
-            if l == k:
-                continue
-            resid = T.square(T.sub(u_groups[l], mu))
-            per_graph = T.tsum(T.add(T.neg(lv), T.neg(T.mul(resid, inv_var))), axis=1)
-            s = T.tsum(per_graph)
-            total = s if total is None else T.add(total, s)
-            n_pairs += 1
-    return T.smul(total, 1.0 / (n_pairs * b))
+    b, d = u_groups[0].shape
+    u = _stack(u_groups)
+    rows = T.reshape(u, (b * p, d))
+    mu = T.reshape(_varnet_forward(rows, var_params, "mu", prefix), (b, p, 1, d))
+    lv = _varnet_forward(rows, var_params, "lv", prefix)
+    inv_var = T.reshape(T.exp(T.neg(lv)), (b, p, 1, d))
+    resid = T.square(T.sub(T.reshape(u, (b, 1, p, d)), mu))
+    off_diag = Tensor((1.0 - np.eye(p))[:, :, None])
+    quad = T.tsum(T.mul(T.mul(resid, inv_var), off_diag))
+    # every row's -lv enters once per partner group l != k
+    total = T.add(T.smul(T.tsum(lv), p - 1), quad)
+    return T.smul(total, -1.0 / (p * (p - 1) * b))
 
 
 def club_param_penalty(u_groups: Sequence[Tensor], var_params: Mapping) -> Tensor:

@@ -2,7 +2,6 @@
 attend with learned queries, emit one graph-level embedding per group."""
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -11,22 +10,6 @@ from . import tensor as T
 from .encoder import glorot_uniform
 from .graphs import Batch
 from .tensor import DimensionError, Tensor
-
-
-@dataclass(frozen=True)
-class GroupEmbeddings:
-    """Concrete per-graph group vectors plus the attention used to form them."""
-
-    groups: np.ndarray                      # (num_graphs, p, group_dim)
-    attention: tuple[np.ndarray, ...]       # per graph: (n_g, p)
-
-    @property
-    def num_groups(self) -> int:
-        return self.groups.shape[1]
-
-    @property
-    def group_dim(self) -> int:
-        return self.groups.shape[2]
 
 
 def init_representor_params(
@@ -67,17 +50,20 @@ def attention(
 def group_embed(v: Tensor, a: Tensor, batch: Batch) -> list[Tensor]:
     """Attention-weighted sums of value rows per graph, one tensor per group.
 
-    Each group vector is L2-normalized, so discriminator scores are bounded.
+    All p groups are pooled at once. Node n's weighted values form an
+    (N, p, d) block, ``a[n, k] * v[n]``; one segment-sum matmul turns it into
+    a (B, p, d) block whose entry [g, k] is group k of graph g, held flat as
+    (B, p * d) with the groups in order. Each group vector is L2-normalized,
+    so discriminator scores are bounded. The result is handed on as p (B, d)
+    column slices of that block.
     """
-    indicator = Tensor(batch.segment_indicator())
-    p = a.shape[1]
-    groups = []
-    for k in range(p):
-        weights = T.slice_cols(a, k, k + 1)           # (N, 1)
-        weighted = T.mul(v, weights)
-        pooled = T.matmul(indicator, weighted)        # (num_graphs, group_dim)
-        groups.append(T.row_l2_normalize(pooled))
-    return groups
+    n, p = a.shape
+    d = v.shape[1]
+    b = batch.num_graphs
+    weighted = T.mul(T.reshape(a, (n, p, 1)), T.reshape(v, (n, 1, d)))
+    pooled = T.matmul(Tensor(batch.segment_indicator()), T.reshape(weighted, (n, p * d)))
+    unit = T.reshape(T.row_l2_normalize(T.reshape(pooled, (b * p, d))), (b, p * d))
+    return [T.slice_cols(unit, k * d, (k + 1) * d) for k in range(p)]
 
 
 def concat_groups(groups: list[Tensor]) -> Tensor:
@@ -104,9 +90,3 @@ def forward_groups(
     k, v = project_kv(node_embeddings, params[f"{prefix}.wk"], params[f"{prefix}.wv"])
     a = attention(k, params[f"{prefix}.q"], list(batch.segments), scale_scores)
     return group_embed(v, a, batch), a
-
-
-def embeddings_from_forward(groups: list[Tensor], a: Tensor, batch: Batch) -> GroupEmbeddings:
-    stacked = np.stack([g.values for g in groups], axis=1)
-    att = tuple(a.values[lo:hi].copy() for lo, hi in batch.segments)
-    return GroupEmbeddings(groups=stacked, attention=att)

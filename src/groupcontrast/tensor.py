@@ -114,14 +114,20 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product over the last two axes; leading axes broadcast as in
+    ``numpy.matmul``."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.values.ndim != 2 or b.values.ndim != 2 or a.shape[1] != b.shape[0]:
+    if a.values.ndim < 2 or b.values.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"matmul: incompatible shapes {a.shape} @ {b.shape}")
     av, bv = a.values, b.values
-    out = av @ bv
+    try:
+        out = av @ bv
+    except ValueError as exc:
+        raise DimensionError(f"matmul: incompatible shapes {a.shape} @ {b.shape}") from exc
+    a_shape, b_shape = a.shape, b.shape
     return _result("matmul", out, [
-        (a, lambda g: g @ bv.T),
-        (b, lambda g: av.T @ g),
+        (a, lambda g: _unbroadcast(g @ np.swapaxes(bv, -1, -2), a_shape)),
+        (b, lambda g: _unbroadcast(np.swapaxes(av, -1, -2) @ g, b_shape)),
     ])
 
 
@@ -131,9 +137,12 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         out = a.values + b.values
     except ValueError as exc:
         raise DimensionError(f"add: shapes {a.shape} + {b.shape}") from exc
+    # the vjps keep the shapes, not the tensors: a tensor points back to its
+    # tape, so holding one would make every tape cyclic garbage
+    a_shape, b_shape = a.shape, b.shape
     return _result("add", out, [
-        (a, lambda g: _unbroadcast(g, a.shape)),
-        (b, lambda g: _unbroadcast(g, b.shape)),
+        (a, lambda g: _unbroadcast(g, a_shape)),
+        (b, lambda g: _unbroadcast(g, b_shape)),
     ])
 
 
@@ -148,9 +157,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     except ValueError as exc:
         raise DimensionError(f"elementwise-multiply: shapes {a.shape} * {b.shape}") from exc
     av, bv = a.values, b.values
+    a_shape, b_shape = a.shape, b.shape
     return _result("elementwise-multiply", out, [
-        (a, lambda g: _unbroadcast(g * bv, a.shape)),
-        (b, lambda g: _unbroadcast(g * av, b.shape)),
+        (a, lambda g: _unbroadcast(g * bv, a_shape)),
+        (b, lambda g: _unbroadcast(g * av, b_shape)),
     ])
 
 
@@ -171,11 +181,28 @@ def square(a: Tensor) -> Tensor:
     return _result("square", av * av, [(a, lambda g: 2.0 * av * g)])
 
 
-def transpose(a: Tensor) -> Tensor:
+def transpose(a: Tensor, axes: tuple[int, ...] | None = None) -> Tensor:
+    """Matrix transpose, or the axes permutation ``axes`` of any tensor."""
     a = _as_tensor(a)
-    if a.values.ndim != 2:
-        raise DimensionError(f"transpose: expected matrix, got shape {a.shape}")
-    return _result("transpose", a.values.T, [(a, lambda g: g.T)])
+    if axes is None:
+        if a.values.ndim != 2:
+            raise DimensionError(f"transpose: expected matrix, got shape {a.shape}")
+        return _result("transpose", a.values.T, [(a, lambda g: g.T)])
+    if sorted(axes) != list(range(a.values.ndim)):
+        raise DimensionError(f"transpose: axes {axes} do not permute shape {a.shape}")
+    inverse = tuple(np.argsort(axes))
+    return _result("transpose", np.transpose(a.values, axes),
+                   [(a, lambda g: np.transpose(g, inverse))])
+
+
+def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
+    a = _as_tensor(a)
+    in_shape = a.shape
+    try:
+        out = a.values.reshape(shape)
+    except ValueError as exc:
+        raise DimensionError(f"reshape: cannot reshape {in_shape} to {shape}") from exc
+    return _result("reshape", out, [(a, lambda g: g.reshape(in_shape))])
 
 
 def relu(a: Tensor) -> Tensor:
@@ -330,37 +357,6 @@ def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
         return gx
 
     return _result("slice-cols", a.values[:, start:stop].copy(), [(a, vjp)])
-
-
-PRIMITIVES = {
-    "matmul": matmul,
-    "add": add,
-    "elementwise-multiply": mul,
-    "scalar-multiply": smul,
-    "transpose": transpose,
-    "relu": relu,
-    "row-softmax": row_softmax,
-    "segment-row-softmax": segment_softmax,
-    "softplus": softplus,
-    "exp": exp,
-    "log": log,
-    "sum": tsum,
-    "mean": tmean,
-    "concat-along-axis": concat,
-    "row-L2-normalize": row_l2_normalize,
-    "square": square,
-    "negate": neg,
-}
-
-
-def primitive_forward(op_kind: str, inputs: list, **kwargs) -> Tensor:
-    """Apply a named primitive; entry point for generic dispatch."""
-    if op_kind not in PRIMITIVES:
-        raise ContractError(f"unknown primitive {op_kind!r}")
-    fn = PRIMITIVES[op_kind]
-    if op_kind == "concat-along-axis":
-        return fn(list(inputs), **kwargs)
-    return fn(*inputs, **kwargs)
 
 
 def backward(tape: Tape, loss: Tensor) -> dict[int, np.ndarray]:

@@ -49,13 +49,8 @@ class ModelState:
     var_params: dict[str, np.ndarray] = field(default_factory=dict)
     var_opt: AdamState | None = None
     epoch: int = 0
-
-    @property
-    def node_dim(self) -> int:
-        # encode_nodes output width; equals the input width when L = 0
-        return self._node_dim
-
-    _node_dim: int = 0
+    # encode_nodes output width; equals the input width when L = 0
+    node_dim: int = 0
 
 
 def _encoder_prefixes(config: RunConfig, view: str) -> tuple[str, str]:
@@ -98,16 +93,15 @@ def init_model(config: RunConfig, feature_dim: int) -> ModelState:
     if config.estimator == "param" and config.pipeline != "graphcl-baseline":
         var_params = obj.init_varnet_params(rng, config.group_dim, prefix="var")
         var_opt = init_adam(var_params, config.learning_rate)
-    state = ModelState(
+    return ModelState(
         config=config,
         params=params,
         opt=init_adam(params, config.learning_rate),
         var_params=var_params,
         var_opt=var_opt,
         epoch=0,
+        node_dim=node_dim,
     )
-    state._node_dim = node_dim
-    return state
 
 
 def _forward_view(
@@ -147,16 +141,21 @@ def _varnet_update(state: ModelState, u_groups: list[Tensor]):
     state.var_params, state.var_opt = adam_step(state.var_params, grads, state.var_opt)
 
 
-def _step_groupcl(state: ModelState, graphs: list[Graph], epoch: int, step: int) -> obj.LossBreakdown:
-    cfg = state.config
+def _sample_views(cfg: RunConfig, graphs: list[Graph], epoch: int, step: int) -> tuple[Batch, Batch]:
+    """The two augmented views of a step's graphs, batched as (u, r). Views
+    are drawn per graph, u before r, from the step's own stream."""
     policy = AugmentationPolicy(kinds=cfg.aug_kind_list, ratio=cfg.aug_ratio)
     rng = stream_rng(cfg.seed, "augment", epoch, step)
     views_u, views_r = [], []
     for g in graphs:
         views_u.append(sample_view(g, policy, rng))
         views_r.append(sample_view(g, policy, rng))
-    batch_u = batch_graphs(views_u)
-    batch_r = batch_graphs(views_r)
+    return batch_graphs(views_u), batch_graphs(views_r)
+
+
+def _step_groupcl(state: ModelState, graphs: list[Graph], epoch: int, step: int) -> obj.LossBreakdown:
+    cfg = state.config
+    batch_u, batch_r = _sample_views(cfg, graphs, epoch, step)
     tape = Tape()
     leaves = {name: tape.leaf(v) for name, v in state.params.items()}
     u_groups, _ = _forward_view(state, leaves, batch_u, "u")
@@ -200,12 +199,7 @@ def _step_groupig(state: ModelState, graphs: list[Graph], epoch: int, step: int)
 
 def _step_baseline(state: ModelState, graphs: list[Graph], epoch: int, step: int) -> obj.LossBreakdown:
     cfg = state.config
-    policy = AugmentationPolicy(kinds=cfg.aug_kind_list, ratio=cfg.aug_ratio)
-    rng = stream_rng(cfg.seed, "augment", epoch, step)
-    views_u, views_r = [], []
-    for g in graphs:
-        views_u.append(sample_view(g, policy, rng))
-        views_r.append(sample_view(g, policy, rng))
+    batch_u, batch_r = _sample_views(cfg, graphs, epoch, step)
     tape = Tape()
     leaves = {name: tape.leaf(v) for name, v in state.params.items()}
 
@@ -214,8 +208,8 @@ def _step_baseline(state: ModelState, graphs: list[Graph], epoch: int, step: int
         nodes = encode_nodes(batch, leaves, cfg.gin_layers, prefix=gin_prefix)
         return T.row_l2_normalize(readout_projection(nodes, batch, leaves, prefix="head"))
 
-    h_u = embed(batch_graphs(views_u), "u")
-    h_r = embed(batch_graphs(views_r), "r")
+    h_u = embed(batch_u, "u")
+    h_r = embed(batch_r, "r")
     pos, neg = obj.js_terms([h_u], [h_r])
     loss, breakdown = obj.combine_terms(pos, neg, Tensor(0.0), 0.0)
     _apply_gradients(state, tape, leaves, loss)
@@ -267,25 +261,6 @@ def train(
     return state, history
 
 
-# aliases matching the three pipelines
-def train_groupcl(config: RunConfig, dataset: Dataset, state: ModelState | None = None):
-    if config.pipeline != "groupcl":
-        raise TrainingError("config.pipeline must be 'groupcl'")
-    return train(config, dataset, state)
-
-
-def train_groupig(config: RunConfig, dataset: Dataset, state: ModelState | None = None):
-    if config.pipeline != "groupig":
-        raise TrainingError("config.pipeline must be 'groupig'")
-    return train(config, dataset, state)
-
-
-def train_baseline_graphcl(config: RunConfig, dataset: Dataset, state: ModelState | None = None):
-    if config.pipeline != "graphcl-baseline":
-        raise TrainingError("config.pipeline must be 'graphcl-baseline'")
-    return train(config, dataset, state)
-
-
 # ---------------------------------------------------------------------------
 # history CSV
 
@@ -326,7 +301,7 @@ def checkpoint_save(path, state: ModelState) -> None:
         "version": 1,
         "config": dc.asdict(state.config),
         "epoch": state.epoch,
-        "node_dim": state._node_dim,
+        "node_dim": state.node_dim,
         "adam": {"step": state.opt.step, "lr": state.opt.lr},
         "var_adam": ({"step": state.var_opt.step, "lr": state.var_opt.lr}
                      if state.var_opt is not None else None),
@@ -383,9 +358,8 @@ def checkpoint_load(path) -> ModelState:
             m={k[3:]: v for k, v in arrays.items() if k.startswith("vm/")},
             v={k[3:]: v for k, v in arrays.items() if k.startswith("vv/")},
         )
-    state = ModelState(
+    return ModelState(
         config=config, params=params, opt=opt,
         var_params=var_params, var_opt=var_opt, epoch=header["epoch"],
+        node_dim=header["node_dim"],
     )
-    state._node_dim = header["node_dim"]
-    return state

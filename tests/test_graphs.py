@@ -6,9 +6,7 @@ import pytest
 from groupcontrast.graphs import (Batch, Dataset, DatasetFormatError, Graph,
                                   GraphError, batch_graphs,
                                   generate_planted_motif_dataset,
-                                  graph_to_record, load_dataset, save_dataset,
-                                  split_class_counts, split_dataset,
-                                  unbatch_graphs)
+                                  graph_to_record, load_dataset, save_dataset)
 
 
 def triangle():
@@ -50,19 +48,21 @@ def test_neighbors():
 
 # -- batching -----------------------------------------------------------------
 
-def test_batch_unbatch_roundtrip():
+def test_batch_preserves_graphs():
     rng = np.random.default_rng(0)
     gs = [
         Graph(4, rng.standard_normal((4, 3)), ((0, 1), (2, 3)), label=0),
         Graph(2, rng.standard_normal((2, 3)), ((0, 1),), label=1),
         Graph(3, rng.standard_normal((3, 3)), (), label=None),
     ]
-    back = unbatch_graphs(batch_graphs(gs))
-    for orig, rec in zip(gs, back):
-        assert rec.num_nodes == orig.num_nodes
-        assert rec.edges == orig.edges
-        assert rec.label == orig.label
-        assert np.array_equal(rec.node_features, orig.node_features)
+    batch = batch_graphs(gs)
+    for orig, (lo, hi), label in zip(gs, batch.segments, batch.labels):
+        edges = tuple((u - lo, v - lo) for u, v in batch.edges
+                      if lo <= u < hi and lo <= v < hi)
+        assert hi - lo == orig.num_nodes
+        assert edges == orig.edges
+        assert label == orig.label
+        assert np.array_equal(batch.features[lo:hi], orig.node_features)
 
 
 def test_batch_offsets_and_segments():
@@ -178,8 +178,8 @@ def has_induced_6_cycle(g: Graph) -> bool:
 
 def test_generator_balanced_classes():
     ds = generate_planted_motif_dataset(7, 40, 12, 8)
-    counts = split_class_counts(ds, 2)
-    assert counts == [20, 20]
+    labels = [g.label for g in ds.graphs]
+    assert (labels.count(0), labels.count(1)) == (20, 20)
 
 
 def test_generator_deterministic(tmp_path):
@@ -206,31 +206,3 @@ def test_generator_parameter_bounds():
         generate_planted_motif_dataset(0, 10, 7, 8)    # too few nodes
     with pytest.raises(GraphError):
         generate_planted_motif_dataset(0, 10, 12, 3)   # too few features
-
-
-# -- splits -------------------------------------------------------------------
-
-def test_split_sizes_and_determinism():
-    ds = generate_planted_motif_dataset(7, 200, 10, 6)
-    tr, va, te = split_dataset(ds, seed=3)
-    assert (len(tr), len(va), len(te)) == (160, 20, 20)
-    tr2, _, _ = split_dataset(ds, seed=3)
-    assert [g.edges for g in tr.graphs] == [g.edges for g in tr2.graphs]
-
-
-def test_split_partitions_dataset():
-    ds = generate_planted_motif_dataset(7, 40, 10, 6)
-    parts = split_dataset(ds, seed=0)
-    # the Gaussian feature noise makes every graph unique, so byte identity
-    # of the feature matrix works as a graph fingerprint
-    got = sorted(g.node_features.tobytes() for p in parts for g in p.graphs)
-    want = sorted(g.node_features.tobytes() for g in ds.graphs)
-    assert got == want
-
-
-def test_split_rejects_degenerate():
-    ds = generate_planted_motif_dataset(7, 4, 10, 6)
-    with pytest.raises(GraphError):
-        split_dataset(ds, fractions=(0.8, 0.1, 0.1), seed=0)
-    with pytest.raises(GraphError):
-        split_dataset(ds, fractions=(0.5, 0.5, 0.5), seed=0)

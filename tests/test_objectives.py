@@ -4,15 +4,13 @@ import pytest
 from groupcontrast import tensor as T
 from groupcontrast.gradcheck import finite_difference_check
 from groupcontrast.objectives import (LossBreakdown, club_param_penalty,
-                                      combine_terms, discriminator,
-                                      init_varnet_params,
+                                      combine_terms, init_varnet_params,
                                       interspace_penalty_nonparam, js_mi_loss,
                                       js_terms, js_terms_nodewise,
                                       total_loss_nonparam, total_loss_param,
                                       varnet_likelihood_loss)
 from groupcontrast.seeding import stream_rng
-from groupcontrast.tensor import (ContractError, DimensionError, Tape, Tensor,
-                                  backward)
+from groupcontrast.tensor import ContractError, Tape, Tensor, backward
 
 
 def sp(x):
@@ -27,14 +25,6 @@ def unit_rows(rng, b, d):
 def random_groups(seed, b, p, d):
     rng = np.random.default_rng(seed)
     return [Tensor(unit_rows(rng, b, d)) for _ in range(p)]
-
-
-def test_discriminator_is_dot_product():
-    u = np.array([1.0, 2.0, 3.0])
-    r = np.array([0.5, -1.0, 2.0])
-    assert discriminator(Tensor(u), Tensor(r)) == pytest.approx(u @ r)
-    with pytest.raises(DimensionError):
-        discriminator(Tensor(np.ones(3)), Tensor(np.ones(4)))
 
 
 def test_js_loss_zero_scores_closed_form():
@@ -131,6 +121,22 @@ def test_nodewise_js_matches_bruteforce():
     assert neg.item() == pytest.approx(tn / n_neg, abs=1e-12)
 
 
+def test_nodewise_js_gradients_pass_oracle():
+    # GroupIG's training loss, gradients to both the groups and the nodes
+    rng = np.random.default_rng(34)
+    b, p, d = 3, 3, 4
+    segments = [(0, 2), (2, 5), (5, 7)]
+    params = {f"u{k}": rng.standard_normal((b, d)) for k in range(p)}
+    params["r"] = rng.standard_normal((7, d))
+
+    def fn(leaves):
+        pos, neg = js_terms_nodewise([leaves[f"u{k}"] for k in range(p)],
+                                     leaves["r"], segments)
+        return T.add(pos, neg)
+
+    assert finite_difference_check(fn, params) <= 1e-4
+
+
 def test_interspace_identical_groups_closed_form():
     # identical unit rows: every cross-group dot is 1, SP(1) = ln(1 + e)
     rows = unit_rows(np.random.default_rng(19), 4, 5)
@@ -171,6 +177,29 @@ def test_interspace_single_group_warns_and_returns_zero():
     with pytest.warns(UserWarning):
         val = interspace_penalty_nonparam(random_groups(23, 3, 1, 4))
     assert val.item() == 0.0
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_club_penalty_matches_bruteforce(p):
+    b, d = 4, 5
+    groups = random_groups(35 + p, b, p, d)
+    var_params = init_varnet_params(stream_rng(35, "init"), d)
+
+    def net(x, name):
+        w = {k.split(".")[-1]: v for k, v in var_params.items()
+             if k.startswith(f"var.{name}.")}
+        return np.maximum(x @ w["w1"] + w["b1"], 0.0) @ w["w2"] + w["b2"]
+
+    total, pairs = 0.0, 0
+    for k in range(p):
+        mu = net(groups[k].values, "mu")
+        lv = net(groups[k].values, "lv")
+        for l in range(p):
+            if l != k:
+                total += (-lv - (groups[l].values - mu) ** 2 / np.exp(lv)).sum()
+                pairs += 1
+    val = club_param_penalty(groups, var_params).item()
+    assert val == pytest.approx(total / (pairs * b), abs=1e-12)
 
 
 def test_club_penalty_only_reaches_embeddings():

@@ -4,9 +4,8 @@ import pytest
 from groupcontrast import tensor as T
 from groupcontrast.gradcheck import finite_difference_check
 from groupcontrast.graphs import Graph, batch_graphs
-from groupcontrast.representor import (GroupEmbeddings, attention,
-                                       concat_groups, duplicate_rep,
-                                       embeddings_from_forward, forward_groups,
+from groupcontrast.representor import (attention, concat_groups,
+                                       duplicate_rep, forward_groups,
                                        group_embed, init_representor_params,
                                        project_kv)
 from groupcontrast.seeding import stream_rng
@@ -117,18 +116,6 @@ def test_duplicate_rep_value_independent():
     assert copies[1][0, 0] == 1.0 and r[0, 0] == 1.0
     with pytest.raises(DimensionError):
         duplicate_rep(r, 0)
-
-
-def test_embeddings_from_forward_packaging():
-    batch = make_batch([2, 5], 4, seed=7)
-    params = tensor_params(init_representor_params(stream_rng(7, "init"), 4, 5, 3, 2))
-    groups, a = forward_groups(batch, Tensor(batch.features), params)
-    emb = embeddings_from_forward(groups, a, batch)
-    assert isinstance(emb, GroupEmbeddings)
-    assert emb.groups.shape == (2, 2, 3)
-    assert emb.attention[0].shape == (2, 2)
-    assert emb.attention[1].shape == (5, 2)
-    assert np.allclose(emb.groups[:, 1], groups[1].values)
 
 
 def test_representor_gradients_pass_oracle():

@@ -1,9 +1,15 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupcontrast import tensor as T
+from groupcontrast.gradcheck import finite_difference_check
 from groupcontrast.tensor import (ContractError, DimensionError, NumericError,
-                                  Tape, Tensor, backward, primitive_forward)
+                                  Tape, Tensor, backward)
 
 
 def leaf_pair(shape_a, shape_b, seed=0):
@@ -42,6 +48,8 @@ def test_matmul_shape_error():
         T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
     with pytest.raises(DimensionError):
         T.matmul(Tensor(np.ones(3)), Tensor(np.ones((3, 2))))
+    with pytest.raises(DimensionError):  # leading axes do not broadcast
+        T.matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 4, 5))))
 
 
 def test_add_broadcast_unbroadcasts_gradient():
@@ -186,10 +194,97 @@ def test_fanout_accumulates():
     assert np.allclose(grads[a.node_id], 3.0)
 
 
-def test_primitive_forward_dispatch():
-    out = primitive_forward("add", [Tensor([1.0]), Tensor([2.0])])
-    assert out.values[0] == 3.0
-    out = primitive_forward("concat-along-axis", [Tensor([1.0]), Tensor([2.0])], axis=0)
-    assert out.shape == (2,)
-    with pytest.raises(ContractError):
-        primitive_forward("does-not-exist", [Tensor([1.0])])
+def test_transpose_axes_and_reshape_errors():
+    x = Tensor(np.arange(24.0).reshape(2, 3, 4))
+    assert np.array_equal(T.transpose(x, (2, 0, 1)).values,
+                          np.transpose(x.values, (2, 0, 1)))
+    with pytest.raises(DimensionError):
+        T.transpose(x)
+    with pytest.raises(DimensionError):
+        T.transpose(x, (0, 0, 1))
+    assert T.reshape(x, (6, 4)).shape == (6, 4)
+    with pytest.raises(DimensionError):
+        T.reshape(x, (5, 5))
+
+
+def test_tape_freed_without_cycle_collector():
+    # the vjps hold arrays and shapes, never tensors, so a step's tape is
+    # freed by reference counting alone
+    gc.disable()
+    try:
+        tape, a, b = leaf_pair((2, 3, 4), (4, 1))
+        c = tape.leaf(np.ones(1))
+        h = T.add(T.matmul(a, b), c)                              # (2, 3, 1)
+        loss = T.tsum(T.mul(h, T.reshape(T.transpose(h, (1, 0, 2)), (2, 3, 1))))
+        backward(tape, loss)
+        ref = weakref.ref(tape)
+        del tape, a, b, c, h, loss
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+# -- property gradchecks of the shape primitives -------------------------------
+
+dims = st.integers(1, 3)
+
+
+def _gradcheck(fn, **arrays):
+    return finite_difference_check(lambda lv: fn(**lv), arrays)
+
+
+def _array(seed, shape):
+    return np.random.default_rng(seed).standard_normal(shape)
+
+
+@settings(max_examples=20, deadline=None)
+@given(batch=st.lists(dims, min_size=1, max_size=2), m=dims, k=dims, n=dims,
+       seed=st.integers(0, 2**16))
+def test_batched_matmul_gradcheck(batch, m, k, n, seed):
+    a, b = _array(seed, (*batch, m, k)), _array(seed + 1, (*batch, k, n))
+    w = _array(seed + 2, (*batch, m, n))
+    err = _gradcheck(lambda a, b: T.tsum(T.mul(T.matmul(a, b), Tensor(w))), a=a, b=b)
+    assert err <= 1e-6
+
+
+@settings(max_examples=20, deadline=None)
+@given(lead=dims, m=dims, k=dims, n=dims, a_ones=st.booleans(), b_2d=st.booleans(),
+       seed=st.integers(0, 2**16))
+def test_broadcast_matmul_gradcheck(lead, m, k, n, a_ones, b_2d, seed):
+    # leading axes broadcast: (1 or L, m, k) @ (L, k, n) or @ (k, n)
+    a = _array(seed, (1 if a_ones else lead, m, k))
+    b = _array(seed + 1, (k, n) if b_2d else (lead, k, n))
+    out_shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (m, n)
+    w = _array(seed + 2, out_shape)
+    out = T.matmul(Tensor(a), Tensor(b))
+    assert np.allclose(out.values, a @ b)
+    err = _gradcheck(lambda a, b: T.tsum(T.mul(T.matmul(a, b), Tensor(w))), a=a, b=b)
+    assert err <= 1e-6
+
+
+@settings(max_examples=20, deadline=None)
+@given(shape=st.lists(dims, min_size=1, max_size=4), data=st.data(),
+       seed=st.integers(0, 2**16))
+def test_transpose_axes_gradcheck(shape, data, seed):
+    axes = tuple(data.draw(st.permutations(range(len(shape)))))
+    x = _array(seed, shape)
+    w = _array(seed + 1, np.transpose(x, axes).shape)
+    err = _gradcheck(lambda x: T.tsum(T.mul(T.transpose(x, axes), Tensor(w))), x=x)
+    assert err <= 1e-6
+
+
+@settings(max_examples=20, deadline=None)
+@given(shape=st.lists(dims, min_size=1, max_size=4), data=st.data(),
+       seed=st.integers(0, 2**16))
+def test_reshape_gradcheck(shape, data, seed):
+    x = _array(seed, shape)
+    # a random factorization of the element count as the new shape
+    target, rest = [], x.size
+    while rest > 1:
+        f = data.draw(st.sampled_from([d for d in range(2, rest + 1) if rest % d == 0]))
+        target.append(f)
+        rest //= f
+    target = tuple(data.draw(st.permutations(target))) or (1,)
+    w = _array(seed + 1, target)
+    err = _gradcheck(lambda x: T.tsum(T.mul(T.reshape(x, target), Tensor(w))), x=x)
+    assert err <= 1e-6

@@ -1,16 +1,17 @@
 import dataclasses
+import gc
 
 import numpy as np
 import pytest
 
 from groupcontrast.config import RunConfig
 from groupcontrast.graphs import batch_graphs, generate_planted_motif_dataset
+from groupcontrast.tensor import Tape
 from groupcontrast.trainer import (CheckpointError, HISTORY_HEADER, ModelState,
                                    TrainingError, checkpoint_load,
                                    checkpoint_save, init_model,
                                    node_view_representations, train,
-                                   train_baseline_graphcl, train_groupcl,
-                                   train_groupig, write_history)
+                                   write_history)
 
 
 DATASET = generate_planted_motif_dataset(7, 40, 14, 8)
@@ -54,21 +55,21 @@ def test_groupcl_descends():
 
 def test_groupig_descends():
     cfg = RunConfig(pipeline="groupig", seed=0, epochs=20, batch_size=16)
-    _, history = train_groupig(cfg, DATASET)
+    _, history = train(cfg, DATASET)
     means = epoch_means(history)
     assert means[19] < means[0]
 
 
 def test_baseline_descends():
     cfg = RunConfig(pipeline="graphcl-baseline", seed=0, epochs=20, batch_size=16)
-    _, history = train_baseline_graphcl(cfg, DATASET)
+    _, history = train(cfg, DATASET)
     means = epoch_means(history)
     assert means[19] < means[0]
 
 
 def test_single_group_no_penalty_runs():
     cfg = RunConfig(num_groups=1, diversity_weight=0.0, seed=1, **FAST)
-    _, history = train_groupcl(cfg, DATASET)
+    _, history = train(cfg, DATASET)
     assert all(np.isfinite(r.total) for r in history)
     assert all(r.inter_penalty == 0.0 for r in history)
 
@@ -88,13 +89,21 @@ def test_untied_views_create_second_branch():
     assert "rep_r.q" in state.params
 
 
-def test_pipeline_aliases_enforce_pipeline():
-    with pytest.raises(TrainingError):
-        train_groupcl(RunConfig(pipeline="groupig"), DATASET)
-    with pytest.raises(TrainingError):
-        train_groupig(RunConfig(), DATASET)
-    with pytest.raises(TrainingError):
-        train_baseline_graphcl(RunConfig(), DATASET)
+@pytest.mark.parametrize("overrides", [
+    dict(), dict(pipeline="groupig", estimator="param"),
+    dict(pipeline="graphcl-baseline")], ids=["groupcl", "groupig-param", "baseline"])
+def test_steps_leave_no_cyclic_tapes(overrides):
+    # each step's tapes must be freed by reference counting, not left for
+    # the cycle collector
+    cfg = RunConfig(seed=0, epochs=1, batch_size=16, **overrides)
+    gc.collect()
+    gc.disable()
+    try:
+        train(cfg, DATASET)
+        alive = sum(isinstance(o, Tape) for o in gc.get_objects())
+    finally:
+        gc.enable()
+    assert alive == 0
 
 
 def test_groupig_duplicated_views_identical():
