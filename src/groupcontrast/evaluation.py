@@ -47,8 +47,9 @@ def extract_embeddings(state: ModelState, dataset: Dataset) -> EmbeddingTable:
                 f"model input width {expected}")
     leaves = {name: Tensor(v) for name, v in state.params.items()}
     rows = []
-    # chunked to bound the dense adjacency size
-    chunk = 256
+    # chunked to bound the dense adjacency: its size, and the time spent
+    # multiplying its zero blocks, grow with the square of the chunk
+    chunk = 32
     for lo in range(0, len(dataset), chunk):
         graphs = list(dataset.graphs[lo:lo + chunk])
         batch = batch_graphs(graphs)

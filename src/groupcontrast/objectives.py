@@ -39,11 +39,11 @@ def _const(x) -> Tensor:
 
 def _stack(groups: Sequence[Tensor]) -> Tensor:
     """The p (B, d) group tensors as one (B, p, d) tensor."""
-    b, d = groups[0].shape
-    try:
-        return T.reshape(T.concat(list(groups), axis=1), (b, len(groups), d))
-    except ValueError as exc:
-        raise ContractError("group tensors carry different shapes") from exc
+    shape = groups[0].shape
+    if any(g.shape != shape for g in groups):
+        raise ContractError(f"group tensors carry different shapes {[g.shape for g in groups]}")
+    b, d = shape
+    return T.reshape(T.concat(list(groups), axis=1), (b, len(groups), d))
 
 
 def js_terms(u_groups: Sequence[Tensor], r_groups: Sequence[Tensor]) -> tuple[Tensor, Tensor]:

@@ -184,10 +184,7 @@ def square(a: Tensor) -> Tensor:
 def transpose(a: Tensor, axes: tuple[int, ...] | None = None) -> Tensor:
     """Matrix transpose, or the axes permutation ``axes`` of any tensor."""
     a = _as_tensor(a)
-    if axes is None:
-        if a.values.ndim != 2:
-            raise DimensionError(f"transpose: expected matrix, got shape {a.shape}")
-        return _result("transpose", a.values.T, [(a, lambda g: g.T)])
+    axes = (1, 0) if axes is None else tuple(axes)
     if sorted(axes) != list(range(a.values.ndim)):
         raise DimensionError(f"transpose: axes {axes} do not permute shape {a.shape}")
     inverse = tuple(np.argsort(axes))

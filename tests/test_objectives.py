@@ -97,6 +97,24 @@ def test_js_group_count_mismatch():
         js_terms(random_groups(0, 3, 2, 4), random_groups(1, 3, 3, 4))
 
 
+def test_group_width_mismatch_rejected_by_every_loss():
+    # widths 2 + 1 + 3 add up to p * d = 6, so a plain reshape would pass
+    rng = np.random.default_rng(5)
+    ragged = [Tensor(unit_rows(rng, 3, w)) for w in (2, 1, 3)]
+    var_params = init_varnet_params(stream_rng(5, "init"), 2)
+    nodes = Tensor(unit_rows(rng, 6, 2))
+    with pytest.raises(ContractError):
+        js_terms(ragged, ragged)
+    with pytest.raises(ContractError):
+        js_terms_nodewise(ragged, nodes, [(0, 2), (2, 4), (4, 6)])
+    with pytest.raises(ContractError):
+        interspace_penalty_nonparam(ragged)
+    with pytest.raises(ContractError):
+        club_param_penalty(ragged, var_params)
+    with pytest.raises(ContractError):
+        varnet_likelihood_loss(ragged, var_params)
+
+
 def test_nodewise_js_matches_bruteforce():
     rng = np.random.default_rng(17)
     b, p, d = 3, 2, 4
