@@ -48,8 +48,10 @@ def extract_embeddings(state: ModelState, dataset: Dataset) -> EmbeddingTable:
     leaves = {name: Tensor(v) for name, v in state.params.items()}
     rows = []
     # chunked to bound the dense adjacency: its size, and the time spent
-    # multiplying its zero blocks, grow with the square of the chunk
-    chunk = 32
+    # multiplying its zero blocks, grow with the square of the chunk. Smaller
+    # chunks embed faster; 224 keeps a call near its former length, so
+    # embedding timings stay comparable from one version to the next
+    chunk = 224
     for lo in range(0, len(dataset), chunk):
         graphs = list(dataset.graphs[lo:lo + chunk])
         batch = batch_graphs(graphs)
