@@ -47,9 +47,8 @@ def node_drop(g: Graph, ratio: float, rng: np.random.Generator) -> Graph:
 
 def edge_perturb(g: Graph, ratio: float, rng: np.random.Generator) -> Graph:
     """Remove floor(ratio*|E|) uniform edges and add as many uniform
-    non-edges of the original graph (fewer if the graph is near-complete)."""
-    if not g.edges:
-        raise GraphError("edge_perturb requires at least one edge")
+    non-edges of the original graph (fewer if the graph is near-complete).
+    An edgeless graph has nothing to perturb and is returned unchanged."""
     k = int(ratio * len(g.edges))
     if k == 0:
         return g
@@ -87,12 +86,16 @@ def attribute_mask(g: Graph, ratio: float, rng: np.random.Generator) -> Graph:
 
 def subgraph_sample(g: Graph, ratio: float, rng: np.random.Generator) -> Graph:
     """Random-walk-grown node subset of size ceil((1-ratio)*N); returns the
-    induced subgraph. Connected inputs yield connected outputs."""
+    induced subgraph. Connected inputs yield connected outputs. A single-node
+    graph has no proper subgraph and is returned unchanged."""
     if g.num_nodes < 2:
-        raise GraphError("subgraph_sample requires at least two nodes")
+        return g
     target = int(np.ceil((1.0 - ratio) * g.num_nodes))
     target = max(target, 1)
-    adj = {v: g.neighbors(v) for v in range(g.num_nodes)}
+    # neighbor lists in ascending order, as the walk's random draws index them
+    adj: list[list[int]] = [[] for _ in range(g.num_nodes)]
+    for u, v in sorted(g.edges + tuple((v, u) for u, v in g.edges)):
+        adj[u].append(v)
     current = int(rng.integers(g.num_nodes))
     kept = {current}
     while len(kept) < target:

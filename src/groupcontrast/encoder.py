@@ -40,15 +40,16 @@ def init_gin_params(
 
 def gin_layer(
     h: Tensor,
-    adjacency: np.ndarray,
+    edge_index: tuple[np.ndarray, np.ndarray],
     w1: Tensor,
     b1: Tensor,
     w2: Tensor,
     b2: Tensor,
     eps: Tensor | float = 0.0,
 ) -> Tensor:
-    """MLP((1+eps)*h_v + sum of neighbor rows); adjacency is constant."""
-    neigh = T.matmul(Tensor(adjacency), h)
+    """MLP((1+eps)*h_v + sum of the rows h_src over the directed edges (src, v))."""
+    src, dst = edge_index
+    neigh = T.index_add(T.take_rows(h, src), dst, h.shape[0])
     if isinstance(eps, Tensor):
         self_term = T.add(h, T.mul(h, eps))
     else:
@@ -68,12 +69,12 @@ def encode_nodes(
     h = Tensor(batch.features)
     if num_layers == 0:
         return h
-    adjacency = batch.adjacency()
+    edge_index = batch.edge_index()
     for layer in range(num_layers):
         eps = params.get(f"{prefix}.{layer}.eps", 0.0)
         h = gin_layer(
             h,
-            adjacency,
+            edge_index,
             params[f"{prefix}.{layer}.w1"],
             params[f"{prefix}.{layer}.b1"],
             params[f"{prefix}.{layer}.w2"],
@@ -106,7 +107,7 @@ def readout_projection(
     prefix: str = "head",
 ) -> Tensor:
     """Per-graph sum readout followed by the two-layer projection head."""
-    pooled = T.matmul(Tensor(batch.segment_indicator()), node_embeddings)
+    pooled = T.index_add(node_embeddings, batch.graph_index, batch.num_graphs)
     if f"{prefix}.lift" in params:
         pooled = T.matmul(pooled, params[f"{prefix}.lift"])
     hidden = T.relu(T.matmul(pooled, params[f"{prefix}.w1"]))

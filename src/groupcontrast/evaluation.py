@@ -46,24 +46,15 @@ def extract_embeddings(state: ModelState, dataset: Dataset) -> EmbeddingTable:
                 f"dataset feature dim {dataset.feature_dim} does not match "
                 f"model input width {expected}")
     leaves = {name: Tensor(v) for name, v in state.params.items()}
-    rows = []
-    # chunked to bound the dense adjacency: its size, and the time spent
-    # multiplying its zero blocks, grow with the square of the chunk. Smaller
-    # chunks embed faster; 224 keeps a call near its former length, so
-    # embedding timings stay comparable from one version to the next
-    chunk = 224
-    for lo in range(0, len(dataset), chunk):
-        graphs = list(dataset.graphs[lo:lo + chunk])
-        batch = batch_graphs(graphs)
-        nodes = encode_nodes(batch, leaves, state.config.gin_layers, prefix="gin")
-        if state.config.pipeline == "graphcl-baseline":
-            emb = T.row_l2_normalize(readout_projection(nodes, batch, leaves, prefix="head"))
-            rows.append(emb.values)
-        else:
-            groups, _ = forward_groups(
-                batch, nodes, leaves, scale_scores=state.config.scale_scores, prefix="rep")
-            rows.append(np.concatenate([g.values for g in groups], axis=1))
-    embeddings = np.concatenate(rows, axis=0)
+    batch = batch_graphs(list(dataset.graphs))
+    nodes = encode_nodes(batch, leaves, state.config.gin_layers, prefix="gin")
+    if state.config.pipeline == "graphcl-baseline":
+        embeddings = T.row_l2_normalize(
+            readout_projection(nodes, batch, leaves, prefix="head")).values
+    else:
+        groups, _ = forward_groups(
+            batch, nodes, leaves, scale_scores=state.config.scale_scores, prefix="rep")
+        embeddings = np.concatenate([g.values for g in groups], axis=1)
     return EmbeddingTable(
         ids=tuple(range(len(dataset))),
         embeddings=embeddings,
@@ -201,6 +192,8 @@ class AttentionRecord:
 
 def export_attention(state: ModelState, graph: Graph) -> tuple[list[AttentionRecord], list[int]]:
     """Per-node, per-group attention weights and the argmax node per group."""
+    if "rep.wk" not in state.params:
+        raise ContractError("model has no representor")
     leaves = {name: Tensor(v) for name, v in state.params.items()}
     batch = batch_graphs([graph])
     nodes = encode_nodes(batch, leaves, state.config.gin_layers, prefix="gin")

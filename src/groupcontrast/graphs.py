@@ -3,7 +3,8 @@ planted-motif generator, and block-segment batching."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +42,10 @@ class Graph:
         if not np.all(np.isfinite(feats)):
             raise GraphError("node features hold non-finite values")
         object.__setattr__(self, "node_features", feats)
-        edges = tuple((int(u), int(v)) for u, v in self.edges)
+        try:
+            edges = tuple((operator.index(u), operator.index(v)) for u, v in self.edges)
+        except TypeError as exc:
+            raise GraphError(f"edge endpoints must be integers: {exc}") from exc
         seen = set()
         for u, v in edges:
             if not (0 <= u < self.num_nodes and 0 <= v < self.num_nodes):
@@ -57,22 +61,6 @@ class Graph:
     @property
     def feature_dim(self) -> int:
         return self.node_features.shape[1]
-
-    def adjacency(self) -> np.ndarray:
-        a = np.zeros((self.num_nodes, self.num_nodes))
-        for u, v in self.edges:
-            a[u, v] = 1.0
-            a[v, u] = 1.0
-        return a
-
-    def neighbors(self, v: int) -> list[int]:
-        out = []
-        for a, b in self.edges:
-            if a == v:
-                out.append(b)
-            elif b == v:
-                out.append(a)
-        return sorted(out)
 
 
 @dataclass(frozen=True)
@@ -111,19 +99,20 @@ class Batch:
     def total_nodes(self) -> int:
         return self.features.shape[0]
 
-    def adjacency(self) -> np.ndarray:
-        a = np.zeros((self.total_nodes, self.total_nodes))
-        for u, v in self.edges:
-            a[u, v] = 1.0
-            a[v, u] = 1.0
-        return a
+    def edge_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """Directed (src, dst) node arrays holding each edge in both directions."""
+        e = np.array(self.edges, dtype=np.intp).reshape(-1, 2)
+        return np.concatenate([e[:, 0], e[:, 1]]), np.concatenate([e[:, 1], e[:, 0]])
 
-    def segment_indicator(self) -> np.ndarray:
-        """(num_graphs, total_nodes) 0/1 matrix; row g selects graph g's nodes."""
-        s = np.zeros((self.num_graphs, self.total_nodes))
-        for g, (lo, hi) in enumerate(self.segments):
-            s[g, lo:hi] = 1.0
-        return s
+    @property
+    def graph_index(self) -> np.ndarray:
+        """The owning graph of each node."""
+        return segment_index(self.segments)
+
+
+def segment_index(segments) -> np.ndarray:
+    """Row -> segment number for contiguous [start, end) segments from row 0."""
+    return np.repeat(np.arange(len(segments)), [hi - lo for lo, hi in segments])
 
 
 def batch_graphs(graphs: list[Graph]) -> Batch:
@@ -186,7 +175,8 @@ def load_dataset(path) -> Dataset:
             if not isinstance(rec, dict) or "n" not in rec or "x" not in rec or "e" not in rec:
                 raise DatasetFormatError(f"line {lineno}: record must carry fields n, x, e")
             n = rec["n"]
-            if not isinstance(n, int) or n <= 0:
+            # `type(...) is int`: JSON true/false decode to bool, an int subclass
+            if type(n) is not int or n <= 0:
                 raise DatasetFormatError(f"line {lineno}: invalid node count {n!r}")
             x = rec["x"]
             if not isinstance(x, list) or len(x) % n != 0:
@@ -202,9 +192,11 @@ def load_dataset(path) -> Dataset:
             e = rec["e"]
             if not isinstance(e, list) or len(e) % 2 != 0:
                 raise DatasetFormatError(f"line {lineno}: edge list must hold endpoint pairs")
+            if bool in map(type, e):
+                raise DatasetFormatError(f"line {lineno}: edge endpoints must be integers")
             edges = tuple((e[i], e[i + 1]) for i in range(0, len(e), 2))
             label = rec.get("y")
-            if label is not None and not isinstance(label, int):
+            if label is not None and type(label) is not int:
                 raise DatasetFormatError(f"line {lineno}: label must be an integer")
             try:
                 g = Graph(

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import tensor as T
 from .encoder import glorot_uniform
+from .graphs import segment_index
 from .tensor import ContractError, Tensor
 
 
@@ -84,27 +85,23 @@ def js_terms_nodewise(
 
     The negative sum is the softplus sum over all (graph, group, node) scores
     minus the one over each node's own-graph scores, so no graph-by-node
-    mask is needed.
+    mask is needed. ``segments`` are the graphs' contiguous node ranges.
     """
     b = u_groups[0].shape[0]
     n, d = r_nodes.shape
     if b < 2:
         raise ContractError("node-wise JS loss needs at least 2 graphs")
     p = len(u_groups)
-    owner = np.zeros((n, b))
-    for g, (lo, hi) in enumerate(segments):
-        owner[lo:hi, g] = 1.0
-    n_pos = int(owner.sum())
-    n_neg = b * n - n_pos
     u = _stack(u_groups)
     scores = T.matmul(T.reshape(u, (b * p, d)), T.transpose(r_nodes))
     all_sum = T.tsum(T.softplus(scores))
-    u_own = T.reshape(T.matmul(Tensor(owner), T.reshape(u, (b, p * d))), (n, p, d))
+    owner = segment_index(segments)
+    u_own = T.reshape(T.take_rows(T.reshape(u, (b, p * d)), owner), (n, p, d))
     own = T.matmul(u_own, T.reshape(r_nodes, (n, d, 1)))   # (N, p, 1)
     pos_sum = T.tsum(T.softplus(T.neg(own)))
     neg_sum = T.sub(all_sum, T.tsum(T.softplus(own)))
-    pos = T.smul(pos_sum, 1.0 / (p * n_pos))
-    neg = T.smul(neg_sum, 1.0 / (p * n_neg))
+    pos = T.smul(pos_sum, 1.0 / (p * n))
+    neg = T.smul(neg_sum, 1.0 / (p * (b - 1) * n))
     return pos, neg
 
 

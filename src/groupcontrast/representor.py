@@ -51,17 +51,17 @@ def group_embed(v: Tensor, a: Tensor, batch: Batch) -> list[Tensor]:
     """Attention-weighted sums of value rows per graph, one tensor per group.
 
     All p groups are pooled at once. Node n's weighted values form an
-    (N, p, d) block, ``a[n, k] * v[n]``; one segment-sum matmul turns it into
-    a (B, p, d) block whose entry [g, k] is group k of graph g, held flat as
-    (B, p * d) with the groups in order. Each group vector is L2-normalized,
-    so discriminator scores are bounded. The result is handed on as p (B, d)
-    column slices of that block.
+    (N, p, d) block, ``a[n, k] * v[n]``; one index-add over the nodes' graphs
+    turns it into a (B, p, d) block whose entry [g, k] is group k of graph g.
+    Each group vector is L2-normalized, so discriminator scores are bounded.
+    The result is held flat as (B, p * d) with the groups in order and handed
+    on as p (B, d) column slices.
     """
     n, p = a.shape
     d = v.shape[1]
     b = batch.num_graphs
     weighted = T.mul(T.reshape(a, (n, p, 1)), T.reshape(v, (n, 1, d)))
-    pooled = T.matmul(Tensor(batch.segment_indicator()), T.reshape(weighted, (n, p * d)))
+    pooled = T.index_add(weighted, batch.graph_index, b)
     unit = T.reshape(T.row_l2_normalize(T.reshape(pooled, (b * p, d))), (b, p * d))
     return [T.slice_cols(unit, k * d, (k + 1) * d) for k in range(p)]
 

@@ -285,43 +285,30 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
 
 
 def row_softmax(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    if a.values.ndim != 2:
-        raise DimensionError(f"row-softmax: expected matrix, got shape {a.shape}")
-    x = a.values
-    z = x - x.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    out = e / e.sum(axis=1, keepdims=True)
-
-    def vjp(g):
-        return out * (g - (g * out).sum(axis=1, keepdims=True))
-
-    return _result("row-softmax", out, [(a, vjp)])
+    """Softmax along each row: the column softmax of the transpose, as one segment."""
+    at = transpose(a)
+    return transpose(segment_softmax(at, [(0, at.shape[0])]))
 
 
 def segment_softmax(a: Tensor, segments: list[tuple[int, int]]) -> Tensor:
-    """Column-wise softmax over the rows of each segment independently."""
+    """Column-wise softmax over the rows of each segment independently; the
+    segments are non-empty and tile the rows in order."""
     a = _as_tensor(a)
     if a.values.ndim != 2:
         raise DimensionError(f"segment-row-softmax: expected matrix, got shape {a.shape}")
-    x = a.values
-    out = np.empty_like(x)
-    for lo, hi in segments:
-        if hi <= lo:
-            raise DimensionError("segment-row-softmax: empty segment")
-        z = x[lo:hi] - x[lo:hi].max(axis=0, keepdims=True)
-        e = np.exp(z)
-        out[lo:hi] = e / e.sum(axis=0, keepdims=True)
+    starts, stops = np.array(segments, dtype=np.intp).reshape(-1, 2).T
+    sizes = stops - starts
+    if np.any(sizes <= 0) or not np.array_equal(starts, np.cumsum(sizes) - sizes) \
+            or sizes.sum() != a.shape[0]:
+        raise DimensionError("segment-row-softmax: segments must be non-empty and tile the rows")
 
-    def vjp(g):
-        gx = np.empty_like(g)
-        for lo, hi in segments:
-            y = out[lo:hi]
-            gs = g[lo:hi]
-            gx[lo:hi] = y * (gs - (gs * y).sum(axis=0, keepdims=True))
-        return gx
+    def per_row(reduce, y):
+        return np.repeat(reduce.reduceat(y, starts, axis=0), sizes, axis=0)
 
-    return _result("segment-row-softmax", out, [(a, vjp)])
+    e = np.exp(a.values - per_row(np.maximum, a.values))
+    out = e / per_row(np.add, e)
+    return _result("segment-row-softmax", out,
+                   [(a, lambda g: out * (g - per_row(np.add, g * out)))])
 
 
 def row_l2_normalize(a: Tensor) -> Tensor:
@@ -354,6 +341,32 @@ def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
         return gx
 
     return _result("slice-cols", a.values[:, start:stop].copy(), [(a, vjp)])
+
+
+def _index_add(x: np.ndarray, index: np.ndarray, n: int) -> np.ndarray:
+    # one bincount over the flattened rows gives each output entry the same
+    # in-order sum as np.add.at, without its per-element dispatch
+    width = int(np.prod(x.shape[1:]))
+    flat = (index[:, None] * width + np.arange(width)).reshape(-1)
+    return np.bincount(flat, x.reshape(-1), n * width).reshape((n, *x.shape[1:]))
+
+
+def take_rows(x: Tensor, index) -> Tensor:
+    """Rows ``x[index]``, indices in [0, len(x)), repeats allowed; adjoint of ``index_add``."""
+    x = _as_tensor(x)
+    n = x.shape[0]
+    index = np.asarray(index, dtype=np.intp)
+    return _result("take-rows", x.values[index], [(x, lambda g: _index_add(g, index, n))])
+
+
+def index_add(x: Tensor, index, n: int) -> Tensor:
+    """(n, ...) block whose row i sums the rows ``x[j]`` with ``index[j] == i``;
+    the adjoint of ``take_rows``."""
+    x = _as_tensor(x)
+    index = np.asarray(index, dtype=np.intp)
+    if index.shape != x.shape[:1]:
+        raise DimensionError(f"index-add: {index.size} indices for input shape {x.shape}")
+    return _result("index-add", _index_add(x.values, index, n), [(x, lambda g: g[index])])
 
 
 def backward(tape: Tape, loss: Tensor) -> dict[int, np.ndarray]:

@@ -17,11 +17,15 @@ def path_graph(n=10, d=4, seed=0):
 def is_connected(g: Graph) -> bool:
     if g.num_nodes == 1:
         return True
+    adj = {v: set() for v in range(g.num_nodes)}
+    for a, b in g.edges:
+        adj[a].add(b)
+        adj[b].add(a)
     seen = {0}
     frontier = [0]
     while frontier:
         v = frontier.pop()
-        for u in g.neighbors(v):
+        for u in adj[v]:
             if u not in seen:
                 seen.add(u)
                 frontier.append(u)
@@ -87,9 +91,12 @@ def test_edge_perturb_on_near_complete_graph():
     assert len(out.edges) == len(edges) - int(0.5 * len(edges))
 
 
-def test_edge_perturb_requires_edges():
-    with pytest.raises(GraphError):
-        edge_perturb(Graph(3, np.zeros((3, 2)), ()), 0.2, stream_rng(0, "augment"))
+def test_undefined_kinds_return_the_input_graph():
+    # nothing to perturb on an edgeless graph, no proper subgraph of one node
+    edgeless = Graph(3, np.ones((3, 2)), ())
+    single = Graph(1, np.ones((1, 2)), ())
+    assert edge_perturb(edgeless, 0.5, stream_rng(0, "augment")) is edgeless
+    assert subgraph_sample(single, 0.5, stream_rng(0, "augment")) is single
 
 
 def test_attribute_mask_zeroes_rows_only():

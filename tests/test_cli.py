@@ -117,6 +117,18 @@ def test_export_attn_rejects_bad_graph_id(tmp_path, capsys):
     assert "out of range" in capsys.readouterr().err
 
 
+def test_export_attn_rejects_baseline_checkpoint(tmp_path, capsys):
+    data = write_small_dataset(tmp_path)
+    run = run_train(tmp_path, data, "run", extra=["pipeline=graphcl-baseline"])
+    rc = main(["export-attn", "--checkpoint", str(run / "checkpoint.bin"),
+               "--data", str(data), "--out", str(tmp_path / "attn"),
+               "--graph-ids", "0"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error: ContractError: model has no representor" in err
+    assert "Traceback" not in err
+
+
 def test_sweep_writes_grid(tmp_path):
     data = write_small_dataset(tmp_path, num_graphs=40)
     out = tmp_path / "sweep"

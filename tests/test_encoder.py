@@ -20,9 +20,13 @@ def random_graph(n, d, seed, density=0.4):
 
 def naive_gin_layer(h, g: Graph, w1, b1, w2, b2, eps=0.0):
     """Per-node reference: MLP((1+eps) h_v + sum over neighbors)."""
+    neighbors = {v: [] for v in range(g.num_nodes)}
+    for a, b in g.edges:
+        neighbors[a].append(b)
+        neighbors[b].append(a)
     out = np.zeros((g.num_nodes, w2.shape[1]))
     for v in range(g.num_nodes):
-        z = (1.0 + eps) * h[v] + sum((h[u] for u in g.neighbors(v)),
+        z = (1.0 + eps) * h[v] + sum((h[u] for u in neighbors[v]),
                                      np.zeros_like(h[v]))
         out[v] = np.maximum(z @ w1 + b1, 0.0) @ w2 + b2
     return out
@@ -34,7 +38,7 @@ def test_gin_layer_matches_naive_reference():
     params = init_gin_params(rng, 4, 5, 1)
     batch = batch_graphs([g])
     out = gin_layer(
-        Tensor(batch.features), batch.adjacency(),
+        Tensor(batch.features), batch.edge_index(),
         Tensor(params["gin.0.w1"]), Tensor(params["gin.0.b1"]),
         Tensor(params["gin.0.w2"]), Tensor(params["gin.0.b2"]))
     ref = naive_gin_layer(g.node_features, g,
@@ -48,7 +52,7 @@ def test_learnable_eps_changes_self_term():
     rng = stream_rng(1, "init")
     params = init_gin_params(rng, 3, 4, 1)
     batch = batch_graphs([g])
-    args = (Tensor(batch.features), batch.adjacency(),
+    args = (Tensor(batch.features), batch.edge_index(),
             Tensor(params["gin.0.w1"]), Tensor(params["gin.0.b1"]),
             Tensor(params["gin.0.w2"]), Tensor(params["gin.0.b2"]))
     base = gin_layer(*args, eps=0.0)

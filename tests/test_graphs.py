@@ -35,15 +35,12 @@ def test_graph_rejects_bad_features():
         Graph(num_nodes=1, node_features=np.array([[np.nan]]), edges=())
 
 
-def test_adjacency_symmetric_zero_diagonal():
-    a = triangle().adjacency()
-    assert np.array_equal(a, a.T)
-    assert np.all(np.diag(a) == 0)
-    assert a.sum() == 6  # each undirected edge twice
-
-
-def test_neighbors():
-    assert triangle().neighbors(1) == [0, 2]
+def test_graph_rejects_non_integer_endpoints():
+    for bad in ((0, 1.7), (0, "1"), (0, None)):
+        with pytest.raises(GraphError, match="integers"):
+            Graph(num_nodes=3, node_features=np.zeros((3, 2)), edges=(bad,))
+    g = Graph(num_nodes=3, node_features=np.zeros((3, 2)), edges=((np.int64(0), 2),))
+    assert g.edges == ((0, 2),) and type(g.edges[0][0]) is int
 
 
 # -- batching -----------------------------------------------------------------
@@ -70,8 +67,7 @@ def test_batch_offsets_and_segments():
     b = batch_graphs(gs)
     assert b.segments == ((0, 3), (3, 6))
     assert (3, 4) in b.edges
-    ind = b.segment_indicator()
-    assert np.array_equal(ind.sum(axis=1), [3, 3])
+    assert np.array_equal(b.graph_index, [0, 0, 0, 1, 1, 1])
 
 
 def test_batch_rejects_empty_and_mixed_dims():
@@ -82,11 +78,21 @@ def test_batch_rejects_empty_and_mixed_dims():
                       Graph(2, np.zeros((2, 5)), ())])
 
 
-def test_batch_adjacency_block_diagonal():
-    b = batch_graphs([triangle(), triangle()])
-    a = b.adjacency()
-    assert np.all(a[:3, 3:] == 0)
-    assert np.all(a[3:, :3] == 0)
+def test_batch_edge_index_block_diagonal():
+    b = batch_graphs([triangle(), Graph(1, np.zeros((1, 2)), ()), triangle()])
+    src, dst = b.edge_index()
+    # every edge in both directions, and never across graphs
+    assert sorted(zip(src.tolist(), dst.tolist())) == sorted(
+        [(u, v) for u, v in b.edges] + [(v, u) for u, v in b.edges])
+    assert np.array_equal(b.graph_index[src], b.graph_index[dst])
+    assert np.array_equal(b.graph_index, [0, 0, 0, 1, 2, 2, 2])
+
+
+def test_edgeless_batch_has_empty_edge_index():
+    b = batch_graphs([Graph(2, np.zeros((2, 2)), ()), Graph(1, np.zeros((1, 2)), ())])
+    src, dst = b.edge_index()
+    assert src.shape == dst.shape == (0,)
+    assert np.array_equal(b.graph_index, [0, 0, 1])
 
 
 # -- file format --------------------------------------------------------------
@@ -130,6 +136,22 @@ def test_feature_length_mismatch_names_line(tmp_path):
         load_dataset(path)
 
 
+@pytest.mark.parametrize("record, message", [
+    ('{"n":3,"x":[0,0,0],"e":[0,1.7]}', "integers"),     # float endpoint
+    ('{"n":3,"x":[0,0,0],"e":["0","1"]}', "integers"),   # string endpoints
+    ('{"n":3,"x":[0,0,0],"e":[0,true]}', "integers"),    # boolean endpoint
+    ('{"n":true,"x":[0],"e":[]}', "node count"),
+    ('{"n":1.0,"x":[0],"e":[]}', "node count"),
+    ('{"n":1,"x":[0],"e":[],"y":true}', "label"),
+    ('{"n":1,"x":[0],"e":[],"y":1.0}', "label"),
+])
+def test_bad_record_names_line(tmp_path, record, message):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"n":2,"x":[0,0],"e":[0,1],"y":0}\n' + record + "\n")
+    with pytest.raises(DatasetFormatError, match=f"line 2: .*{message}"):
+        load_dataset(path)
+
+
 def test_save_load_roundtrip(tmp_path):
     ds = generate_planted_motif_dataset(7, 10, 9, 5)
     path = tmp_path / "ds.jsonl"
@@ -157,7 +179,9 @@ def has_4_clique(g: Graph) -> bool:
 
 
 def has_induced_6_cycle(g: Graph) -> bool:
-    a = g.adjacency()
+    a = np.zeros((g.num_nodes, g.num_nodes))
+    for u, v in g.edges:
+        a[u, v] = a[v, u] = 1.0
     for six in itertools.combinations(range(g.num_nodes), 6):
         sub = a[np.ix_(six, six)]
         if not np.all(sub.sum(axis=0) == 2):

@@ -3,7 +3,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from groupcontrast import tensor as T
@@ -237,7 +237,6 @@ def _array(seed, shape):
     return np.random.default_rng(seed).standard_normal(shape)
 
 
-@settings(max_examples=20, deadline=None)
 @given(batch=st.lists(dims, min_size=1, max_size=2), m=dims, k=dims, n=dims,
        seed=st.integers(0, 2**16))
 def test_batched_matmul_gradcheck(batch, m, k, n, seed):
@@ -247,7 +246,6 @@ def test_batched_matmul_gradcheck(batch, m, k, n, seed):
     assert err <= 1e-6
 
 
-@settings(max_examples=20, deadline=None)
 @given(lead=dims, m=dims, k=dims, n=dims, a_ones=st.booleans(), b_2d=st.booleans(),
        seed=st.integers(0, 2**16))
 def test_broadcast_matmul_gradcheck(lead, m, k, n, a_ones, b_2d, seed):
@@ -262,7 +260,6 @@ def test_broadcast_matmul_gradcheck(lead, m, k, n, a_ones, b_2d, seed):
     assert err <= 1e-6
 
 
-@settings(max_examples=20, deadline=None)
 @given(shape=st.lists(dims, min_size=1, max_size=4), data=st.data(),
        seed=st.integers(0, 2**16))
 def test_transpose_axes_gradcheck(shape, data, seed):
@@ -273,7 +270,6 @@ def test_transpose_axes_gradcheck(shape, data, seed):
     assert err <= 1e-6
 
 
-@settings(max_examples=20, deadline=None)
 @given(shape=st.lists(dims, min_size=1, max_size=4), data=st.data(),
        seed=st.integers(0, 2**16))
 def test_reshape_gradcheck(shape, data, seed):
@@ -288,3 +284,45 @@ def test_reshape_gradcheck(shape, data, seed):
     w = _array(seed + 1, target)
     err = _gradcheck(lambda x: T.tsum(T.mul(T.reshape(x, target), Tensor(w))), x=x)
     assert err <= 1e-6
+
+
+@given(rows=st.integers(1, 5), tail=st.lists(dims, max_size=2), data=st.data(),
+       seed=st.integers(0, 2**16))
+def test_take_rows_gradcheck(rows, tail, data, seed):
+    # repeated and empty index vectors included
+    index = data.draw(st.lists(st.integers(0, rows - 1), max_size=6))
+    x = _array(seed, (rows, *tail))
+    out = T.take_rows(Tensor(x), index)
+    assert np.array_equal(out.values, x[np.array(index, dtype=int)])
+    w = _array(seed + 1, out.shape)
+    err = _gradcheck(lambda x: T.tsum(T.mul(T.take_rows(x, index), Tensor(w))), x=x)
+    assert err <= 1e-6
+
+
+@given(n=st.integers(1, 5), tail=st.lists(dims, max_size=2), data=st.data(),
+       seed=st.integers(0, 2**16))
+def test_index_add_gradcheck(n, tail, data, seed):
+    index = data.draw(st.lists(st.integers(0, n - 1), max_size=6))
+    x = _array(seed, (len(index), *tail))
+    out = T.index_add(Tensor(x), index, n)
+    ref = np.zeros((n, *tail))
+    np.add.at(ref, np.array(index, dtype=int), x)
+    assert np.allclose(out.values, ref, rtol=0, atol=1e-15)
+    w = _array(seed + 1, out.shape)
+    err = _gradcheck(lambda x: T.tsum(T.mul(T.index_add(x, index, n), Tensor(w))), x=x)
+    assert err <= 1e-6
+
+
+def test_take_rows_and_index_add_are_adjoint():
+    # <take_rows(x), y> == <x, index_add(y)> for any x, y
+    rng = np.random.default_rng(5)
+    index = np.array([2, 0, 2, 3, 2])
+    x, y = rng.standard_normal((4, 3)), rng.standard_normal((5, 3))
+    lhs = (T.take_rows(Tensor(x), index).values * y).sum()
+    rhs = (x * T.index_add(Tensor(y), index, 4).values).sum()
+    assert lhs == pytest.approx(rhs, abs=1e-12)
+
+
+def test_index_add_rejects_index_length_mismatch():
+    with pytest.raises(DimensionError):
+        T.index_add(Tensor(np.ones((3, 2))), [0, 1], 4)

@@ -4,8 +4,10 @@ import gc
 import numpy as np
 import pytest
 
+from groupcontrast.augment import AUGMENTATION_KINDS
 from groupcontrast.config import RunConfig
-from groupcontrast.graphs import batch_graphs, generate_planted_motif_dataset
+from groupcontrast.graphs import (Dataset, Graph, batch_graphs,
+                                  generate_planted_motif_dataset)
 from groupcontrast.tensor import Tape
 from groupcontrast.trainer import (CheckpointError, HISTORY_HEADER, ModelState,
                                    TrainingError, checkpoint_load,
@@ -104,6 +106,20 @@ def test_steps_leave_no_cyclic_tapes(overrides):
     finally:
         gc.enable()
     assert alive == 0
+
+
+@pytest.mark.parametrize("kind", AUGMENTATION_KINDS)
+def test_train_finishes_on_edgeless_and_single_node_graphs(kind):
+    # edge-perturb and subgraph are undefined on these graphs and fall back
+    # to the identity view; every batch holds both graphs
+    rng = np.random.default_rng(3)
+    odd = (Graph(1, rng.standard_normal((1, 8)), (), label=0),
+           Graph(4, rng.standard_normal((4, 8)), (), label=1))
+    dataset = Dataset(DATASET.graphs[:6] + odd, 8, 2)
+    cfg = RunConfig(seed=0, epochs=2, batch_size=8, aug_kinds=kind, aug_ratio=0.5)
+    _, history = train(cfg, dataset)
+    assert len(history) == 2
+    assert all(np.isfinite(row.total) for row in history)
 
 
 def test_groupig_duplicated_views_identical():
