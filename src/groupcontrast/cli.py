@@ -5,11 +5,9 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .config import (ConfigError, DataConfig, RunConfig, format_config, load_config)
 from .evaluation import (count_head_params, extract_embeddings, linear_probe,
-                         query_cosine_matrix)
+                         mean_offdiag_abs_cosine, query_cosine_matrix)
 from .graphs import (DatasetFormatError, GraphError, generate_planted_motif_dataset,
                      load_dataset, save_dataset)
 from .tensor import ContractError, DimensionError, NumericError
@@ -99,8 +97,7 @@ def _cmd_analyze(args) -> int:
     with open(out / "query_cosine.csv", "w", encoding="utf-8", newline="\n") as f:
         for row in m:
             f.write(",".join(repr(float(v)) for v in row) + "\n")
-    off = np.abs(m[~np.eye(m.shape[0], dtype=bool)]).mean() if m.shape[0] > 1 else 0.0
-    print(f"mean off-diagonal |cosine| = {off:.6f}")
+    print(f"mean off-diagonal |cosine| = {mean_offdiag_abs_cosine(state):.6f}")
     return 0
 
 

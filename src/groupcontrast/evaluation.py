@@ -7,13 +7,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .encoder import encode_nodes, readout_projection
+from .encoder import encode_nodes
 from .graphs import Dataset, Graph, batch_graphs
 from .optim import adam_step, init_adam
 from .representor import forward_groups
 from .seeding import stream_rng
 from .tensor import ContractError, Tensor
-from .trainer import ModelState
+from .trainer import ModelState, embed_view, input_width
 
 
 @dataclass(frozen=True)
@@ -37,24 +37,16 @@ class ProbeResult:
 
 
 def extract_embeddings(state: ModelState, dataset: Dataset) -> EmbeddingTable:
-    """Deterministic forward pass without augmentation; per graph the group
-    vectors are computed and concatenated in group order."""
-    if state.config.gin_layers > 0:
-        expected = state.params["gin.0.w1"].shape[0]
-        if dataset.feature_dim != expected:
-            raise ContractError(
-                f"dataset feature dim {dataset.feature_dim} does not match "
-                f"model input width {expected}")
+    """Deterministic forward pass without augmentation; per graph the view's
+    group vectors (the baseline's one projection) are concatenated in group
+    order."""
+    expected = input_width(state.config, state.params)
+    if dataset.feature_dim != expected:
+        raise ContractError(
+            f"dataset feature dim {dataset.feature_dim} does not match model input width {expected}")
     leaves = {name: Tensor(v) for name, v in state.params.items()}
-    batch = batch_graphs(list(dataset.graphs))
-    nodes = encode_nodes(batch, leaves, state.config.gin_layers, prefix="gin")
-    if state.config.pipeline == "graphcl-baseline":
-        embeddings = T.row_l2_normalize(
-            readout_projection(nodes, batch, leaves, prefix="head")).values
-    else:
-        groups, _ = forward_groups(
-            batch, nodes, leaves, scale_scores=state.config.scale_scores, prefix="rep")
-        embeddings = np.concatenate([g.values for g in groups], axis=1)
+    groups, _ = embed_view(state.config, leaves, batch_graphs(list(dataset.graphs)))
+    embeddings = np.concatenate([g.values for g in groups], axis=1)
     return EmbeddingTable(
         ids=tuple(range(len(dataset))),
         embeddings=embeddings,

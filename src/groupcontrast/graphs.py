@@ -183,6 +183,8 @@ def load_dataset(path) -> Dataset:
                 raise DatasetFormatError(
                     f"line {lineno}: feature list length {len(x) if isinstance(x, list) else '?'} "
                     f"not divisible by {n} nodes")
+            if not set(map(type, x)) <= {int, float}:
+                raise DatasetFormatError(f"line {lineno}: features must be numbers")
             d = len(x) // n
             if feature_dim is None:
                 feature_dim = d
@@ -196,8 +198,8 @@ def load_dataset(path) -> Dataset:
                 raise DatasetFormatError(f"line {lineno}: edge endpoints must be integers")
             edges = tuple((e[i], e[i + 1]) for i in range(0, len(e), 2))
             label = rec.get("y")
-            if label is not None and type(label) is not int:
-                raise DatasetFormatError(f"line {lineno}: label must be an integer")
+            if label is not None and (type(label) is not int or label < 0):
+                raise DatasetFormatError(f"line {lineno}: label must be a non-negative integer")
             try:
                 g = Graph(
                     num_nodes=n,
@@ -205,7 +207,7 @@ def load_dataset(path) -> Dataset:
                     edges=edges,
                     label=label,
                 )
-            except (GraphError, ValueError) as exc:
+            except (GraphError, ValueError, OverflowError) as exc:
                 raise DatasetFormatError(f"line {lineno}: {exc}") from exc
             graphs.append(g)
     if not graphs:

@@ -317,8 +317,9 @@ def row_l2_normalize(a: Tensor) -> Tensor:
         raise DimensionError(f"row-L2-normalize: expected matrix, got shape {a.shape}")
     x = a.values
     norms = np.sqrt((x * x).sum(axis=1, keepdims=True))
-    if np.any(norms < 1e-12):
-        raise NumericError("row-L2-normalize: near-zero row norm")
+    # a row of near-zero norm has no direction: dividing it by inf maps it,
+    # and its gradient, to zero
+    norms[norms < 1e-12] = np.inf
     out = x / norms
 
     def vjp(g):

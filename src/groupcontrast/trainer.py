@@ -2,21 +2,25 @@
 and history logging."""
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 import struct
 import warnings
 from dataclasses import dataclass, field
+from typing import Mapping
 
 import numpy as np
 
 from . import objectives as obj
 from . import tensor as T
 from .augment import AugmentationPolicy, sample_view
-from .config import RunConfig
-from .encoder import encode_nodes, init_gin_params, init_projection_head, readout_projection
+from .config import PIPELINES, RunConfig
+from .encoder import (encode_nodes, glorot_uniform, init_gin_params, init_projection_head,
+                      readout_projection)
 from .graphs import Batch, Dataset, Graph, batch_graphs
 from .optim import AdamState, adam_step, init_adam
-from .representor import forward_groups, init_representor_params
+from .representor import duplicate_rep, forward_groups, init_representor_params
 from .seeding import stream_rng
 from .tensor import Tape, Tensor, backward
 
@@ -49,48 +53,36 @@ class ModelState:
     var_params: dict[str, np.ndarray] = field(default_factory=dict)
     var_opt: AdamState | None = None
     epoch: int = 0
-    # encode_nodes output width; equals the input width when L = 0
-    node_dim: int = 0
-
-
-def _encoder_prefixes(config: RunConfig, view: str) -> tuple[str, str]:
-    if view == "r" and not config.tie_views:
-        return "gin_r", "rep_r"
-    return "gin", "rep"
 
 
 def init_model(config: RunConfig, feature_dim: int) -> ModelState:
     rng = stream_rng(config.seed, "init")
+    # encode_nodes output width; equals the input width when L = 0
     node_dim = config.gin_hidden if config.gin_layers > 0 else feature_dim
-    params: dict[str, np.ndarray] = {}
-    params.update(init_gin_params(
-        rng, feature_dim, config.gin_hidden, config.gin_layers,
-        learnable_eps=config.learnable_eps, prefix="gin"))
-    if config.pipeline == "graphcl-baseline":
-        params.update(init_projection_head(rng, node_dim, config.embed_dim, prefix="head"))
-        if not config.tie_views:
-            params.update(init_gin_params(
-                rng, feature_dim, config.gin_hidden, config.gin_layers,
-                learnable_eps=config.learnable_eps, prefix="gin_r"))
-    else:
-        params.update(init_representor_params(
-            rng, node_dim, config.key_dim, config.group_dim, config.num_groups,
-            prefix="rep"))
-        if config.pipeline == "groupcl" and not config.tie_views:
-            params.update(init_gin_params(
-                rng, feature_dim, config.gin_hidden, config.gin_layers,
-                learnable_eps=config.learnable_eps, prefix="gin_r"))
-            params.update(init_representor_params(
-                rng, node_dim, config.key_dim, config.group_dim, config.num_groups,
-                prefix="rep_r"))
-        if config.pipeline == "groupig":
-            # linear map from node embeddings to the group width before
-            # node-level discrimination
-            from .encoder import glorot_uniform
-            params["nodemap.w"] = glorot_uniform(rng, node_dim, config.group_dim)
+    baseline = config.pipeline == "graphcl-baseline"
+
+    def encoder(prefix):
+        return init_gin_params(rng, feature_dim, config.gin_hidden, config.gin_layers,
+                               learnable_eps=config.learnable_eps, prefix=prefix)
+
+    def representor(prefix):
+        return init_representor_params(rng, node_dim, config.key_dim, config.group_dim,
+                                       config.num_groups, prefix=prefix)
+
+    params = encoder("gin")
+    params.update(init_projection_head(rng, node_dim, config.embed_dim, prefix="head")
+                  if baseline else representor("rep"))
+    if not config.tie_views and config.pipeline != "groupig":
+        params.update(encoder("gin_r"))
+        if not baseline:
+            params.update(representor("rep_r"))
+    if config.pipeline == "groupig":
+        # linear map from node embeddings to the group width before
+        # node-level discrimination
+        params["nodemap.w"] = glorot_uniform(rng, node_dim, config.group_dim)
     var_params: dict[str, np.ndarray] = {}
     var_opt = None
-    if config.estimator == "param" and config.pipeline != "graphcl-baseline":
+    if config.estimator == "param" and not baseline:
         var_params = obj.init_varnet_params(rng, config.group_dim, prefix="var")
         var_opt = init_adam(var_params, config.learning_rate)
     return ModelState(
@@ -100,45 +92,40 @@ def init_model(config: RunConfig, feature_dim: int) -> ModelState:
         var_params=var_params,
         var_opt=var_opt,
         epoch=0,
-        node_dim=node_dim,
     )
 
 
-def _forward_view(
-    state: ModelState,
-    leaves: dict[str, Tensor],
+def embed_view(
+    config: RunConfig,
+    leaves: Mapping[str, Tensor],
     batch: Batch,
-    view: str,
+    view: str = "u",
 ) -> tuple[list[Tensor], Tensor]:
-    gin_prefix, rep_prefix = _encoder_prefixes(state.config, view)
-    nodes = encode_nodes(batch, leaves, state.config.gin_layers, prefix=gin_prefix)
-    return forward_groups(
-        batch, nodes, leaves, scale_scores=state.config.scale_scores, prefix=rep_prefix)
+    """A view's graph-level tensors and the node embeddings they pool. The
+    graph-level tensors are the p group embeddings, or the baseline's one
+    normalized projection. View "r" runs the second encoder when the views
+    are untied."""
+    branch = "_r" if view == "r" and not config.tie_views else ""
+    nodes = encode_nodes(batch, leaves, config.gin_layers, prefix="gin" + branch)
+    if config.pipeline == "graphcl-baseline":
+        return [T.row_l2_normalize(readout_projection(nodes, batch, leaves, prefix="head"))], nodes
+    groups, _ = forward_groups(
+        batch, nodes, leaves, scale_scores=config.scale_scores, prefix="rep" + branch)
+    return groups, nodes
 
 
-def _inter_term(state: ModelState, u_groups: list[Tensor]) -> Tensor:
-    cfg = state.config
-    if cfg.diversity_weight == 0 or cfg.num_groups < 2:
-        return Tensor(0.0)
-    if cfg.estimator == "param":
-        return obj.club_param_penalty(u_groups, state.var_params)
-    return obj.interspace_penalty_nonparam(u_groups)
+def _node_view(leaves: Mapping[str, Tensor], nodes: Tensor) -> Tensor:
+    """GroupIG's second view: the node embeddings mapped to the group width
+    and normalized."""
+    return T.row_l2_normalize(T.matmul(nodes, leaves["nodemap.w"]))
 
 
-def _apply_gradients(state: ModelState, tape: Tape, leaves: dict[str, Tensor], loss: Tensor):
-    grads_by_id = backward(tape, loss)
-    grads = {name: grads_by_id[leaf.node_id] for name, leaf in leaves.items()}
-    state.params, state.opt = adam_step(state.params, grads, state.opt)
-
-
-def _varnet_update(state: ModelState, u_groups: list[Tensor]):
-    """One adversarial step on the variational nets, encoder held constant."""
-    tape = Tape()
-    leaves = {name: tape.leaf(v) for name, v in state.var_params.items()}
-    loss = obj.varnet_likelihood_loss(u_groups, leaves)
-    grads_by_id = backward(tape, loss)
-    grads = {name: grads_by_id[leaf.node_id] for name, leaf in leaves.items()}
-    state.var_params, state.var_opt = adam_step(state.var_params, grads, state.var_opt)
+def node_view_representations(state: ModelState, batch: Batch) -> list[np.ndarray]:
+    """The duplicated node-level view: p value-independent copies of the
+    normalized, width-mapped node embeddings."""
+    leaves = {name: Tensor(v) for name, v in state.params.items()}
+    _, nodes = embed_view(state.config, leaves, batch)
+    return duplicate_rep(_node_view(leaves, nodes).values, state.config.num_groups)
 
 
 def _sample_views(cfg: RunConfig, graphs: list[Graph], epoch: int, step: int) -> tuple[Batch, Batch]:
@@ -153,74 +140,52 @@ def _sample_views(cfg: RunConfig, graphs: list[Graph], epoch: int, step: int) ->
     return batch_graphs(views_u), batch_graphs(views_r)
 
 
-def _step_groupcl(state: ModelState, graphs: list[Graph], epoch: int, step: int) -> obj.LossBreakdown:
+def _adam_update(params, opt: AdamState, tape: Tape, leaves: dict[str, Tensor], loss: Tensor):
+    """Backpropagate `loss` to the leaves of `params` and take one Adam step."""
+    grads = backward(tape, loss)
+    return adam_step(params, {name: grads[leaf.node_id] for name, leaf in leaves.items()}, opt)
+
+
+def _step(state: ModelState, graphs: list[Graph], epoch: int, step: int) -> obj.LossBreakdown:
+    """One training step of any pipeline. GroupIG contrasts the groups of the
+    batch with its node view; GroupCL and the baseline contrast two augmented
+    views. A view of two or more groups adds the inter-space penalty and,
+    with the parameterized estimator, one adversarial step on the
+    variational nets with the encoder held constant."""
     cfg = state.config
-    batch_u, batch_r = _sample_views(cfg, graphs, epoch, step)
     tape = Tape()
     leaves = {name: tape.leaf(v) for name, v in state.params.items()}
-    u_groups, _ = _forward_view(state, leaves, batch_u, "u")
-    r_groups, _ = _forward_view(state, leaves, batch_r, "r")
-    pos, neg = obj.js_terms(u_groups, r_groups)
-    inter = _inter_term(state, u_groups)
+    if cfg.pipeline == "groupig":
+        batch = batch_graphs(graphs)
+        u, nodes = embed_view(cfg, leaves, batch)
+        pos, neg = obj.js_terms_nodewise(u, _node_view(leaves, nodes), batch.segments)
+    else:
+        batch_u, batch_r = _sample_views(cfg, graphs, epoch, step)
+        u, _ = embed_view(cfg, leaves, batch_u, "u")
+        r, _ = embed_view(cfg, leaves, batch_r, "r")
+        pos, neg = obj.js_terms(u, r)
+    penalized = len(u) >= 2 and cfg.diversity_weight > 0
+    param = penalized and cfg.estimator == "param"
+    if not penalized:
+        inter = Tensor(0.0)
+    elif param:
+        inter = obj.club_param_penalty(u, state.var_params)
+    else:
+        inter = obj.interspace_penalty_nonparam(u)
     loss, breakdown = obj.combine_terms(pos, neg, inter, cfg.diversity_weight)
-    _apply_gradients(state, tape, leaves, loss)
-    if cfg.estimator == "param" and cfg.num_groups >= 2 and cfg.diversity_weight > 0:
-        _varnet_update(state, u_groups)
+    state.params, state.opt = _adam_update(state.params, state.opt, tape, leaves, loss)
+    if param:
+        tape = Tape()
+        leaves = {name: tape.leaf(v) for name, v in state.var_params.items()}
+        loss = obj.varnet_likelihood_loss(u, leaves)
+        state.var_params, state.var_opt = _adam_update(
+            state.var_params, state.var_opt, tape, leaves, loss)
     return breakdown
 
 
-def node_view_representations(state: ModelState, batch: Batch) -> list[np.ndarray]:
-    """The duplicated node-level view: p value-independent copies of the
-    normalized, width-mapped node embeddings."""
-    from .representor import duplicate_rep
-    leaves = {name: Tensor(v) for name, v in state.params.items()}
-    nodes = encode_nodes(batch, leaves, state.config.gin_layers, prefix="gin")
-    mapped = T.row_l2_normalize(T.matmul(nodes, leaves["nodemap.w"]))
-    return duplicate_rep(mapped.values, state.config.num_groups)
-
-
-def _step_groupig(state: ModelState, graphs: list[Graph], epoch: int, step: int) -> obj.LossBreakdown:
-    cfg = state.config
-    batch = batch_graphs(graphs)
-    tape = Tape()
-    leaves = {name: tape.leaf(v) for name, v in state.params.items()}
-    nodes = encode_nodes(batch, leaves, cfg.gin_layers, prefix="gin")
-    u_groups, _ = forward_groups(
-        batch, nodes, leaves, scale_scores=cfg.scale_scores, prefix="rep")
-    r_nodes = T.row_l2_normalize(T.matmul(nodes, leaves["nodemap.w"]))
-    pos, neg = obj.js_terms_nodewise(u_groups, r_nodes, batch.segments)
-    inter = _inter_term(state, u_groups)
-    loss, breakdown = obj.combine_terms(pos, neg, inter, cfg.diversity_weight)
-    _apply_gradients(state, tape, leaves, loss)
-    if cfg.estimator == "param" and cfg.num_groups >= 2 and cfg.diversity_weight > 0:
-        _varnet_update(state, u_groups)
-    return breakdown
-
-
-def _step_baseline(state: ModelState, graphs: list[Graph], epoch: int, step: int) -> obj.LossBreakdown:
-    cfg = state.config
-    batch_u, batch_r = _sample_views(cfg, graphs, epoch, step)
-    tape = Tape()
-    leaves = {name: tape.leaf(v) for name, v in state.params.items()}
-
-    def embed(batch: Batch, view: str) -> Tensor:
-        gin_prefix, _ = _encoder_prefixes(cfg, view)
-        nodes = encode_nodes(batch, leaves, cfg.gin_layers, prefix=gin_prefix)
-        return T.row_l2_normalize(readout_projection(nodes, batch, leaves, prefix="head"))
-
-    h_u = embed(batch_u, "u")
-    h_r = embed(batch_r, "r")
-    pos, neg = obj.js_terms([h_u], [h_r])
-    loss, breakdown = obj.combine_terms(pos, neg, Tensor(0.0), 0.0)
-    _apply_gradients(state, tape, leaves, loss)
-    return breakdown
-
-
-_STEP_FNS = {
-    "groupcl": _step_groupcl,
-    "groupig": _step_groupig,
-    "graphcl-baseline": _step_baseline,
-}
+# one entry per pipeline, all the same step: the pipelines differ only in
+# what embed_view and _step compute from the config
+_STEP_FNS = {pipeline: _step for pipeline in PIPELINES}
 
 
 def train(
@@ -295,13 +260,11 @@ def _array_table(state: ModelState) -> list[tuple[str, np.ndarray]]:
 
 
 def checkpoint_save(path, state: ModelState) -> None:
-    import dataclasses as dc
     table = _array_table(state)
     header = {
         "version": 1,
-        "config": dc.asdict(state.config),
+        "config": dataclasses.asdict(state.config),
         "epoch": state.epoch,
-        "node_dim": state.node_dim,
         "adam": {"step": state.opt.step, "lr": state.opt.lr},
         "var_adam": ({"step": state.var_opt.step, "lr": state.var_opt.lr}
                      if state.var_opt is not None else None),
@@ -316,50 +279,92 @@ def checkpoint_save(path, state: ModelState) -> None:
             f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
+def input_width(config: RunConfig, params: Mapping[str, np.ndarray]) -> int:
+    """The feature width the model was initialized for, read off its first
+    weights. The head's lift exists only when that width differs from
+    embed_dim."""
+    for name in ("gin.0.w1", "rep.wk", "head.lift"):
+        if name in params and params[name].ndim == 2:
+            return params[name].shape[0]
+    return config.embed_dim
+
+
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise CheckpointError(f"corrupt checkpoint: {message}")
+
+
+def _read_config(entries) -> RunConfig:
+    """The stored config; every value has the type of its field's default,
+    or is an int where that is a float."""
+    kinds = {f.name: type(f.default) for f in dataclasses.fields(RunConfig)}
+    _require(isinstance(entries, dict), "config is not a mapping")
+    for key, value in entries.items():
+        kind = kinds.get(key, type(value))
+        _require(type(value) is kind or (kind is float and type(value) is int),
+                 f"config field {key!r} is {value!r}")
+    try:
+        return RunConfig(**entries)
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"corrupt checkpoint: config rejected: {exc}") from exc
+
+
+def _read_adam(entry, what: str, m: dict, v: dict) -> AdamState:
+    _require(isinstance(entry, dict) and type(entry.get("step")) is int and entry["step"] >= 0
+             and type(entry.get("lr")) is float and entry["lr"] > 0, f"bad {what} header")
+    return AdamState(lr=entry["lr"], step=entry["step"], m=m, v=v)
+
+
 def checkpoint_load(path) -> ModelState:
+    """Read a checkpoint, checking its header, and that its arrays are the
+    parameters (and Adam moments) that init_model creates for its config."""
     with open(path, "rb") as f:
         raw = f.read()
     if len(raw) < len(_MAGIC) + 8 or raw[:len(_MAGIC)] != _MAGIC:
         raise CheckpointError("not a checkpoint file (bad magic)")
     (blob_len,) = struct.unpack("<Q", raw[8:16])
-    if len(raw) < 16 + blob_len:
-        raise CheckpointError("corrupt checkpoint: truncated header")
+    _require(len(raw) >= 16 + blob_len, "truncated header")
     try:
         header = json.loads(raw[16:16 + blob_len].decode("utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CheckpointError(f"corrupt checkpoint header: {exc}") from exc
+    _require(isinstance(header, dict), "header is not a mapping")
     if header.get("version") != 1:
         raise CheckpointError(f"unsupported checkpoint version {header.get('version')!r}")
-    config = RunConfig(**header["config"])
+    # older checkpoints also carry node_dim; it is derived now, so it is ignored
+    missing = {"config", "epoch", "adam", "var_adam", "arrays"} - header.keys()
+    _require(not missing, f"header lacks {sorted(missing)}")
+    config = _read_config(header["config"])
+    _require(type(header["epoch"]) is int and header["epoch"] >= 0, "bad epoch")
+    _require(isinstance(header["arrays"], list), "bad array table")
     offset = 16 + blob_len
-    arrays: dict[str, np.ndarray] = {}
-    for key, shape in header["arrays"]:
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * 8
-        if offset + nbytes > len(raw):
-            raise CheckpointError(f"corrupt checkpoint: truncated data for {key!r}")
-        arrays[key] = np.frombuffer(
-            raw, dtype="<f8", count=count, offset=offset).reshape(shape).copy()
-        offset += nbytes
-    if offset != len(raw):
-        raise CheckpointError("corrupt checkpoint: trailing bytes")
+    tables: dict[str, dict[str, np.ndarray]] = {k: {} for k in ("p", "m", "v", "vp", "vm", "vv")}
+    for entry in header["arrays"]:
+        _require(isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
+                 and isinstance(entry[1], list)
+                 and all(type(n) is int and n >= 0 for n in entry[1]),
+                 f"bad array entry {entry!r}")
+        key, shape = entry
+        prefix, _, name = key.partition("/")
+        _require(prefix in tables and name not in tables[prefix], f"unexpected array {key!r}")
+        count = math.prod(shape)
+        _require(offset + count * 8 <= len(raw), f"truncated data for {key!r}")
+        arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset).reshape(shape).copy()
+        _require(bool(np.all(np.isfinite(arr))), f"non-finite values in {key!r}")
+        tables[prefix][name] = arr
+        offset += count * 8
+    _require(offset == len(raw), "trailing bytes")
 
-    params = {k[2:]: v for k, v in arrays.items() if k.startswith("p/")}
-    opt = AdamState(
-        lr=header["adam"]["lr"], step=header["adam"]["step"],
-        m={k[2:]: v for k, v in arrays.items() if k.startswith("m/")},
-        v={k[2:]: v for k, v in arrays.items() if k.startswith("v/")},
-    )
-    var_params = {k[3:]: v for k, v in arrays.items() if k.startswith("vp/")}
-    var_opt = None
-    if header["var_adam"] is not None:
-        var_opt = AdamState(
-            lr=header["var_adam"]["lr"], step=header["var_adam"]["step"],
-            m={k[3:]: v for k, v in arrays.items() if k.startswith("vm/")},
-            v={k[3:]: v for k, v in arrays.items() if k.startswith("vv/")},
-        )
+    expected = init_model(config, input_width(config, tables["p"]))
+    for prefix, got in tables.items():
+        want = expected.var_params if prefix in ("vp", "vm", "vv") else expected.params
+        _require(got.keys() == want.keys() and all(got[k].shape == want[k].shape for k in want),
+                 f"{prefix}/ arrays do not match the parameters of the stored config")
+    _require((header["var_adam"] is None) == (expected.var_opt is None), "bad var_adam header")
+    opt = _read_adam(header["adam"], "adam", tables["m"], tables["v"])
+    var_opt = (None if expected.var_opt is None
+               else _read_adam(header["var_adam"], "var_adam", tables["vm"], tables["vv"]))
     return ModelState(
-        config=config, params=params, opt=opt,
-        var_params=var_params, var_opt=var_opt, epoch=header["epoch"],
-        node_dim=header["node_dim"],
+        config=config, params=tables["p"], opt=opt,
+        var_params=tables["vp"], var_opt=var_opt, epoch=header["epoch"],
     )

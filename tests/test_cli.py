@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -126,6 +129,23 @@ def test_export_attn_rejects_baseline_checkpoint(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert "error: ContractError: model has no representor" in err
+    assert "Traceback" not in err
+
+
+def test_eval_rejects_checkpoint_header_without_epoch(tmp_path, capsys):
+    data = write_small_dataset(tmp_path)
+    ck = run_train(tmp_path, data, "run") / "checkpoint.bin"
+    raw = ck.read_bytes()
+    (n,) = struct.unpack("<Q", raw[8:16])
+    header = json.loads(raw[16:16 + n])
+    del header["epoch"]
+    blob = json.dumps(header).encode()
+    ck.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + n:])
+    rc = main(["eval", "--checkpoint", str(ck), "--data", str(data),
+               "--out", str(tmp_path / "eval")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error: CheckpointError" in err and "epoch" in err
     assert "Traceback" not in err
 
 

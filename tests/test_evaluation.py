@@ -43,6 +43,16 @@ def test_extract_embeddings_feature_dim_mismatch():
         extract_embeddings(state, DATASET)
 
 
+@pytest.mark.parametrize("pipeline, width", [
+    ("groupcl", 5), ("groupig", 5), ("graphcl-baseline", 5), ("graphcl-baseline", 160)])
+def test_extract_embeddings_feature_dim_mismatch_without_gin_layers(pipeline, width):
+    # with no GIN layer the width is read off the representor or the head's
+    # lift, which a width equal to embed_dim (160) does not have
+    state = init_model(RunConfig(pipeline=pipeline, gin_layers=0), width)
+    with pytest.raises(ContractError, match=f"input width {width}"):
+        extract_embeddings(state, DATASET)
+
+
 def test_probe_on_linearly_separable_data():
     rng = np.random.default_rng(0)
     n = 200

@@ -144,6 +144,12 @@ def test_feature_length_mismatch_names_line(tmp_path):
     ('{"n":1.0,"x":[0],"e":[]}', "node count"),
     ('{"n":1,"x":[0],"e":[],"y":true}', "label"),
     ('{"n":1,"x":[0],"e":[],"y":1.0}', "label"),
+    ('{"n":1,"x":[0],"e":[],"y":-1}', "label"),
+    ('{"n":2,"x":["1","2"],"e":[]}', "features"),       # string features
+    ('{"n":2,"x":[true,false],"e":[]}', "features"),    # boolean features
+    ('{"n":2,"x":[[1],[2]],"e":[]}', "features"),       # nested lists
+    ('{"n":2,"x":[1,null],"e":[]}', "features"),
+    ('{"n":1,"x":[1' + "0" * 400 + '],"e":[]}', "too large"),  # int beyond float64
 ])
 def test_bad_record_names_line(tmp_path, record, message):
     path = tmp_path / "bad.jsonl"

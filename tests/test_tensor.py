@@ -159,8 +159,25 @@ def test_row_l2_normalize_unit_norms_and_zero_row():
     x = np.random.default_rng(4).standard_normal((6, 5))
     out = T.row_l2_normalize(Tensor(x))
     assert np.allclose(np.linalg.norm(out.values, axis=1), 1.0)
-    with pytest.raises(NumericError):
-        T.row_l2_normalize(Tensor(np.zeros((1, 3))))
+    # a (near-)zero row maps to zero with zero gradient; the other rows keep
+    # their values and gradients bit for bit
+    g = np.random.default_rng(5).standard_normal((6, 5))
+
+    def value_and_grad(a):
+        tape = Tape()
+        leaf = tape.leaf(a)
+        y = T.row_l2_normalize(leaf)
+        return y.values, backward(tape, T.tsum(T.mul(y, Tensor(g))))[leaf.node_id]
+
+    zeroed = x.copy()
+    zeroed[2] = 0.0
+    zeroed[4] = 1e-14
+    out_x, grad_x = value_and_grad(x)
+    out_z, grad_z = value_and_grad(zeroed)
+    assert np.all(out_z[[2, 4]] == 0.0) and np.all(grad_z[[2, 4]] == 0.0)
+    kept = [0, 1, 3, 5]
+    assert out_z[kept].tobytes() == out_x[kept].tobytes()
+    assert grad_z[kept].tobytes() == grad_x[kept].tobytes()
 
 
 def test_backward_requires_scalar_loss():

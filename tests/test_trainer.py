@@ -1,11 +1,16 @@
 import dataclasses
 import gc
+import json
+import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from groupcontrast.augment import AUGMENTATION_KINDS
-from groupcontrast.config import RunConfig
+from groupcontrast.config import PIPELINES, RunConfig
 from groupcontrast.graphs import (Dataset, Graph, batch_graphs,
                                   generate_planted_motif_dataset)
 from groupcontrast.tensor import Tape
@@ -122,6 +127,18 @@ def test_train_finishes_on_edgeless_and_single_node_graphs(kind):
     assert all(np.isfinite(row.total) for row in history)
 
 
+@pytest.mark.parametrize("pipeline", PIPELINES)
+def test_train_finishes_on_all_zero_feature_graph(pipeline):
+    # every layer maps an all-zero graph to zero, so its embeddings have no
+    # direction; normalizing them must not abort the run
+    zero = Graph(3, np.zeros((3, 8)), ((0, 1),), label=0)
+    dataset = Dataset(DATASET.graphs[:6] + (zero,), 8, 2)
+    cfg = RunConfig(pipeline=pipeline, seed=0, epochs=2, batch_size=8)
+    _, history = train(cfg, dataset)
+    assert len(history) == 2
+    assert all(np.isfinite(row.total) for row in history)
+
+
 def test_groupig_duplicated_views_identical():
     cfg = RunConfig(pipeline="groupig", seed=4, **FAST)
     state, _ = train(cfg, DATASET)
@@ -159,7 +176,6 @@ def test_checkpoint_roundtrip_exact(tmp_path):
     for k in state.var_params:
         assert np.array_equal(back.var_params[k], state.var_params[k])
     assert back.opt.step == state.opt.step
-    assert back.node_dim == state.node_dim
 
 
 def test_save_resume_matches_uninterrupted(tmp_path):
@@ -179,8 +195,60 @@ def test_save_resume_matches_uninterrupted(tmp_path):
     assert joined == [r.total for r in full_hist]
 
 
+def read_checkpoint_parts(raw):
+    """A checkpoint's header and its arrays by key, in file order."""
+    (n,) = struct.unpack("<Q", raw[8:16])
+    header = json.loads(raw[16:16 + n])
+    arrays, offset = {}, 16 + n
+    for key, shape in header["arrays"]:
+        count = math.prod(shape)
+        arrays[key] = np.frombuffer(raw, "<f8", count, offset).reshape(shape)
+        offset += 8 * count
+    return header, arrays
+
+
+def write_checkpoint_parts(path, header, arrays):
+    header = dict(header, arrays=[[k, list(a.shape)] for k, a in arrays.items()])
+    blob = json.dumps(header, separators=(",", ":")).encode()
+    path.write_bytes(b"GCCHKPT1" + struct.pack("<Q", len(blob)) + blob
+                     + b"".join(np.ascontiguousarray(a, "<f8").tobytes() for a in arrays.values()))
+
+
+def _shrink(arrays, key):
+    arrays[key] = arrays[key][:, :1]
+
+
+CORRUPTIONS = {
+    "header is a list": lambda h, a: h.clear() or h.update(version=1, config=[]),
+    "no epoch": lambda h, a: h.pop("epoch"),
+    "no adam": lambda h, a: h.pop("adam"),
+    "no var_adam": lambda h, a: h.pop("var_adam"),
+    "negative epoch": lambda h, a: h.update(epoch=-1),
+    "string adam step": lambda h, a: h["adam"].update(step="3"),
+    "unknown config key": lambda h, a: h["config"].update(learning_rte=0.01),
+    "rejected config value": lambda h, a: h["config"].update(num_groups=0),
+    "string config value": lambda h, a: h["config"].update(num_groups="4"),
+    "float config int": lambda h, a: h["config"].update(num_groups=4.0),
+    "config of another pipeline": lambda h, a: h["config"].update(pipeline="graphcl-baseline"),
+    "missing m/": lambda h, a: a.pop("m/rep.q"),
+    "missing v/": lambda h, a: a.pop("v/gin.0.b1"),
+    "missing p/": lambda h, a: a.pop("p/rep.q"),
+    "missing vm/": lambda h, a: a.pop("vm/var.mu.w1"),
+    "missing vv/": lambda h, a: a.pop("vv/var.lv.b2"),
+    "m/ shape": lambda h, a: _shrink(a, "m/rep.q"),
+    "vv/ shape": lambda h, a: _shrink(a, "vv/var.mu.w2"),
+    "p/, m/ and v/ shape": lambda h, a: [_shrink(a, f"{k}/rep.wv") for k in "pmv"],
+    "extra parameter": lambda h, a: a.update({"p/extra": np.zeros(2), "m/extra": np.zeros(2),
+                                              "v/extra": np.zeros(2)}),
+    "unknown prefix": lambda h, a: a.update({"q/rep.q": np.zeros(2)}),
+    "no varnets": lambda h, a: [a.pop(k) for k in list(a) if k.startswith("v") and "/var." in k],
+    "var_adam for nonparam": lambda h, a: h["config"].update(estimator="nonparam"),
+    "non-finite value": lambda h, a: a.update({"p/rep.q": np.full_like(a["p/rep.q"], np.nan)}),
+}
+
+
 def test_checkpoint_corruption_detected(tmp_path):
-    cfg = RunConfig(seed=9, epochs=1, batch_size=16)
+    cfg = RunConfig(seed=9, epochs=1, batch_size=16, estimator="param")
     state, _ = train(cfg, DATASET)
     path = tmp_path / "ck.bin"
     checkpoint_save(path, state)
@@ -200,6 +268,48 @@ def test_checkpoint_corruption_detected(tmp_path):
     trailing.write_bytes(raw + b"\x00" * 8)
     with pytest.raises(CheckpointError):
         checkpoint_load(trailing)
+
+    # the parts rewritten unchanged load; each corruption raises CheckpointError
+    rewritten = tmp_path / "rewritten.bin"
+    write_checkpoint_parts(rewritten, *read_checkpoint_parts(raw))
+    assert rewritten.read_bytes() == raw
+    loaded = []
+    for name, corrupt in CORRUPTIONS.items():
+        header, arrays = read_checkpoint_parts(raw)
+        corrupt(header, arrays)
+        write_checkpoint_parts(rewritten, header, arrays)
+        try:
+            checkpoint_load(rewritten)
+            loaded.append(name)
+        except CheckpointError:
+            pass
+    assert loaded == []
+
+
+def test_checkpoint_with_node_dim_key_still_loads(tmp_path):
+    # checkpoints written while ModelState stored node_dim carry it in the header
+    state = init_model(RunConfig(seed=9), 8)
+    path = tmp_path / "ck.bin"
+    checkpoint_save(path, state)
+    header, arrays = read_checkpoint_parts(path.read_bytes())
+    write_checkpoint_parts(path, dict(header, node_dim=32), arrays)
+    back = checkpoint_load(path)
+    assert back.params.keys() == state.params.keys()
+    assert all(np.array_equal(back.params[k], state.params[k]) for k in state.params)
+
+
+_SMALL = RunConfig(estimator="param", num_groups=2, embed_dim=4, key_dim=3, gin_layers=1,
+                   gin_hidden=3)
+
+
+@given(cut=st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+def test_every_truncation_raises_checkpoint_error(tmp_path_factory, cut):
+    path = tmp_path_factory.mktemp("trunc") / "ck.bin"
+    checkpoint_save(path, init_model(_SMALL, 2))
+    raw = path.read_bytes()
+    path.write_bytes(raw[:int(cut * len(raw))])
+    with pytest.raises(CheckpointError):
+        checkpoint_load(path)
 
 
 def test_init_model_head_layout_by_pipeline():
