@@ -124,7 +124,7 @@ def node_view_representations(state: ModelState, batch: Batch) -> list[np.ndarra
     """The duplicated node-level view: p value-independent copies of the
     normalized, width-mapped node embeddings."""
     leaves = {name: Tensor(v) for name, v in state.params.items()}
-    _, nodes = embed_view(state.config, leaves, batch)
+    nodes = encode_nodes(batch, leaves, state.config.gin_layers)
     return duplicate_rep(_node_view(leaves, nodes).values, state.config.num_groups)
 
 

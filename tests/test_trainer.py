@@ -219,7 +219,7 @@ def _shrink(arrays, key):
 
 
 CORRUPTIONS = {
-    "header is a list": lambda h, a: h.clear() or h.update(version=1, config=[]),
+    "config is a list": lambda h, a: h.update(config=[]),
     "no epoch": lambda h, a: h.pop("epoch"),
     "no adam": lambda h, a: h.pop("adam"),
     "no var_adam": lambda h, a: h.pop("var_adam"),
@@ -268,6 +268,11 @@ def test_checkpoint_corruption_detected(tmp_path):
     trailing.write_bytes(raw + b"\x00" * 8)
     with pytest.raises(CheckpointError):
         checkpoint_load(trailing)
+
+    listed = tmp_path / "list.bin"
+    listed.write_bytes(raw[:8] + struct.pack("<Q", 2) + b"[]")
+    with pytest.raises(CheckpointError):
+        checkpoint_load(listed)
 
     # the parts rewritten unchanged load; each corruption raises CheckpointError
     rewritten = tmp_path / "rewritten.bin"
