@@ -183,8 +183,8 @@ def _step(state: ModelState, graphs: list[Graph], epoch: int, step: int) -> obj.
     return breakdown
 
 
-# one entry per pipeline, all the same step: the pipelines differ only in
-# what embed_view and _step compute from the config
+# `train` looks its step up here by pipeline, so a profiler can wrap one
+# pipeline's entry to time its steps
 _STEP_FNS = {pipeline: _step for pipeline in PIPELINES}
 
 
