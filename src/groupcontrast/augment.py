@@ -25,6 +25,14 @@ class AugmentationPolicy:
             raise GraphError(f"augmentation ratio must lie in [0, 1), got {self.ratio}")
 
 
+def _induced(g: Graph, keep: np.ndarray) -> Graph:
+    """The subgraph induced by the nodes where `keep` is set; nodes and edges
+    keep their relative order."""
+    new_id = np.cumsum(keep) - 1
+    edges = g.edges[keep[g.edges].all(axis=1)]
+    return Graph._trusted(g.node_features[keep], new_id[edges], g.label)
+
+
 def node_drop(g: Graph, ratio: float, rng: np.random.Generator) -> Graph:
     """Drop floor(ratio*N) uniform nodes; survivors keep their relative order."""
     k = int(ratio * g.num_nodes)
@@ -32,17 +40,9 @@ def node_drop(g: Graph, ratio: float, rng: np.random.Generator) -> Graph:
         raise GraphError("node_drop would remove every node")
     if k == 0:
         return g
-    dropped = set(rng.choice(g.num_nodes, size=k, replace=False).tolist())
-    kept = [v for v in range(g.num_nodes) if v not in dropped]
-    remap = {old: new for new, old in enumerate(kept)}
-    edges = tuple(
-        (remap[u], remap[v]) for u, v in g.edges if u not in dropped and v not in dropped)
-    return Graph(
-        num_nodes=len(kept),
-        node_features=g.node_features[kept].copy(),
-        edges=edges,
-        label=g.label,
-    )
+    keep = np.ones(g.num_nodes, dtype=bool)
+    keep[rng.choice(g.num_nodes, size=k, replace=False)] = False
+    return _induced(g, keep)
 
 
 def edge_perturb(g: Graph, ratio: float, rng: np.random.Generator) -> Graph:
@@ -52,25 +52,18 @@ def edge_perturb(g: Graph, ratio: float, rng: np.random.Generator) -> Graph:
     k = int(ratio * len(g.edges))
     if k == 0:
         return g
-    removed = set(rng.choice(len(g.edges), size=k, replace=False).tolist())
-    edges = [e for i, e in enumerate(g.edges) if i not in removed]
-    existing = {(min(u, v), max(u, v)) for u, v in g.edges}
-    non_edges = [
-        (u, v)
-        for u in range(g.num_nodes)
-        for v in range(u + 1, g.num_nodes)
-        if (u, v) not in existing
-    ]
+    kept = np.ones(len(g.edges), dtype=bool)
+    kept[rng.choice(len(g.edges), size=k, replace=False)] = False
+    edges = g.edges[kept]
+    rows, cols = np.triu_indices(g.num_nodes, 1)
+    free = np.ones((g.num_nodes, g.num_nodes), dtype=bool)
+    free[g.edges.min(axis=1), g.edges.max(axis=1)] = False
+    non_edges = np.stack([rows, cols], axis=1)[free[rows, cols]]   # row-major order
     n_add = min(k, len(non_edges))
     if n_add:
         added = rng.choice(len(non_edges), size=n_add, replace=False)
-        edges.extend(non_edges[i] for i in sorted(added.tolist()))
-    return Graph(
-        num_nodes=g.num_nodes,
-        node_features=g.node_features.copy(),
-        edges=tuple(edges),
-        label=g.label,
-    )
+        edges = np.concatenate([edges, non_edges[np.sort(added)]])
+    return Graph._trusted(g.node_features.copy(), edges, g.label)
 
 
 def attribute_mask(g: Graph, ratio: float, rng: np.random.Generator) -> Graph:
@@ -81,7 +74,7 @@ def attribute_mask(g: Graph, ratio: float, rng: np.random.Generator) -> Graph:
     masked = rng.choice(g.num_nodes, size=k, replace=False)
     feats = g.node_features.copy()
     feats[masked] = 0.0
-    return Graph(num_nodes=g.num_nodes, node_features=feats, edges=g.edges, label=g.label)
+    return Graph._trusted(feats, g.edges, g.label)
 
 
 def subgraph_sample(g: Graph, ratio: float, rng: np.random.Generator) -> Graph:
@@ -90,11 +83,10 @@ def subgraph_sample(g: Graph, ratio: float, rng: np.random.Generator) -> Graph:
     graph has no proper subgraph and is returned unchanged."""
     if g.num_nodes < 2:
         return g
-    target = int(np.ceil((1.0 - ratio) * g.num_nodes))
-    target = max(target, 1)
+    target = max(int(np.ceil((1.0 - ratio) * g.num_nodes)), 1)
     # neighbor lists in ascending order, as the walk's random draws index them
     adj: list[list[int]] = [[] for _ in range(g.num_nodes)]
-    for u, v in sorted(g.edges + tuple((v, u) for u, v in g.edges)):
+    for u, v in sorted(np.concatenate([g.edges, g.edges[:, ::-1]]).tolist()):
         adj[u].append(v)
     current = int(rng.integers(g.num_nodes))
     kept = {current}
@@ -113,16 +105,9 @@ def subgraph_sample(g: Graph, ratio: float, rng: np.random.Generator) -> Graph:
             outside = [v for v in range(g.num_nodes) if v not in kept]
             current = outside[int(rng.integers(len(outside)))]
             kept.add(current)
-    kept_sorted = sorted(kept)
-    remap = {old: new for new, old in enumerate(kept_sorted)}
-    edges = tuple(
-        (remap[u], remap[v]) for u, v in g.edges if u in kept and v in kept)
-    return Graph(
-        num_nodes=len(kept_sorted),
-        node_features=g.node_features[kept_sorted].copy(),
-        edges=edges,
-        label=g.label,
-    )
+    keep = np.zeros(g.num_nodes, dtype=bool)
+    keep[list(kept)] = True
+    return _induced(g, keep)
 
 
 _KIND_FNS = {

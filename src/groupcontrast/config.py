@@ -2,7 +2,11 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
+
+from .augment import AugmentationPolicy
+from .graphs import GraphError
 
 PIPELINES = ("groupcl", "groupig", "graphcl-baseline")
 ESTIMATORS = ("nonparam", "param")
@@ -39,17 +43,24 @@ class RunConfig:
             raise ConfigError(f"pipeline must be one of {PIPELINES}, got {self.pipeline!r}")
         if self.estimator not in ESTIMATORS:
             raise ConfigError(f"estimator must be one of {ESTIMATORS}, got {self.estimator!r}")
-        if self.num_groups < 1:
-            raise ConfigError("num_groups must be at least 1")
+        for name, least in (("num_groups", 1), ("embed_dim", 1), ("key_dim", 1), ("gin_hidden", 1),
+                            ("batch_size", 1), ("epochs", 0), ("gin_layers", 0)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be at least {least}, got {getattr(self, name)}")
         if self.embed_dim % self.num_groups != 0:
             raise ConfigError(
                 f"embed_dim {self.embed_dim} not divisible by num_groups {self.num_groups}")
-        if self.diversity_weight < 0:
-            raise ConfigError("diversity_weight must be non-negative")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
-        if self.epochs < 0 or self.batch_size < 1 or self.gin_layers < 0:
-            raise ConfigError("epochs/batch_size/gin_layers out of range")
+        for name, ok, rule in (("diversity_weight", self.diversity_weight >= 0, "non-negative"),
+                               ("learning_rate", self.learning_rate > 0, "positive")):
+            if not (ok and math.isfinite(getattr(self, name))):
+                raise ConfigError(f"{name} must be finite and {rule}, got {getattr(self, name)}")
+        # every pipeline checks its augmentation fields, used or not
+        for name, policy in (("aug_kinds", dict(kinds=self.aug_kind_list)),
+                             ("aug_ratio", dict(ratio=self.aug_ratio))):
+            try:
+                AugmentationPolicy(**policy)
+            except GraphError as exc:
+                raise ConfigError(f"{name}: {exc}") from exc
 
     @property
     def group_dim(self) -> int:

@@ -69,12 +69,11 @@ def encode_nodes(
     h = Tensor(batch.features)
     if num_layers == 0:
         return h
-    edge_index = batch.edge_index()
     for layer in range(num_layers):
         eps = params.get(f"{prefix}.{layer}.eps", 0.0)
         h = gin_layer(
             h,
-            edge_index,
+            batch.edge_index,
             params[f"{prefix}.{layer}.w1"],
             params[f"{prefix}.{layer}.b1"],
             params[f"{prefix}.{layer}.w2"],

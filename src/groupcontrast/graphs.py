@@ -3,7 +3,6 @@ planted-motif generator, and block-segment batching."""
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,13 +22,14 @@ class DatasetFormatError(ValueError):
 class Graph:
     """Undirected graph with dense node features and an optional class label.
 
-    Edges are stored once per undirected pair; self-loops are not stored
-    (the self term is added inside GIN aggregation).
+    Edges are an (E, 2) intp array holding each undirected pair once, with no
+    self-loops (GIN aggregation adds the self term). ``Graph(...)`` takes any
+    sequence of integer pairs and validates it once.
     """
 
     num_nodes: int
     node_features: np.ndarray
-    edges: tuple[tuple[int, int], ...]
+    edges: np.ndarray
     label: int | None = None
 
     def __post_init__(self):
@@ -42,25 +42,47 @@ class Graph:
         if not np.all(np.isfinite(feats)):
             raise GraphError("node features hold non-finite values")
         object.__setattr__(self, "node_features", feats)
-        try:
-            edges = tuple((operator.index(u), operator.index(v)) for u, v in self.edges)
-        except TypeError as exc:
-            raise GraphError(f"edge endpoints must be integers: {exc}") from exc
-        seen = set()
-        for u, v in edges:
-            if not (0 <= u < self.num_nodes and 0 <= v < self.num_nodes):
-                raise GraphError(f"edge ({u}, {v}) out of range for {self.num_nodes} nodes")
-            if u == v:
-                raise GraphError(f"explicit self-loop on node {u}")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise GraphError(f"duplicate undirected edge ({u}, {v})")
-            seen.add(key)
-        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "edges", _checked_edges(self.edges, self.num_nodes))
+
+    @classmethod
+    def _trusted(cls, node_features: np.ndarray, edges: np.ndarray, label: int | None) -> "Graph":
+        """A graph built from parts of an already-validated one, unchecked."""
+        g = object.__new__(cls)
+        g.__dict__.update(num_nodes=node_features.shape[0], node_features=node_features,
+                          edges=edges, label=label)
+        return g
 
     @property
     def feature_dim(self) -> int:
         return self.node_features.shape[1]
+
+
+def _checked_edges(edges, n: int) -> np.ndarray:
+    """`edges` as an (E, 2) intp array of in-range, loop-free, distinct
+    undirected pairs."""
+    try:
+        e = np.asarray(edges)
+    except (TypeError, ValueError) as exc:
+        raise GraphError(f"edge endpoints must be integers in pairs: {exc}") from exc
+    if e.shape == (0,):
+        return np.empty((0, 2), dtype=np.intp)
+    if e.ndim != 2 or e.shape[1] != 2 or e.dtype.kind not in "iu":
+        raise GraphError(
+            f"edge endpoints must be integers in pairs, got shape {e.shape} of {e.dtype}")
+    if e.size and (e.min() < 0 or e.max() >= n):
+        u, v = e[((e < 0) | (e >= n)).any(axis=1)][0]
+        raise GraphError(f"edge ({u}, {v}) out of range for {n} nodes")
+    e = e.astype(np.intp, copy=False)
+    lo, hi = np.minimum(e[:, 0], e[:, 1]), np.maximum(e[:, 0], e[:, 1])
+    if (lo == hi).any():
+        raise GraphError(f"explicit self-loop on node {lo[lo == hi][0]}")
+    key = lo * n + hi
+    ordered = np.sort(key)
+    repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+    if repeated.size:
+        u, v = e[np.flatnonzero(key == repeated[0])[1]]
+        raise GraphError(f"duplicate undirected edge ({u}, {v})")
+    return e
 
 
 @dataclass(frozen=True)
@@ -86,9 +108,10 @@ class Dataset:
 class Batch:
     """Graphs stacked into one node block with per-graph segment ranges."""
 
-    features: np.ndarray                     # (total_nodes, d)
-    edges: tuple[tuple[int, int], ...]       # offset-shifted indices
-    segments: tuple[tuple[int, int], ...]    # [start, end) per graph, in order
+    features: np.ndarray                         # (total_nodes, d)
+    edge_index: tuple[np.ndarray, np.ndarray]    # directed (src, dst), see batch_graphs
+    segments: np.ndarray                         # (B, 2) [start, end) per graph, in order
+    graph_index: np.ndarray                      # (total_nodes,) owning graph of each node
     labels: tuple[int | None, ...]
 
     @property
@@ -99,41 +122,25 @@ class Batch:
     def total_nodes(self) -> int:
         return self.features.shape[0]
 
-    def edge_index(self) -> tuple[np.ndarray, np.ndarray]:
-        """Directed (src, dst) node arrays holding each edge in both directions."""
-        e = np.array(self.edges, dtype=np.intp).reshape(-1, 2)
-        return np.concatenate([e[:, 0], e[:, 1]]), np.concatenate([e[:, 1], e[:, 0]])
-
-    @property
-    def graph_index(self) -> np.ndarray:
-        """The owning graph of each node."""
-        return segment_index(self.segments)
-
-
-def segment_index(segments) -> np.ndarray:
-    """Row -> segment number for contiguous [start, end) segments from row 0."""
-    return np.repeat(np.arange(len(segments)), [hi - lo for lo, hi in segments])
-
 
 def batch_graphs(graphs: list[Graph]) -> Batch:
+    """Stack graphs with offset node ids. The edge index holds every edge of
+    the batch forward, then every edge reversed."""
     if not graphs:
         raise GraphError("cannot batch an empty graph list")
-    d = graphs[0].feature_dim
-    for g in graphs:
-        if g.feature_dim != d:
-            raise GraphError("mixed feature dimensions in batch")
-    features = np.concatenate([g.node_features for g in graphs], axis=0)
-    edges: list[tuple[int, int]] = []
-    segments: list[tuple[int, int]] = []
-    offset = 0
-    for g in graphs:
-        edges.extend((u + offset, v + offset) for u, v in g.edges)
-        segments.append((offset, offset + g.num_nodes))
-        offset += g.num_nodes
+    if len({g.feature_dim for g in graphs}) > 1:
+        raise GraphError("mixed feature dimensions in batch")
+    sizes = np.array([g.num_nodes for g in graphs], dtype=np.intp)
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    edges = np.concatenate([g.edges for g in graphs]) + np.repeat(
+        starts, [len(g.edges) for g in graphs])[:, None]
     return Batch(
-        features=features,
-        edges=tuple(edges),
-        segments=tuple(segments),
+        features=np.concatenate([g.node_features for g in graphs], axis=0),
+        edge_index=(np.concatenate([edges[:, 0], edges[:, 1]]),
+                    np.concatenate([edges[:, 1], edges[:, 0]])),
+        segments=np.stack([starts, ends], axis=1),
+        graph_index=np.repeat(np.arange(len(graphs)), sizes),
         labels=tuple(g.label for g in graphs),
     )
 
@@ -147,7 +154,7 @@ def graph_to_record(g: Graph) -> str:
     rec = {
         "n": g.num_nodes,
         "x": [float(v) for v in g.node_features.reshape(-1)],
-        "e": [int(i) for uv in g.edges for i in uv],
+        "e": g.edges.reshape(-1).tolist(),
     }
     if g.label is not None:
         rec["y"] = int(g.label)
@@ -194,9 +201,8 @@ def load_dataset(path) -> Dataset:
             e = rec["e"]
             if not isinstance(e, list) or len(e) % 2 != 0:
                 raise DatasetFormatError(f"line {lineno}: edge list must hold endpoint pairs")
-            if bool in map(type, e):
+            if not set(map(type, e)) <= {int}:
                 raise DatasetFormatError(f"line {lineno}: edge endpoints must be integers")
-            edges = tuple((e[i], e[i + 1]) for i in range(0, len(e), 2))
             label = rec.get("y")
             if label is not None and (type(label) is not int or label < 0):
                 raise DatasetFormatError(f"line {lineno}: label must be a non-negative integer")
@@ -204,7 +210,7 @@ def load_dataset(path) -> Dataset:
                 g = Graph(
                     num_nodes=n,
                     node_features=np.asarray(x, dtype=np.float64).reshape(n, d),
-                    edges=edges,
+                    edges=np.array(e, dtype=np.intp).reshape(-1, 2),
                     label=label,
                 )
             except (GraphError, ValueError, OverflowError) as exc:
@@ -262,13 +268,9 @@ def generate_planted_motif_dataset(
                 u, v = ring[a], ring[(a + 1) % motif_size]
                 edge_set.add((min(u, v), max(u, v)))
         edges = tuple(sorted(edge_set))
-        degree = np.zeros(n, dtype=int)
-        for u, v in edges:
-            degree[u] += 1
-            degree[v] += 1
+        degree = np.bincount(np.ravel(edges), minlength=n)
         feats = np.zeros((n, feature_dim))
-        for v in range(n):
-            feats[v, min(degree[v], feature_dim - 1)] = 1.0
+        feats[np.arange(n), np.minimum(degree, feature_dim - 1)] = 1.0
         feats += rng.normal(0.0, _NOISE_SIGMA, size=feats.shape)
         graphs.append(Graph(num_nodes=n, node_features=feats, edges=edges, label=label))
     return Dataset(graphs=tuple(graphs), feature_dim=feature_dim, num_classes=2)

@@ -15,7 +15,6 @@ import numpy as np
 
 from . import tensor as T
 from .encoder import glorot_uniform
-from .graphs import segment_index
 from .tensor import ContractError, Tensor
 
 
@@ -78,14 +77,14 @@ def js_mi_loss(u_groups: Sequence[Tensor], r_groups: Sequence[Tensor]) -> Tensor
 def js_terms_nodewise(
     u_groups: Sequence[Tensor],
     r_nodes: Tensor,
-    segments: Sequence[tuple[int, int]],
+    owner: np.ndarray,
 ) -> tuple[Tensor, Tensor]:
     """JS terms with node-level partners: positives pair a graph's group
     embedding with its own nodes, negatives with all other graphs' nodes.
 
     The negative sum is the softplus sum over all (graph, group, node) scores
     minus the one over each node's own-graph scores, so no graph-by-node
-    mask is needed. ``segments`` are the graphs' contiguous node ranges.
+    mask is needed. ``owner`` holds the graph of each node.
     """
     b = u_groups[0].shape[0]
     n, d = r_nodes.shape
@@ -95,7 +94,6 @@ def js_terms_nodewise(
     u = _stack(u_groups)
     scores = T.matmul(T.reshape(u, (b * p, d)), T.transpose(r_nodes))
     all_sum = T.tsum(T.softplus(scores))
-    owner = segment_index(segments)
     u_own = T.reshape(T.take_rows(T.reshape(u, (b, p * d)), owner), (n, p, d))
     own = T.matmul(u_own, T.reshape(r_nodes, (n, d, 1)))   # (N, p, 1)
     pos_sum = T.tsum(T.softplus(T.neg(own)))

@@ -35,7 +35,7 @@ def project_kv(u: Tensor, wk: Tensor, wv: Tensor) -> tuple[Tensor, Tensor]:
 def attention(
     k: Tensor,
     q: Tensor,
-    segments: list[tuple[int, int]],
+    segments: np.ndarray,
     scale_scores: bool = False,
 ) -> Tensor:
     """Scores KQ normalized along each graph's node dimension, per column."""
@@ -88,5 +88,5 @@ def forward_groups(
 ) -> tuple[list[Tensor], Tensor]:
     """Full representor pass; returns group tensors and the attention matrix."""
     k, v = project_kv(node_embeddings, params[f"{prefix}.wk"], params[f"{prefix}.wv"])
-    a = attention(k, params[f"{prefix}.q"], list(batch.segments), scale_scores)
+    a = attention(k, params[f"{prefix}.q"], batch.segments, scale_scores)
     return group_embed(v, a, batch), a

@@ -84,17 +84,20 @@ def _as_tensor(x) -> Tensor:
 
 
 def _result(op: str, out: np.ndarray, parents: list[tuple[Tensor, Callable]]) -> Tensor:
-    """Wrap a primitive output, recording it when any input is differentiable."""
-    if not np.all(np.isfinite(out)):
+    """Wrap a primitive output, recording it when any input is differentiable.
+    The output is checked for finite values here, not again in Tensor()."""
+    res = Tensor.__new__(Tensor)
+    res.values, res.tape, res.node_id = np.asarray(out, dtype=np.float64), None, None
+    if not np.all(np.isfinite(res.values)):
         raise NumericError(f"{op}: non-finite output")
     tracked = [(t, vjp) for t, vjp in parents if t.tape is not None]
     if not tracked:
-        return Tensor(out)
+        return res
     tape = tracked[0][0].tape
     for t, _ in tracked[1:]:
         if t.tape is not tape:
             raise ContractError(f"{op}: inputs belong to different tapes")
-    res = Tensor(out, tape=tape, node_id=tape._new_id())
+    res.tape, res.node_id = tape, tape._new_id()
     tape._record(res.node_id, [(t.node_id, vjp) for t, vjp in tracked])
     return res
 

@@ -158,7 +158,7 @@ def _step(state: ModelState, graphs: list[Graph], epoch: int, step: int) -> obj.
     if cfg.pipeline == "groupig":
         batch = batch_graphs(graphs)
         u, nodes = embed_view(cfg, leaves, batch)
-        pos, neg = obj.js_terms_nodewise(u, _node_view(leaves, nodes), batch.segments)
+        pos, neg = obj.js_terms_nodewise(u, _node_view(leaves, nodes), batch.graph_index)
     else:
         batch_u, batch_r = _sample_views(cfg, graphs, epoch, step)
         u, _ = embed_view(cfg, leaves, batch_u, "u")

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from groupcontrast.augment import (AUGMENTATION_KINDS, AugmentationPolicy,
                                    attribute_mask, edge_perturb, node_drop,
                                    sample_view, subgraph_sample)
 from groupcontrast.graphs import Graph, GraphError, generate_planted_motif_dataset
 from groupcontrast.seeding import stream_rng
+from strategies import valid_graphs
 
 
 def path_graph(n=10, d=4, seed=0):
@@ -46,7 +49,7 @@ def test_zero_ratio_is_identity():
     rng = stream_rng(0, "augment")
     for fn in (node_drop, edge_perturb, attribute_mask):
         out = fn(g, 0.0, rng)
-        assert out.edges == g.edges
+        assert np.array_equal(out.edges, g.edges)
         assert np.array_equal(out.node_features, g.node_features)
 
 
@@ -102,7 +105,7 @@ def test_undefined_kinds_return_the_input_graph():
 def test_attribute_mask_zeroes_rows_only():
     g = path_graph(10)
     out = attribute_mask(g, 0.3, stream_rng(4, "augment"))
-    assert out.edges == g.edges
+    assert np.array_equal(out.edges, g.edges)
     zero_rows = [i for i in range(10) if np.all(out.node_features[i] == 0)]
     assert len(zero_rows) == 3
     kept = [i for i in range(10) if i not in zero_rows]
@@ -129,7 +132,7 @@ def test_determinism_per_stream():
     for fn in (node_drop, edge_perturb, attribute_mask, subgraph_sample):
         a = fn(g, 0.3, stream_rng(7, "augment", 1))
         b = fn(g, 0.3, stream_rng(7, "augment", 1))
-        assert a.edges == b.edges
+        assert np.array_equal(a.edges, b.edges)
         assert np.array_equal(a.node_features, b.node_features)
 
 
@@ -155,3 +158,33 @@ def test_sample_view_default_policy_runs_on_generated_data():
 def test_all_kinds_registered():
     assert set(AUGMENTATION_KINDS) == {
         "node-drop", "edge-perturb", "attribute-mask", "subgraph"}
+
+
+def view_of(g, kind, ratio, seed):
+    policy = AugmentationPolicy(kinds=(kind,), ratio=ratio)
+    return sample_view(g, policy, stream_rng(seed, "augment"))
+
+
+@given(g=valid_graphs(), kind=st.sampled_from(AUGMENTATION_KINDS),
+       ratio=st.sampled_from((0.0, 0.2, 0.5, 0.9)), seed=st.integers(0, 99))
+def test_views_pass_the_public_constructor(g, kind, ratio, seed):
+    # views skip validation, so each must be a graph Graph(...) accepts as is
+    v = view_of(g, kind, ratio, seed)
+    checked = Graph(v.num_nodes, v.node_features, v.edges, v.label)
+    assert v.edges.dtype == np.intp and v.edges.shape == (len(v.edges), 2)
+    assert checked.num_nodes == v.num_nodes and checked.label == v.label
+    assert np.array_equal(checked.node_features, v.node_features)
+    assert np.array_equal(checked.edges, v.edges)
+
+
+@given(g=valid_graphs(), kind=st.sampled_from(("node-drop", "subgraph")),
+       ratio=st.sampled_from((0.2, 0.5, 0.9)), seed=st.integers(0, 99))
+def test_node_drop_and_subgraph_return_induced_subgraphs(g, kind, ratio, seed):
+    v = view_of(g, kind, ratio, seed)
+    # feature rows are distinct, so they name the kept nodes, in order
+    rows = {r.tobytes(): i for i, r in enumerate(g.node_features)}
+    kept = [rows[r.tobytes()] for r in v.node_features]
+    assert kept == sorted(kept)
+    # exactly the input edges between kept nodes, in input order and orientation
+    back = [(kept[u], kept[w]) for u, w in v.edges.tolist()]
+    assert back == [(u, w) for u, w in g.edges.tolist() if u in kept and w in kept]

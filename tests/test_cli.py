@@ -95,6 +95,17 @@ def test_unknown_config_key_exits_nonzero(tmp_path, capsys):
     assert "error: ConfigError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["learning_rate=nan", "key_dim=0", "aug_ratio=7.0"])
+def test_rejected_config_value_exits_nonzero(tmp_path, capsys, bad):
+    data = write_small_dataset(tmp_path)
+    rc = main(["train", "--data", str(data), "--out", str(tmp_path / "x"),
+               "pipeline=groupig", bad])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error: ConfigError" in err and bad.partition("=")[0] in err
+    assert "Traceback" not in err
+
+
 def test_missing_data_file_exits_nonzero(tmp_path, capsys):
     rc = main(["train", "--data", str(tmp_path / "nope.jsonl"),
                "--out", str(tmp_path / "x")])

@@ -37,6 +37,21 @@ def test_validation_rules():
         RunConfig(diversity_weight=-0.1)
     with pytest.raises(ConfigError):
         RunConfig(learning_rate=0.0)
+    # non-finite and zero-width values, and augmentation fields a pipeline
+    # does not use, are rejected by name
+    for field, bad in [
+        ("learning_rate", dict(learning_rate=float("nan"))),
+        ("diversity_weight", dict(diversity_weight=float("inf"))),
+        ("aug_ratio", dict(aug_ratio=float("nan"))),
+        ("key_dim", dict(key_dim=0)),
+        ("gin_hidden", dict(gin_hidden=0)),
+        ("embed_dim", dict(embed_dim=0)),
+        ("aug_ratio", dict(pipeline="groupig", aug_ratio=7.0)),
+        ("aug_kinds", dict(pipeline="groupig", aug_kinds="bogus")),
+        ("aug_kinds", dict(pipeline="graphcl-baseline", aug_kinds="")),
+    ]:
+        with pytest.raises(ConfigError, match=field):
+            RunConfig(**bad)
 
 
 def test_parse_pairs():

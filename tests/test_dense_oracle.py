@@ -36,7 +36,7 @@ def random_batch(seed):
 def dense_matrices(batch):
     n = batch.total_nodes
     adjacency = np.zeros((n, n))
-    for u, v in batch.edges:
+    for u, v in zip(*batch.edge_index):
         adjacency[u, v] = adjacency[v, u] = 1.0
     indicator = np.zeros((batch.num_graphs, n))
     for g, (lo, hi) in enumerate(batch.segments):
@@ -146,7 +146,7 @@ def test_nodewise_js_matches_dense(seed):
 
     def indexed(leaves):
         u = [leaves[f"u{k}"] for k in range(P)]
-        return list(js_terms_nodewise(u, leaves["r"], batch.segments))
+        return list(js_terms_nodewise(u, leaves["r"], batch.graph_index))
 
     def dense(leaves):
         terms = [dense_js_nodewise(leaves[f"u{k}"], leaves["r"], indicator) for k in range(P)]

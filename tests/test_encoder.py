@@ -38,7 +38,7 @@ def test_gin_layer_matches_naive_reference():
     params = init_gin_params(rng, 4, 5, 1)
     batch = batch_graphs([g])
     out = gin_layer(
-        Tensor(batch.features), batch.edge_index(),
+        Tensor(batch.features), batch.edge_index,
         Tensor(params["gin.0.w1"]), Tensor(params["gin.0.b1"]),
         Tensor(params["gin.0.w2"]), Tensor(params["gin.0.b2"]))
     ref = naive_gin_layer(g.node_features, g,
@@ -52,7 +52,7 @@ def test_learnable_eps_changes_self_term():
     rng = stream_rng(1, "init")
     params = init_gin_params(rng, 3, 4, 1)
     batch = batch_graphs([g])
-    args = (Tensor(batch.features), batch.edge_index(),
+    args = (Tensor(batch.features), batch.edge_index,
             Tensor(params["gin.0.w1"]), Tensor(params["gin.0.b1"]),
             Tensor(params["gin.0.w2"]), Tensor(params["gin.0.b2"]))
     base = gin_layer(*args, eps=0.0)

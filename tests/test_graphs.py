@@ -1,12 +1,17 @@
 import itertools
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from groupcontrast.graphs import (Batch, Dataset, DatasetFormatError, Graph,
                                   GraphError, batch_graphs,
                                   generate_planted_motif_dataset,
                                   graph_to_record, load_dataset, save_dataset)
+from strategies import valid_graphs
 
 
 def triangle():
@@ -36,11 +41,43 @@ def test_graph_rejects_bad_features():
 
 
 def test_graph_rejects_non_integer_endpoints():
-    for bad in ((0, 1.7), (0, "1"), (0, None)):
+    # floats, strings and None, then a triple and a ragged pair list
+    for bad in (((0, 1.7),), ((0, "1"),), ((0, None),), ((0, 1, 2),), ((0, 1), (2,))):
         with pytest.raises(GraphError, match="integers"):
-            Graph(num_nodes=3, node_features=np.zeros((3, 2)), edges=(bad,))
+            Graph(num_nodes=3, node_features=np.zeros((3, 2)), edges=bad)
     g = Graph(num_nodes=3, node_features=np.zeros((3, 2)), edges=((np.int64(0), 2),))
-    assert g.edges == ((0, 2),) and type(g.edges[0][0]) is int
+    assert g.edges.dtype == np.intp and g.edges.tolist() == [[0, 2]]
+
+
+def loop_reference_accepts(n, pairs):
+    seen = set()
+    for u, v in pairs:
+        key = (min(u, v), max(u, v))
+        if not (0 <= u < n and 0 <= v < n) or u == v or key in seen:
+            return False
+        seen.add(key)
+    return True
+
+
+@given(g=valid_graphs(), fault=st.sampled_from(("none", "range", "loop", "duplicate")),
+       data=st.data())
+def test_edge_validation_matches_loop_reference(g, fault, data):
+    # a valid pair list with at most one bad pair inserted anywhere
+    n, pairs = g.num_nodes, [tuple(p) for p in g.edges.tolist()]
+    node = st.integers(0, n - 1)
+    if fault == "range":
+        pairs.insert(data.draw(st.integers(0, len(pairs))),
+                     (data.draw(node), data.draw(st.sampled_from((-1, n)))))
+    elif fault == "loop":
+        pairs.insert(data.draw(st.integers(0, len(pairs))), (data.draw(node),) * 2)
+    elif fault == "duplicate" and pairs:
+        u, v = data.draw(st.sampled_from(pairs))
+        pairs.insert(data.draw(st.integers(0, len(pairs))), data.draw(st.sampled_from(((u, v), (v, u)))))
+    if loop_reference_accepts(n, pairs):
+        assert Graph(n, np.zeros((n, 1)), tuple(pairs)).edges.tolist() == [list(p) for p in pairs]
+    else:
+        with pytest.raises(GraphError):
+            Graph(n, np.zeros((n, 1)), tuple(pairs))
 
 
 # -- batching -----------------------------------------------------------------
@@ -53,11 +90,12 @@ def test_batch_preserves_graphs():
         Graph(3, rng.standard_normal((3, 3)), (), label=None),
     ]
     batch = batch_graphs(gs)
+    src, dst = batch.edge_index
+    forward = np.stack([src, dst], axis=1)[:len(src) // 2]
     for orig, (lo, hi), label in zip(gs, batch.segments, batch.labels):
-        edges = tuple((u - lo, v - lo) for u, v in batch.edges
-                      if lo <= u < hi and lo <= v < hi)
+        inside = (lo <= forward[:, 0]) & (forward[:, 0] < hi)
         assert hi - lo == orig.num_nodes
-        assert edges == orig.edges
+        assert np.array_equal(forward[inside] - lo, orig.edges)
         assert label == orig.label
         assert np.array_equal(batch.features[lo:hi], orig.node_features)
 
@@ -65,8 +103,8 @@ def test_batch_preserves_graphs():
 def test_batch_offsets_and_segments():
     gs = [triangle(), triangle()]
     b = batch_graphs(gs)
-    assert b.segments == ((0, 3), (3, 6))
-    assert (3, 4) in b.edges
+    assert b.segments.tolist() == [[0, 3], [3, 6]]
+    assert [3, 4] in np.stack(b.edge_index, axis=1).tolist()
     assert np.array_equal(b.graph_index, [0, 0, 0, 1, 1, 1])
 
 
@@ -80,17 +118,18 @@ def test_batch_rejects_empty_and_mixed_dims():
 
 def test_batch_edge_index_block_diagonal():
     b = batch_graphs([triangle(), Graph(1, np.zeros((1, 2)), ()), triangle()])
-    src, dst = b.edge_index()
-    # every edge in both directions, and never across graphs
-    assert sorted(zip(src.tolist(), dst.tolist())) == sorted(
-        [(u, v) for u, v in b.edges] + [(v, u) for u, v in b.edges])
+    src, dst = b.edge_index
+    # every edge forward, then every edge reversed, and never across graphs
+    forward = np.array([(0, 1), (1, 2), (2, 0), (4, 5), (5, 6), (6, 4)])
+    assert np.array_equal(src, np.concatenate([forward[:, 0], forward[:, 1]]))
+    assert np.array_equal(dst, np.concatenate([forward[:, 1], forward[:, 0]]))
     assert np.array_equal(b.graph_index[src], b.graph_index[dst])
     assert np.array_equal(b.graph_index, [0, 0, 0, 1, 2, 2, 2])
 
 
 def test_edgeless_batch_has_empty_edge_index():
     b = batch_graphs([Graph(2, np.zeros((2, 2)), ()), Graph(1, np.zeros((1, 2)), ())])
-    src, dst = b.edge_index()
+    src, dst = b.edge_index
     assert src.shape == dst.shape == (0,)
     assert np.array_equal(b.graph_index, [0, 0, 1])
 
@@ -104,7 +143,7 @@ def test_parse_triangle_record(tmp_path):
     assert len(ds) == 1
     g = ds.graphs[0]
     assert g.num_nodes == 3 and g.feature_dim == 2
-    assert set(g.edges) == {(0, 1), (1, 2), (2, 0)}
+    assert g.edges.tolist() == [[0, 1], [1, 2], [2, 0]]
 
 
 def test_empty_file_gives_empty_dataset(tmp_path):
@@ -165,8 +204,22 @@ def test_save_load_roundtrip(tmp_path):
     back = load_dataset(path)
     assert len(back) == len(ds)
     for a, b in zip(ds.graphs, back.graphs):
-        assert a.edges == b.edges and a.label == b.label
+        assert np.array_equal(a.edges, b.edges) and a.label == b.label
         assert np.allclose(a.node_features, b.node_features)
+
+
+@given(graphs=st.lists(valid_graphs(), min_size=1, max_size=4))
+def test_save_load_roundtrip_property(graphs):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ds.jsonl"
+        save_dataset(path, Dataset(graphs=graphs, feature_dim=3, num_classes=4))
+        back = load_dataset(path)
+    assert len(back) == len(graphs)
+    for a, b in zip(graphs, back.graphs):
+        assert b.num_nodes == a.num_nodes and b.label == a.label
+        assert b.node_features.tobytes() == a.node_features.tobytes()
+        assert b.edges.dtype == np.intp and b.edges.shape == (len(a.edges), 2)
+        assert np.array_equal(b.edges, a.edges)
 
 
 def test_record_omits_missing_label():

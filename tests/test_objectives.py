@@ -106,7 +106,7 @@ def test_group_width_mismatch_rejected_by_every_loss():
     with pytest.raises(ContractError):
         js_terms(ragged, ragged)
     with pytest.raises(ContractError):
-        js_terms_nodewise(ragged, nodes, [(0, 2), (2, 4), (4, 6)])
+        js_terms_nodewise(ragged, nodes, np.repeat(np.arange(3), 2))
     with pytest.raises(ContractError):
         interspace_penalty_nonparam(ragged)
     with pytest.raises(ContractError):
@@ -118,18 +118,18 @@ def test_group_width_mismatch_rejected_by_every_loss():
 def test_nodewise_js_matches_bruteforce():
     rng = np.random.default_rng(17)
     b, p, d = 3, 2, 4
-    segments = [(0, 2), (2, 5), (5, 6)]
+    owner = np.array([0, 0, 1, 1, 1, 2])
     n = 6
     u = random_groups(18, b, p, d)
     r_nodes = Tensor(unit_rows(rng, n, d))
-    pos, neg = js_terms_nodewise(u, r_nodes, segments)
+    pos, neg = js_terms_nodewise(u, r_nodes, owner)
 
     tp, tn, n_pos, n_neg = 0.0, 0.0, 0, 0
     for k in range(p):
-        for g, (lo, hi) in enumerate(segments):
+        for g in range(b):
             for v in range(n):
                 s = float(u[k].values[g] @ r_nodes.values[v])
-                if lo <= v < hi:
+                if owner[v] == g:
                     tp += sp(-s)
                     n_pos += 1
                 else:
@@ -143,13 +143,13 @@ def test_nodewise_js_gradients_pass_oracle():
     # GroupIG's training loss, gradients to both the groups and the nodes
     rng = np.random.default_rng(34)
     b, p, d = 3, 3, 4
-    segments = [(0, 2), (2, 5), (5, 7)]
+    owner = np.array([0, 0, 1, 1, 1, 2, 2])
     params = {f"u{k}": rng.standard_normal((b, d)) for k in range(p)}
     params["r"] = rng.standard_normal((7, d))
 
     def fn(leaves):
         pos, neg = js_terms_nodewise([leaves[f"u{k}"] for k in range(p)],
-                                     leaves["r"], segments)
+                                     leaves["r"], owner)
         return T.add(pos, neg)
 
     assert finite_difference_check(fn, params) <= 1e-4

@@ -100,6 +100,11 @@ def test_exp_log_inverse_and_log_domain():
         T.log(Tensor([1.0, 0.0]))
 
 
+def test_non_finite_op_output_names_the_op():
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match="exp: non-finite output"):
+        T.exp(Tensor([1000.0]))
+
+
 def test_sum_mean_axes():
     x = np.arange(12.0).reshape(3, 4)
     assert np.allclose(T.tsum(Tensor(x), axis=0).values, x.sum(axis=0))

@@ -291,6 +291,17 @@ def test_checkpoint_corruption_detected(tmp_path):
     assert loaded == []
 
 
+def test_checkpoint_config_with_zero_key_dim_rejected(tmp_path):
+    state = init_model(RunConfig(seed=9), 8)
+    path = tmp_path / "ck.bin"
+    checkpoint_save(path, state)
+    header, arrays = read_checkpoint_parts(path.read_bytes())
+    header["config"]["key_dim"] = 0
+    write_checkpoint_parts(path, header, arrays)
+    with pytest.raises(CheckpointError, match="config rejected: key_dim"):
+        checkpoint_load(path)
+
+
 def test_checkpoint_with_node_dim_key_still_loads(tmp_path):
     # checkpoints written while ModelState stored node_dim carry it in the header
     state = init_model(RunConfig(seed=9), 8)
