@@ -6,17 +6,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensor as T
 from .encoder import encode_nodes
 from .graphs import Dataset, Graph, batch_graphs
 from .optim import adam_step, init_adam
 from .representor import forward_groups
 from .seeding import stream_rng
-from .tensor import ContractError, Tensor
+from .tensor import ContractError, NumericError, Tensor
 from .trainer import ModelState, embed_view, input_width
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmbeddingTable:
     ids: tuple[int, ...]
     embeddings: np.ndarray        # (num_graphs, embed_dim)
@@ -26,7 +25,7 @@ class EmbeddingTable:
         return len(self.ids)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProbeResult:
     train_accuracy: float
     validation_accuracy: float
@@ -62,35 +61,35 @@ _PROBE_ITERS = 300
 _PROBE_LR = 0.1
 
 
-def _fit_logistic(x: np.ndarray, y: np.ndarray, num_classes: int, reg: float) -> np.ndarray:
-    """Full-batch gradient training from a zero init; deterministic."""
+def _fit_logistic(x: np.ndarray, y: np.ndarray, num_classes: int,
+                  reg_grid: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Fit one probe per value of ``reg_grid`` at once: full-batch Adam from a
+    zero init on the mean softmax cross-entropy plus ``reg / n * |w|^2``.
+    Returns the (R, d, C) weight and (R, C) bias blocks. The gradient is the
+    closed form of that loss's reverse pass, in the same op order, so each
+    slice is bit-identical to a fit of its value alone."""
     n, d = x.shape
+    inv_n = 1.0 / n
+    c = np.array([float(reg / n) for reg in reg_grid])[:, None, None]
     onehot = np.zeros((n, num_classes))
     onehot[np.arange(n), y] = 1.0
-    params = {"w": np.zeros((d, num_classes)), "b": np.zeros(num_classes)}
+    d_picked = -inv_n * onehot
+    params = {"w": np.zeros((len(c), d, num_classes)), "b": np.zeros((len(c), num_classes))}
     opt = init_adam(params, _PROBE_LR)
-    xc = Tensor(x)
     for _ in range(_PROBE_ITERS):
-        tape = T.Tape()
-        w = tape.leaf(params["w"])
-        bias = tape.leaf(params["b"])
-        logits = T.add(T.matmul(xc, w), bias)
+        w = params["w"]
+        logits = x @ w + params["b"][:, None, :]
         # stable cross-entropy: shift by the (constant) row max
-        shift = logits.values.max(axis=1, keepdims=True)
-        z = T.add(logits, Tensor(-shift))
-        lse = T.log(T.tsum(T.exp(z), axis=1))
-        picked = T.tsum(T.mul(z, Tensor(onehot)), axis=1)
-        ce = T.tmean(T.sub(lse, picked))
-        loss = T.add(ce, T.smul(T.tsum(T.square(w)), reg / n))
-        grads = T.backward(tape, loss)
-        params, opt = adam_step(
-            params, {"w": grads[w.node_id], "b": grads[bias.node_id]}, opt)
-    return np.concatenate([params["w"], params["b"][None, :]], axis=0)
+        e = np.exp(logits + -logits.max(axis=2, keepdims=True))
+        # d loss / d logits with each product formed as the tape's vjps form
+        # it (-1/n at the picked logit, then (1/n)/s times exp): same bits
+        dz = d_picked + (inv_n / e.sum(axis=2))[..., None] * e
+        params, opt = adam_step(params, {"w": 2.0 * w * c + x.T @ dz, "b": dz.sum(axis=1)}, opt)
+    return params["w"], params["b"]
 
 
-def _predict(wb: np.ndarray, x: np.ndarray) -> np.ndarray:
-    logits = x @ wb[:-1] + wb[-1]
-    return logits.argmax(axis=1)
+def _predict(w: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    return (x @ w + b).argmax(axis=-1)
 
 
 def linear_probe(
@@ -100,50 +99,49 @@ def linear_probe(
     reg_grid: tuple[float, ...] = _DEFAULT_REG_GRID,
 ) -> ProbeResult:
     """Train a multinomial logistic probe on frozen embeddings, sweeping the
-    L2 penalty on validation accuracy; reports the test accuracy of the
-    best-validation model."""
-    labels = np.array([lbl for lbl in table.labels])
-    if any(lbl is None for lbl in table.labels):
-        raise ContractError("linear probe requires labeled graphs")
-    labels = labels.astype(int)
-    num_classes = int(labels.max()) + 1
-    n = len(table)
-    order = stream_rng(split_seed, "probe").permutation(n)
+    L2 penalty on validation accuracy (the first of equal accuracies wins);
+    reports the test accuracy of the best-validation model."""
+    x, labels = table.embeddings, table.labels
+    if x.ndim != 2 or x.shape[0] != len(labels) or not labels:
+        raise ContractError(
+            f"embeddings: need one row per label of a non-empty table, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise NumericError("embeddings: non-finite values")
+    if any(lbl is None for lbl in labels):
+        raise ContractError("labels: linear probe requires labeled graphs")
+    y = np.array(labels, dtype=int)
+    if y.min() < 0:
+        raise ContractError(f"labels: negative label {y.min()}")
+    regs = np.array(reg_grid, dtype=np.float64)
+    if regs.size == 0 or not np.all(np.isfinite(regs)) or np.any(regs < 0):
+        raise ContractError(f"reg_grid: need finite values >= 0, got {tuple(reg_grid)}")
+    num_classes = int(y.max()) + 1
+    n = len(y)
     n_train = int(n * fractions[0])
     n_val = int(n * fractions[1])
-    tr = order[:n_train]
-    va = order[n_train:n_train + n_val]
-    te = order[n_train + n_val:]
+    tr, va, te = np.split(stream_rng(split_seed, "probe").permutation(n),
+                          [n_train, n_train + n_val])
     if min(len(tr), len(va), len(te)) == 0:
         raise ContractError("every probe split must be non-empty")
-    x, y = table.embeddings, labels
     if len(set(y[tr].tolist())) < 2:
         raise ContractError("probe train split holds a single class")
 
-    best = None
-    for reg in reg_grid:
-        wb = _fit_logistic(x[tr], y[tr], num_classes, reg)
-        val_acc = float((_predict(wb, x[va]) == y[va]).mean())
-        if best is None or val_acc > best[0]:
-            best = (val_acc, reg, wb)
-    val_acc, reg, wb = best
-    train_acc = float((_predict(wb, x[tr]) == y[tr]).mean())
-    pred_te = _predict(wb, x[te])
-    test_acc = float((pred_te == y[te]).mean())
+    w, b = _fit_logistic(x[tr], y[tr], num_classes, reg_grid)
+    val_accs = (_predict(w, b[:, None, :], x[va]) == y[va]).mean(axis=1)
+    best = int(np.argmax(val_accs))
+    w, b = w[best], b[best]
+    pred_te = _predict(w, b, x[te])
     confusion = np.zeros((num_classes, num_classes), dtype=int)
-    for true, pred in zip(y[te], pred_te):
-        confusion[true, pred] += 1
-    per_class = tuple(
-        float(confusion[c, c] / confusion[c].sum()) if confusion[c].sum() else 0.0
-        for c in range(num_classes)
-    )
+    np.add.at(confusion, (y[te], pred_te), 1)
+    totals = confusion.sum(axis=1)
     return ProbeResult(
-        train_accuracy=train_acc,
-        validation_accuracy=val_acc,
-        test_accuracy=test_acc,
-        per_class_accuracy=per_class,
+        train_accuracy=float((_predict(w, b, x[tr]) == y[tr]).mean()),
+        validation_accuracy=float(val_accs[best]),
+        test_accuracy=float((pred_te == y[te]).mean()),
+        per_class_accuracy=tuple(
+            float(confusion[c, c] / t) if t else 0.0 for c, t in enumerate(totals)),
         confusion=confusion,
-        selected_regularization=reg,
+        selected_regularization=reg_grid[best],
     )
 
 

@@ -18,7 +18,7 @@ class DatasetFormatError(ValueError):
     """Malformed dataset record; message carries the 1-based line number."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Undirected graph with dense node features and an optional class label.
 
@@ -85,7 +85,7 @@ def _checked_edges(edges, n: int) -> np.ndarray:
     return e
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     graphs: tuple[Graph, ...]
     feature_dim: int
@@ -104,7 +104,7 @@ class Dataset:
         return len(self.graphs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Batch:
     """Graphs stacked into one node block with per-graph segment ranges."""
 
@@ -112,15 +112,10 @@ class Batch:
     edge_index: tuple[np.ndarray, np.ndarray]    # directed (src, dst), see batch_graphs
     segments: np.ndarray                         # (B, 2) [start, end) per graph, in order
     graph_index: np.ndarray                      # (total_nodes,) owning graph of each node
-    labels: tuple[int | None, ...]
 
     @property
     def num_graphs(self) -> int:
         return len(self.segments)
-
-    @property
-    def total_nodes(self) -> int:
-        return self.features.shape[0]
 
 
 def batch_graphs(graphs: list[Graph]) -> Batch:
@@ -141,7 +136,6 @@ def batch_graphs(graphs: list[Graph]) -> Batch:
                     np.concatenate([edges[:, 1], edges[:, 0]])),
         segments=np.stack([starts, ends], axis=1),
         graph_index=np.repeat(np.arange(len(graphs)), sizes),
-        labels=tuple(g.label for g in graphs),
     )
 
 

@@ -9,6 +9,7 @@ longer builds.
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -39,3 +40,21 @@ def test_benchmark_hooks_are_live(perfbench):
     finally:
         tracer.restore()
     assert all(getattr(lib.trainer, name) is fn for name, fn in originals.items())
+
+
+def test_linear_probe_records_one_adam_step_per_iteration(perfbench):
+    # every penalty of the grid is fitted in one block, so the optimizer
+    # span counts iterations, not iterations times grid values
+    run, layers, tracing = perfbench
+    lib = run.import_library()
+    y = np.arange(30) % 2
+    x = np.random.default_rng(0).standard_normal((30, 4)) + y[:, None]
+    table = lib.gc.EmbeddingTable(ids=tuple(range(30)), embeddings=x,
+                                  labels=tuple(int(v) for v in y))
+    tracer = tracing.Tracer()
+    layers.install(tracer, lib)
+    try:
+        lib.gc.linear_probe(table, 0)
+    finally:
+        tracer.restore()
+    assert tracer.names.count("optim.adam_step") == 300

@@ -34,7 +34,7 @@ def random_batch(seed):
 
 
 def dense_matrices(batch):
-    n = batch.total_nodes
+    n = batch.features.shape[0]
     adjacency = np.zeros((n, n))
     for u, v in zip(*batch.edge_index):
         adjacency[u, v] = adjacency[v, u] = 1.0
@@ -56,7 +56,7 @@ def dense_encode(batch, leaves):
 
 def dense_groups(batch, nodes, leaves):
     _, indicator = dense_matrices(batch)
-    n, b = batch.total_nodes, batch.num_graphs
+    n, b = batch.features.shape[0], batch.num_graphs
     a = T.segment_softmax(T.matmul(T.matmul(nodes, leaves["rep.wk"]), leaves["rep.q"]),
                           list(batch.segments))
     v = T.matmul(nodes, leaves["rep.wv"])
@@ -140,7 +140,7 @@ def test_nodewise_js_matches_dense(seed):
     batch = random_batch(seed)
     _, indicator = dense_matrices(batch)
     rng = np.random.default_rng(seed)
-    b, n = batch.num_graphs, batch.total_nodes
+    b, n = batch.num_graphs, batch.features.shape[0]
     params = {f"u{k}": rng.standard_normal((b, GROUP)) for k in range(P)}
     params["r"] = rng.standard_normal((n, GROUP))
 

@@ -92,12 +92,22 @@ def test_batch_preserves_graphs():
     batch = batch_graphs(gs)
     src, dst = batch.edge_index
     forward = np.stack([src, dst], axis=1)[:len(src) // 2]
-    for orig, (lo, hi), label in zip(gs, batch.segments, batch.labels):
+    for orig, (lo, hi) in zip(gs, batch.segments):
         inside = (lo <= forward[:, 0]) & (forward[:, 0] < hi)
         assert hi - lo == orig.num_nodes
         assert np.array_equal(forward[inside] - lo, orig.edges)
-        assert label == orig.label
         assert np.array_equal(batch.features[lo:hi], orig.node_features)
+
+
+def test_graph_batch_dataset_compare_and_hash_by_identity():
+    # ndarray fields have no truth value, so the records compare as objects
+    g, twin = triangle(), triangle()
+    batch = batch_graphs([g])
+    ds = Dataset((g,), feature_dim=g.feature_dim, num_classes=1)
+    for obj, other in ((g, twin), (batch, batch_graphs([g])),
+                       (ds, Dataset((g,), feature_dim=g.feature_dim, num_classes=1))):
+        assert obj == obj and obj != other
+        assert len({obj, obj, other}) == 2
 
 
 def test_batch_offsets_and_segments():
