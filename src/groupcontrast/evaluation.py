@@ -79,8 +79,13 @@ def _fit_logistic(x: np.ndarray, y: np.ndarray, num_classes: int,
     for _ in range(_PROBE_ITERS):
         w = params["w"]
         logits = x @ w + params["b"][:, None, :]
-        # stable cross-entropy: shift by the (constant) row max
-        e = np.exp(logits + -logits.max(axis=2, keepdims=True))
+        # stable cross-entropy: shift by the (constant) row max, taken one
+        # class column at a time (exact, and cheaper than a reduction over a
+        # few classes)
+        top = logits[..., 0]
+        for k in range(1, num_classes):
+            top = np.maximum(top, logits[..., k])
+        e = np.exp(logits + -top[..., None])
         # d loss / d logits with each product formed as the tape's vjps form
         # it (-1/n at the picked logit, then (1/n)/s times exp): same bits
         dz = d_picked + (inv_n / e.sum(axis=2))[..., None] * e

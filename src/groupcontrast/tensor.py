@@ -207,21 +207,33 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     a = _as_tensor(a)
-    mask = (a.values > 0).astype(np.float64)
+    # a bool mask multiplies as 1.0/0.0, at an eighth of the memory
+    mask = a.values > 0
     return _result("relu", a.values * mask, [(a, lambda g: g * mask)])
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # stable logistic via tanh
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
-
-
 def softplus(a: Tensor) -> Tensor:
+    """Overflow-safe ``max(x, 0) + log1p(exp(-|x|))``; the vjp multiplies by
+    the logistic ``0.5 * (1 + tanh(x / 2))``.
+
+    Both are computed in place through one scratch block, which then holds
+    the logistic for the vjp: on a large score block every fresh temporary
+    costs page faults, not arithmetic. Each step is the ufunc the plain
+    expressions apply, to the same operands (addition and multiplication
+    commute exactly), so every value keeps its bits.
+    """
     a = _as_tensor(a)
     x = a.values
-    # overflow-safe: max(x, 0) + log1p(exp(-|x|))
-    out = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-    sig = _sigmoid(x)
+    s = np.abs(x)
+    np.negative(s, out=s)
+    np.exp(s, out=s)
+    np.log1p(s, out=s)
+    out = np.maximum(x, 0.0)
+    out += s
+    sig = np.multiply(x, 0.5, out=s)
+    np.tanh(sig, out=sig)
+    np.add(sig, 1.0, out=sig)
+    np.multiply(sig, 0.5, out=sig)
     return _result("softplus", out, [(a, lambda g: g * sig)])
 
 
@@ -243,11 +255,11 @@ def tsum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
     shape = a.shape
 
+    # the gradient is a read-only broadcast view, not a copy: no vjp writes
+    # to its input, and backward copies what reaches a leaf
     def vjp(g):
-        if axis is None:
-            return np.broadcast_to(g, shape).copy()
-        ge = g if keepdims else np.expand_dims(g, axis)
-        return np.broadcast_to(ge, shape).copy()
+        ge = g if axis is None or keepdims else np.expand_dims(g, axis)
+        return np.broadcast_to(ge, shape)
 
     return _result("sum", a.values.sum(axis=axis, keepdims=keepdims), [(a, vjp)])
 
@@ -258,10 +270,8 @@ def tmean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     n = a.values.size if axis is None else shape[axis]
 
     def vjp(g):
-        if axis is None:
-            return np.broadcast_to(g / n, shape).copy()
-        ge = g if keepdims else np.expand_dims(g, axis)
-        return np.broadcast_to(ge / n, shape).copy()
+        ge = g if axis is None or keepdims else np.expand_dims(g, axis)
+        return np.broadcast_to(ge / n, shape)
 
     return _result("mean", a.values.mean(axis=axis, keepdims=keepdims), [(a, vjp)])
 
@@ -395,7 +405,16 @@ def backward(tape: Tape, loss: Tensor) -> dict[int, np.ndarray]:
                 grads[in_id] = grads[in_id] + gi
             else:
                 grads[in_id] = np.asarray(gi, dtype=np.float64)
-    return {
-        lid: grads.get(lid, np.zeros(shape))
-        for lid, shape in tape._leaf_shapes.items()
-    }
+    # vjps pass gradients on as views (a broadcast sum, a reshape) and may
+    # hand one array to two inputs: each leaf gets an array of its own
+    leaf_grads: dict[int, np.ndarray] = {}
+    handed_out: set[int] = set()
+    for lid, shape in tape._leaf_shapes.items():
+        g = grads.get(lid)
+        if g is None:
+            g = np.zeros(shape)
+        elif g.base is not None or not g.flags.writeable or id(g) in handed_out:
+            g = np.array(g, dtype=np.float64)
+        handed_out.add(id(g))
+        leaf_grads[lid] = g
+    return leaf_grads

@@ -138,6 +138,14 @@ def test_probe_rejects_non_finite_embeddings():
         linear_probe(make_table(x, np.arange(10) % 2))
 
 
+def test_probe_on_huge_finite_embeddings_names_the_parameter():
+    # the weight gradient squares past the float range in adam_step: a
+    # silently frozen fit (test accuracy 0.0) became a typed error
+    x = np.where(np.arange(60).reshape(20, 3) % 2 == 0, 1e300, -1e300)
+    with pytest.raises(NumericError, match="second moment of 'w'"):
+        linear_probe(make_table(x, np.arange(20) % 2))
+
+
 def test_probe_tie_keeps_the_first_regularization():
     # separable data: both values reach validation accuracy 1.0
     rng = np.random.default_rng(0)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -153,6 +155,37 @@ def test_nodewise_js_gradients_pass_oracle():
         return T.add(pos, neg)
 
     assert finite_difference_check(fn, params) <= 1e-4
+
+
+def test_nodewise_js_step_allocation_budget():
+    # one forward and backward at the groupig-param benchmark's shape (128
+    # graphs of 14 nodes, 4 groups, width 40): the (B*p, N) score block is
+    # 7.3 MB. The scores, the softplus output and its stored logistic must be
+    # live at once; a fresh temporary per elementwise step, as the plain
+    # expressions make, pushes the peak past 4 blocks
+    b, p, nodes_per_graph, d = 128, 4, 14, 40
+    n = b * nodes_per_graph
+    block = b * p * n * 8
+    rng = np.random.default_rng(0)
+    u_values = [unit_rows(rng, b, d) for _ in range(p)]
+    r_values = unit_rows(rng, n, d)
+    owner = np.repeat(np.arange(b), nodes_per_graph)
+
+    def forward_backward():
+        tape = Tape()
+        u = [tape.leaf(v) for v in u_values]
+        pos, neg = js_terms_nodewise(u, tape.leaf(r_values), owner)
+        backward(tape, T.add(pos, neg))
+
+    forward_backward()          # first-call set-up stays out of the count
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        forward_backward()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * block, f"peak {peak / block:.2f} blocks"
 
 
 def test_interspace_identical_groups_closed_form():

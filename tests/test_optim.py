@@ -3,6 +3,7 @@ import pytest
 
 from groupcontrast.optim import (AdamState, GradientContractError, adam_step,
                                  init_adam)
+from groupcontrast.tensor import NumericError
 
 
 def test_first_step_hand_derived():
@@ -63,3 +64,11 @@ def test_shape_mismatch_rejected():
 def test_nonpositive_lr_rejected():
     with pytest.raises(GradientContractError):
         init_adam({"w": np.ones(1)}, 0.0)
+
+
+@pytest.mark.parametrize("bad", [1e200, np.inf, np.nan])
+def test_non_finite_second_moment_names_the_parameter(bad):
+    params = {"ok": np.ones(2), "big": np.ones(2)}
+    grads = {"ok": np.ones(2), "big": np.array([1.0, bad])}
+    with pytest.raises(NumericError, match="second moment of 'big'"):
+        adam_step(params, grads, init_adam(params, 0.1))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from groupcontrast import tensor as T
 from groupcontrast.gradcheck import finite_difference_check
@@ -348,3 +349,65 @@ def test_take_rows_and_index_add_are_adjoint():
 def test_index_add_rejects_index_length_mismatch():
     with pytest.raises(DimensionError):
         T.index_add(Tensor(np.ones((3, 2))), [0, 1], 4)
+
+
+# -- softplus and the sum vjps: values, bits and gradient ownership ------------
+
+# the plain expressions softplus is defined by; the in-place kernel must
+# reproduce them bit for bit
+def _softplus_reference(x):
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+
+def _sigmoid_reference(x):
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
+
+
+_edge_floats = st.sampled_from([0.0, -0.0, 709.0, -709.0, 710.0, -710.0, 1e308, -1e308,
+                                5e-324, -5e-324])
+_softplus_inputs = hnp.arrays(
+    np.float64, hnp.array_shapes(min_dims=1, max_dims=3, max_side=5),
+    elements=_edge_floats | st.floats(-1e308, 1e308, allow_nan=False, allow_infinity=False))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+@given(x=_softplus_inputs, seed=st.integers(0, 2**16))
+def test_softplus_values_and_gradient_bits_match_reference(x, seed):
+    # weights of at most 1 / (2 size) keep the weighted sum of outputs up to
+    # 1e308 finite
+    w = np.random.default_rng(seed).uniform(-1.0, 1.0, x.shape) / (2 * x.size)
+    tape = Tape()
+    leaf = tape.leaf(x)
+    out = T.softplus(leaf)
+    assert np.array_equal(_bits(out.values), _bits(_softplus_reference(x)))
+    grad = backward(tape, T.tsum(T.mul(out, Tensor(w))))[leaf.node_id]
+    assert np.array_equal(_bits(grad), _bits(w * _sigmoid_reference(x)))
+
+
+def test_softplus_gradcheck_at_large_magnitudes():
+    x = np.array([-710.0, -709.0, -700.0, -40.0, -25.0, 25.0, 40.0, 700.0, 709.0, 710.0])
+    assert _gradcheck(lambda x: T.tsum(T.softplus(x)), x=x) <= 1e-6
+
+
+@given(shape=st.lists(dims, min_size=1, max_size=3), data=st.data(),
+       mean=st.booleans(), keepdims=st.booleans())
+def test_sum_and_mean_leaf_gradients_are_owned_and_writable(shape, data, mean, keepdims):
+    # the vjps hand back broadcast views; backward gives every leaf its own
+    # writable array of its shape, also when one array reaches two leaves
+    axis = data.draw(st.none() | st.integers(0, len(shape) - 1))
+    reduce = T.tmean if mean else T.tsum
+    tape = Tape()
+    a, b = tape.leaf(np.ones(shape)), tape.leaf(np.ones(shape))
+    loss = T.tsum(reduce(T.add(a, b), axis=axis, keepdims=keepdims))
+    grads = backward(tape, loss)
+    ga, gb = grads[a.node_id], grads[b.node_id]
+    for g in (ga, gb):
+        assert g.shape == tuple(shape)
+        assert g.flags.writeable and g.flags.owndata
+    expected = 1.0 / (np.prod(shape) if axis is None else shape[axis]) if mean else 1.0
+    assert np.all(ga == expected) and np.all(gb == expected)
+    ga += 1.0
+    assert np.all(gb == expected)
