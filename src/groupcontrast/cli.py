@@ -2,12 +2,13 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
 from .config import (ConfigError, DataConfig, RunConfig, format_config, load_config)
-from .evaluation import (count_head_params, extract_embeddings, linear_probe,
-                         mean_offdiag_abs_cosine, query_cosine_matrix)
+from .evaluation import (count_head_params, export_attention, extract_embeddings,
+                         linear_probe, mean_offdiag_abs_cosine, query_cosine_matrix)
 from .graphs import (DatasetFormatError, GraphError, generate_planted_motif_dataset,
                      load_dataset, save_dataset)
 from .tensor import ContractError, DimensionError, NumericError
@@ -102,7 +103,6 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_export_attn(args) -> int:
-    from .evaluation import export_attention
     state = checkpoint_load(args.checkpoint)
     dataset = load_dataset(args.data)
     ids = [int(s) for s in args.graph_ids.split(",") if s.strip()]
@@ -138,7 +138,6 @@ def _cmd_sweep(args) -> int:
     rows = []
     for p in p_values:
         for lam in lam_values:
-            import dataclasses
             cfg = dataclasses.replace(base, num_groups=p, diversity_weight=lam)
             state, history = train(cfg, dataset)
             table = extract_embeddings(state, dataset)

@@ -39,6 +39,12 @@ class RunConfig:
     learnable_eps: bool = False
 
     def __post_init__(self):
+        # each value has its default's type; an int passes for a float, a
+        # bool never for an int
+        for f in dataclasses.fields(self):
+            value, kind = getattr(self, f.name), type(f.default)
+            if not (type(value) is kind or (kind is float and type(value) is int)):
+                raise ConfigError(f"{f.name} must be a {kind.__name__}, got {value!r}")
         if self.pipeline not in PIPELINES:
             raise ConfigError(f"pipeline must be one of {PIPELINES}, got {self.pipeline!r}")
         if self.estimator not in ESTIMATORS:
@@ -124,20 +130,14 @@ def read_config_file(path) -> dict[str, str]:
 
 
 def build_config(cls, entries: dict[str, str]):
-    """Instantiate a config dataclass from string entries; unknown keys are
-    rejected, never ignored."""
-    fields = {f.name: f.type for f in dataclasses.fields(cls)}
-    types = {"int": int, "float": float, "str": str, "bool": bool}
-    unknown = set(entries) - set(fields)
+    """Instantiate a config dataclass from string entries, each converted to
+    the type of its field's default; unknown keys are rejected, never
+    ignored."""
+    kinds = {f.name: type(f.default) for f in dataclasses.fields(cls)}
+    unknown = set(entries) - set(kinds)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    kwargs = {}
-    for name, raw in entries.items():
-        kind = fields[name]
-        if isinstance(kind, str):
-            kind = types[kind]
-        kwargs[name] = _convert(name, raw, kind)
-    return cls(**kwargs)
+    return cls(**{name: _convert(name, raw, kinds[name]) for name, raw in entries.items()})
 
 
 def load_config(cls, path=None, overrides: list[str] | None = None):

@@ -59,6 +59,8 @@ def extract_embeddings(state: ModelState, dataset: Dataset) -> EmbeddingTable:
 _DEFAULT_REG_GRID = (1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3)
 _PROBE_ITERS = 300
 _PROBE_LR = 0.1
+# train / validation / test shares of the labeled graphs
+_PROBE_FRACTIONS = (0.8, 0.1, 0.1)
 
 
 def _fit_logistic(x: np.ndarray, y: np.ndarray, num_classes: int,
@@ -100,7 +102,6 @@ def _predict(w: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
 def linear_probe(
     table: EmbeddingTable,
     split_seed: int = 0,
-    fractions: tuple[float, float, float] = (0.8, 0.1, 0.1),
     reg_grid: tuple[float, ...] = _DEFAULT_REG_GRID,
 ) -> ProbeResult:
     """Train a multinomial logistic probe on frozen embeddings, sweeping the
@@ -122,8 +123,8 @@ def linear_probe(
         raise ContractError(f"reg_grid: need finite values >= 0, got {tuple(reg_grid)}")
     num_classes = int(y.max()) + 1
     n = len(y)
-    n_train = int(n * fractions[0])
-    n_val = int(n * fractions[1])
+    n_train = int(n * _PROBE_FRACTIONS[0])
+    n_val = int(n * _PROBE_FRACTIONS[1])
     tr, va, te = np.split(stream_rng(split_seed, "probe").permutation(n),
                           [n_train, n_train + n_val])
     if min(len(tr), len(va), len(te)) == 0:

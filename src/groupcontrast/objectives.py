@@ -46,26 +46,38 @@ def _stack(groups: Sequence[Tensor]) -> Tensor:
     return T.reshape(T.concat(list(groups), axis=1), (b, len(groups), d))
 
 
-def js_terms(u_groups: Sequence[Tensor], r_groups: Sequence[Tensor]) -> tuple[Tensor, Tensor]:
+def _js_halves(all_sum: Tensor, own: Tensor, negatives: int) -> tuple[Tensor, Tensor]:
     """Positive and negative halves of the JS MI loss, each as a scalar mean.
 
-    Positive pairs are same-graph same-group across views; negative pairs are
-    all off-diagonal same-group cross-view pairs in the batch. Entry [k, i, j]
-    of the (p, B, B) score block scores graph i's group k in view u against
-    graph j's group k in view r.
+    ``all_sum`` is the softplus sum over every group-partner score and
+    ``own`` the positive pairs' scores; each positive has ``negatives``
+    negatives. The positive half is the mean of SP(-own). The negative half
+    is ``all_sum`` minus the softplus sum over the positives, so no pair mask
+    is needed.
+    """
+    count = own.values.size
+    pos_sum = T.tsum(T.softplus(T.neg(own)))
+    neg_sum = T.sub(all_sum, T.tsum(T.softplus(own)))
+    return T.smul(pos_sum, 1.0 / count), T.smul(neg_sum, 1.0 / (count * negatives))
+
+
+def js_terms(u_groups: Sequence[Tensor], r_groups: Sequence[Tensor]) -> tuple[Tensor, Tensor]:
+    """JS terms across two views: positives pair graph i's group k in view u
+    with the same graph's group k in view r, negatives with every other
+    graph's group k in view r.
+
+    Entry [k, i, j] of the (p, B, B) score block scores graph i's group k in
+    view u against graph j's group k in view r; the positives, its
+    diagonals, are taken as the (B, p) row dot products.
     """
     u, r = _stack(u_groups), _stack(r_groups)
     if u.shape != r.shape:
         raise ContractError(f"views carry different group shapes {u.shape} vs {r.shape}")
-    b, p, _ = u.shape
+    b = u.shape[0]
     if b < 2:
         raise ContractError("JS loss needs a batch of at least 2 graphs for negatives")
     scores = T.matmul(T.transpose(u, (1, 0, 2)), T.transpose(r, (1, 2, 0)))
-    pos_sum = T.tsum(T.mul(T.softplus(T.neg(scores)), Tensor(np.eye(b))))
-    neg_sum = T.tsum(T.mul(T.softplus(scores), Tensor(1.0 - np.eye(b))))
-    pos = T.smul(pos_sum, 1.0 / (p * b))
-    neg = T.smul(neg_sum, 1.0 / (p * b * (b - 1)))
-    return pos, neg
+    return _js_halves(T.tsum(T.softplus(scores)), T.tsum(T.mul(u, r), axis=2), b - 1)
 
 
 def js_mi_loss(u_groups: Sequence[Tensor], r_groups: Sequence[Tensor]) -> Tensor:
@@ -81,10 +93,7 @@ def js_terms_nodewise(
 ) -> tuple[Tensor, Tensor]:
     """JS terms with node-level partners: positives pair a graph's group
     embedding with its own nodes, negatives with all other graphs' nodes.
-
-    The negative sum is the softplus sum over all (graph, group, node) scores
-    minus the one over each node's own-graph scores, so no graph-by-node
-    mask is needed. ``owner`` holds the graph of each node.
+    ``owner`` holds the graph of each node.
     """
     b = u_groups[0].shape[0]
     n, d = r_nodes.shape
@@ -93,14 +102,12 @@ def js_terms_nodewise(
     p = len(u_groups)
     u = _stack(u_groups)
     scores = T.matmul(T.reshape(u, (b * p, d)), T.transpose(r_nodes))
+    # summed before u_own exists, so the (B*p, N) softplus temporaries and
+    # the (N, p, d) u_own block are never held at once
     all_sum = T.tsum(T.softplus(scores))
     u_own = T.reshape(T.take_rows(T.reshape(u, (b, p * d)), owner), (n, p, d))
     own = T.matmul(u_own, T.reshape(r_nodes, (n, d, 1)))   # (N, p, 1)
-    pos_sum = T.tsum(T.softplus(T.neg(own)))
-    neg_sum = T.sub(all_sum, T.tsum(T.softplus(own)))
-    pos = T.smul(pos_sum, 1.0 / (p * n))
-    neg = T.smul(neg_sum, 1.0 / (p * (b - 1) * n))
-    return pos, neg
+    return _js_halves(all_sum, own, b - 1)
 
 
 def interspace_penalty_nonparam(u_groups: Sequence[Tensor]) -> Tensor:

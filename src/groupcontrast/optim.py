@@ -9,6 +9,13 @@ import numpy as np
 from .tensor import NumericError
 
 
+# fixed moment decays and denominator floor; a checkpoint stores only the
+# step count and the learning rate
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPS = 1e-8
+
+
 class GradientContractError(ValueError):
     """Gradients do not match the parameter set."""
 
@@ -16,9 +23,6 @@ class GradientContractError(ValueError):
 @dataclass
 class AdamState:
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
@@ -58,20 +62,16 @@ def adam_step(
             if g.shape != p.shape:
                 raise GradientContractError(
                     f"gradient shape {g.shape} != param shape {p.shape} for {k!r}")
-            m = state.beta1 * state.m[k] + (1.0 - state.beta1) * g
-            v = state.beta2 * state.v[k] + (1.0 - state.beta2) * g * g
+            m = _BETA1 * state.m[k] + (1.0 - _BETA1) * g
+            v = _BETA2 * state.v[k] + (1.0 - _BETA2) * g * g
             # v >= 0, so its max is finite exactly when every entry is (a NaN
             # propagates)
             if not v.max(initial=0.0) < np.inf:
                 raise NumericError(f"adam: second moment of {k!r} is not finite "
                                    f"(largest |gradient| {float(np.max(np.abs(g))):.3g})")
-            m_hat = m / (1.0 - state.beta1**t)
-            v_hat = v / (1.0 - state.beta2**t)
-            new_params[k] = p - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+            m_hat = m / (1.0 - _BETA1**t)
+            v_hat = v / (1.0 - _BETA2**t)
+            new_params[k] = p - state.lr * m_hat / (np.sqrt(v_hat) + _EPS)
             new_m[k] = m
             new_v[k] = v
-    next_state = AdamState(
-        lr=state.lr, beta1=state.beta1, beta2=state.beta2, eps=state.eps,
-        step=t, m=new_m, v=new_v,
-    )
-    return new_params, next_state
+    return new_params, AdamState(lr=state.lr, step=t, m=new_m, v=new_v)

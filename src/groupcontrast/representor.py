@@ -28,10 +28,6 @@ def init_representor_params(
     }
 
 
-def project_kv(u: Tensor, wk: Tensor, wv: Tensor) -> tuple[Tensor, Tensor]:
-    return T.matmul(u, wk), T.matmul(u, wv)
-
-
 def attention(
     k: Tensor,
     q: Tensor,
@@ -87,6 +83,7 @@ def forward_groups(
     prefix: str = "rep",
 ) -> tuple[list[Tensor], Tensor]:
     """Full representor pass; returns group tensors and the attention matrix."""
-    k, v = project_kv(node_embeddings, params[f"{prefix}.wk"], params[f"{prefix}.wv"])
+    k = T.matmul(node_embeddings, params[f"{prefix}.wk"])
+    v = T.matmul(node_embeddings, params[f"{prefix}.wv"])
     a = attention(k, params[f"{prefix}.q"], batch.segments, scale_scores)
     return group_embed(v, a, batch), a

@@ -9,7 +9,6 @@ _STREAMS = {
     "data": 0,
     "init": 1,
     "augment": 2,
-    "split": 3,
     "shuffle": 4,
     "probe": 5,
 }

@@ -75,10 +75,6 @@ class Tensor:
         return f"Tensor(shape={self.shape}, {kind})"
 
 
-def constant(values) -> Tensor:
-    return Tensor(values)
-
-
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 

@@ -295,14 +295,8 @@ def _require(ok: bool, message: str) -> None:
 
 
 def _read_config(entries) -> RunConfig:
-    """The stored config; every value has the type of its field's default,
-    or is an int where that is a float."""
-    kinds = {f.name: type(f.default) for f in dataclasses.fields(RunConfig)}
+    """The stored config, checked field by field as ``RunConfig`` checks it."""
     _require(isinstance(entries, dict), "config is not a mapping")
-    for key, value in entries.items():
-        kind = kinds.get(key, type(value))
-        _require(type(value) is kind or (kind is float and type(value) is int),
-                 f"config field {key!r} is {value!r}")
     try:
         return RunConfig(**entries)
     except (TypeError, ValueError) as exc:

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from groupcontrast.config import (ConfigError, DataConfig, RunConfig,
@@ -52,6 +53,28 @@ def test_validation_rules():
     ]:
         with pytest.raises(ConfigError, match=field):
             RunConfig(**bad)
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("tie_views", "no"),            # a non-empty string is truthy
+    ("scale_scores", 1),
+    ("seed", 1.5),                  # would be truncated by the seeded streams
+    ("epochs", 2.5),
+    ("num_groups", True),           # a bool is never an int
+    ("batch_size", np.int64(8)),    # a checkpoint's JSON header cannot hold it
+    ("learning_rate", "0.001"),
+    ("diversity_weight", False),
+    ("aug_ratio", None),
+    ("pipeline", 1),
+])
+def test_field_of_wrong_type_rejected_by_name(field, bad):
+    with pytest.raises(ConfigError, match=f"^{field} must be a "):
+        RunConfig(**{field: bad})
+
+
+def test_int_accepted_for_float_field():
+    cfg = RunConfig(diversity_weight=1, learning_rate=1)
+    assert cfg.diversity_weight == 1 and cfg.learning_rate == 1
 
 
 def test_parse_pairs():

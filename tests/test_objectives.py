@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from groupcontrast import tensor as T
 from groupcontrast.gradcheck import finite_difference_check
@@ -139,6 +141,30 @@ def test_nodewise_js_matches_bruteforce():
                     n_neg += 1
     assert pos.item() == pytest.approx(tp / n_pos, abs=1e-12)
     assert neg.item() == pytest.approx(tn / n_neg, abs=1e-12)
+
+
+@given(b=st.integers(2, 9), p=st.integers(1, 4), d=st.integers(1, 6),
+       seed=st.integers(0, 2**16))
+def test_js_terms_agree_with_nodewise_on_one_node_per_graph(b, p, d, seed):
+    # with each view-r group equal to one node per graph, the cross-view and
+    # the node-wise terms score the same pairs: values and gradients agree
+    rng = np.random.default_rng(seed)
+    u_values = [rng.standard_normal((b, d)) for _ in range(p)]
+    r_values = rng.standard_normal((b, d))
+    results = []
+    for nodewise in (False, True):
+        tape = Tape()
+        u = [tape.leaf(v) for v in u_values]
+        r = tape.leaf(r_values)
+        pos, neg = (js_terms_nodewise(u, r, np.arange(b)) if nodewise
+                    else js_terms(u, [r] * p))
+        grads = backward(tape, T.add(pos, neg))
+        results.append((pos.item(), neg.item(),
+                        [grads[leaf.node_id] for leaf in u + [r]]))
+    (pos_a, neg_a, grads_a), (pos_b, neg_b, grads_b) = results
+    assert abs(pos_a - pos_b) <= 1e-12 and abs(neg_a - neg_b) <= 1e-12
+    for ga, gb in zip(grads_a, grads_b):
+        np.testing.assert_allclose(ga, gb, rtol=0, atol=1e-12)
 
 
 def test_nodewise_js_gradients_pass_oracle():

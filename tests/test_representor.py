@@ -6,8 +6,7 @@ from groupcontrast.gradcheck import finite_difference_check
 from groupcontrast.graphs import Graph, batch_graphs
 from groupcontrast.representor import (attention, concat_groups,
                                        duplicate_rep, forward_groups,
-                                       group_embed, init_representor_params,
-                                       project_kv)
+                                       group_embed, init_representor_params)
 from groupcontrast.seeding import stream_rng
 from groupcontrast.tensor import DimensionError, Tensor
 
@@ -29,10 +28,11 @@ def tensor_params(params):
 def test_projection_shapes():
     batch = make_batch([4, 3], 6)
     params = init_representor_params(stream_rng(0, "init"), 6, 100, 40, 4)
-    nodes = Tensor(batch.features)
-    k, v = project_kv(nodes, Tensor(params["rep.wk"]), Tensor(params["rep.wv"]))
-    assert k.shape == (7, 100)
-    assert v.shape == (7, 40)
+    assert params["rep.wk"].shape == (6, 100)
+    assert params["rep.wv"].shape == (6, 40)
+    groups, a = forward_groups(batch, Tensor(batch.features), tensor_params(params))
+    assert a.shape == (7, 4)
+    assert [g.shape for g in groups] == [(2, 40)] * 4
 
 
 def test_attention_columns_sum_per_graph():

@@ -12,7 +12,7 @@ def test_same_key_same_draws():
 
 def test_streams_are_distinct():
     draws = {name: stream_rng(0, name).random() for name in
-             ("data", "init", "augment", "split", "shuffle", "probe")}
+             ("data", "init", "augment", "shuffle", "probe")}
     assert len(set(draws.values())) == len(draws)
 
 

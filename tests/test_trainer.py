@@ -302,6 +302,21 @@ def test_checkpoint_config_with_zero_key_dim_rejected(tmp_path):
         checkpoint_load(path)
 
 
+@pytest.mark.parametrize("field, bad", [
+    ("tie_views", "no"), ("seed", 1.5), ("epochs", 2.5), ("num_groups", True),
+    ("learning_rate", "0.001"), ("aug_kinds", None), ("batch_size", [8]),
+])
+def test_checkpoint_config_of_wrong_type_rejected(tmp_path, field, bad):
+    state = init_model(RunConfig(seed=9), 8)
+    path = tmp_path / "ck.bin"
+    checkpoint_save(path, state)
+    header, arrays = read_checkpoint_parts(path.read_bytes())
+    header["config"][field] = bad
+    write_checkpoint_parts(path, header, arrays)
+    with pytest.raises(CheckpointError, match=f"config rejected: {field} must be a "):
+        checkpoint_load(path)
+
+
 def test_checkpoint_with_node_dim_key_still_loads(tmp_path):
     # checkpoints written while ModelState stored node_dim carry it in the header
     state = init_model(RunConfig(seed=9), 8)
