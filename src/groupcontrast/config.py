@@ -16,6 +16,15 @@ class ConfigError(ValueError):
     pass
 
 
+def _check_field_types(cfg) -> None:
+    """Each field holds a value of its default's type; an int passes for a
+    float, a bool never for an int."""
+    for f in dataclasses.fields(cfg):
+        value, kind = getattr(cfg, f.name), type(f.default)
+        if not (type(value) is kind or (kind is float and type(value) is int)):
+            raise ConfigError(f"{f.name} must be a {kind.__name__}, got {value!r}")
+
+
 @dataclass
 class RunConfig:
     """Every hyperparameter and seed governing a training/evaluation run."""
@@ -39,12 +48,7 @@ class RunConfig:
     learnable_eps: bool = False
 
     def __post_init__(self):
-        # each value has its default's type; an int passes for a float, a
-        # bool never for an int
-        for f in dataclasses.fields(self):
-            value, kind = getattr(self, f.name), type(f.default)
-            if not (type(value) is kind or (kind is float and type(value) is int)):
-                raise ConfigError(f"{f.name} must be a {kind.__name__}, got {value!r}")
+        _check_field_types(self)
         if self.pipeline not in PIPELINES:
             raise ConfigError(f"pipeline must be one of {PIPELINES}, got {self.pipeline!r}")
         if self.estimator not in ESTIMATORS:
@@ -85,6 +89,9 @@ class DataConfig:
     num_graphs: int = 200
     nodes_per_graph: int = 14
     feature_dim: int = 8
+
+    def __post_init__(self):
+        _check_field_types(self)
 
 
 def _convert(name: str, raw: str, kind):

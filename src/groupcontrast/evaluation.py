@@ -125,8 +125,11 @@ def linear_probe(
     n = len(y)
     n_train = int(n * _PROBE_FRACTIONS[0])
     n_val = int(n * _PROBE_FRACTIONS[1])
-    tr, va, te = np.split(stream_rng(split_seed, "probe").permutation(n),
-                          [n_train, n_train + n_val])
+    try:
+        rng = stream_rng(split_seed, "probe")
+    except TypeError as exc:
+        raise ContractError(f"split_seed: {exc}") from exc
+    tr, va, te = np.split(rng.permutation(n), [n_train, n_train + n_val])
     if min(len(tr), len(va), len(te)) == 0:
         raise ContractError("every probe split must be non-empty")
     if len(set(y[tr].tolist())) < 2:

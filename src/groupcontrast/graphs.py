@@ -230,8 +230,8 @@ def generate_planted_motif_dataset(
     """Two balanced classes of random graphs: class 0 carries a planted
     4-clique, class 1 a planted 6-cycle. Features are one-hot degree buckets
     (capped) plus small seeded Gaussian noise. Deterministic given seed."""
-    if num_graphs % 2 != 0:
-        raise GraphError("num_graphs must be even")
+    if num_graphs <= 0 or num_graphs % 2 != 0:
+        raise GraphError(f"num_graphs must be positive and even, got {num_graphs}")
     if nodes_per_graph < 8:
         raise GraphError("nodes_per_graph must be at least 8")
     if feature_dim < 4:

@@ -29,36 +29,43 @@ def init_representor_params(
 
 
 def attention(
-    k: Tensor,
+    h: Tensor,
+    wk: Tensor,
     q: Tensor,
     segments: np.ndarray,
     scale_scores: bool = False,
 ) -> Tensor:
-    """Scores KQ normalized along each graph's node dimension, per column."""
-    if k.shape[1] != q.shape[0]:
-        raise DimensionError(f"attention: key width {k.shape[1]} != query rows {q.shape[0]}")
-    scores = T.matmul(k, q)
+    """Scores ``(h wk) q`` normalized along each graph's node dimension, per
+    column. They are computed as ``h (wk q)``: the (node_dim, p) product of
+    the key projection and the queries comes first, so no (N, key_dim) key
+    block is built. Scaled scores divide by the square root of the key
+    width, ``q.shape[0]``."""
+    if wk.shape[1] != q.shape[0]:
+        raise DimensionError(f"attention: key width {wk.shape[1]} != query rows {q.shape[0]}")
+    wq = T.matmul(wk, q)
     if scale_scores:
-        scores = T.smul(scores, 1.0 / np.sqrt(k.shape[1]))
-    return T.segment_softmax(scores, segments)
+        wq = T.smul(wq, 1.0 / np.sqrt(q.shape[0]))
+    return T.segment_softmax(T.matmul(h, wq), segments)
 
 
-def group_embed(v: Tensor, a: Tensor, batch: Batch) -> list[Tensor]:
+def group_embed(h: Tensor, a: Tensor, batch: Batch, wv: Tensor) -> list[Tensor]:
     """Attention-weighted sums of value rows per graph, one tensor per group.
 
-    All p groups are pooled at once. Node n's weighted values form an
-    (N, p, d) block, ``a[n, k] * v[n]``; one index-add over the nodes' graphs
-    turns it into a (B, p, d) block whose entry [g, k] is group k of graph g.
-    Each group vector is L2-normalized, so discriminator scores are bounded.
-    The result is held flat as (B, p * d) with the groups in order and handed
-    on as p (B, d) column slices.
+    The value projection is linear, so it is applied after pooling: node n's
+    weighted embeddings form an (N, p, node_dim) block, ``a[n, k] * h[n]``;
+    one index-add over the nodes' graphs turns it into a (B, p, node_dim)
+    block, and one matmul by ``wv`` projects all B * p pooled rows to the
+    group width d. No (N, d) value block is built. Each group vector is
+    L2-normalized, so discriminator scores are bounded. The result is held
+    flat as (B, p * d) with the groups in order and handed on as p (B, d)
+    column slices.
     """
     n, p = a.shape
-    d = v.shape[1]
+    width, d = wv.shape
     b = batch.num_graphs
-    weighted = T.mul(T.reshape(a, (n, p, 1)), T.reshape(v, (n, 1, d)))
-    pooled = T.index_add(weighted, batch.graph_index, b)
-    unit = T.reshape(T.row_l2_normalize(T.reshape(pooled, (b * p, d))), (b, p * d))
+    weighted = T.mul(T.reshape(a, (n, p, 1)), T.reshape(h, (n, 1, width)))
+    pooled = T.reshape(T.index_add(weighted, batch.graph_index, b), (b * p, width))
+    unit = T.reshape(T.row_l2_normalize(T.matmul(pooled, wv)), (b, p * d))
     return [T.slice_cols(unit, k * d, (k + 1) * d) for k in range(p)]
 
 
@@ -83,7 +90,6 @@ def forward_groups(
     prefix: str = "rep",
 ) -> tuple[list[Tensor], Tensor]:
     """Full representor pass; returns group tensors and the attention matrix."""
-    k = T.matmul(node_embeddings, params[f"{prefix}.wk"])
-    v = T.matmul(node_embeddings, params[f"{prefix}.wv"])
-    a = attention(k, params[f"{prefix}.q"], batch.segments, scale_scores)
-    return group_embed(v, a, batch), a
+    a = attention(node_embeddings, params[f"{prefix}.wk"], params[f"{prefix}.q"],
+                  batch.segments, scale_scores)
+    return group_embed(node_embeddings, a, batch, params[f"{prefix}.wv"]), a

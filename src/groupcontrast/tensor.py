@@ -79,12 +79,16 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _result(op: str, out: np.ndarray, parents: list[tuple[Tensor, Callable]]) -> Tensor:
+def _result(op: str, out: np.ndarray, parents: list[tuple[Tensor, Callable]],
+            moves_only: bool = False) -> Tensor:
     """Wrap a primitive output, recording it when any input is differentiable.
-    The output is checked for finite values here, not again in Tensor()."""
+    The output is checked for finite values here, not again in Tensor(). An
+    op that only moves, selects or negates values of its (already checked)
+    inputs passes ``moves_only`` and skips the check: it cannot make a
+    finite value non-finite."""
     res = Tensor.__new__(Tensor)
     res.values, res.tape, res.node_id = np.asarray(out, dtype=np.float64), None, None
-    if not np.all(np.isfinite(res.values)):
+    if not moves_only and not np.all(np.isfinite(res.values)):
         raise NumericError(f"{op}: non-finite output")
     tracked = [(t, vjp) for t, vjp in parents if t.tape is not None]
     if not tracked:
@@ -171,7 +175,7 @@ def smul(a: Tensor, c: float) -> Tensor:
 
 def neg(a: Tensor) -> Tensor:
     a = _as_tensor(a)
-    return _result("negate", -a.values, [(a, lambda g: -g)])
+    return _result("negate", -a.values, [(a, lambda g: -g)], moves_only=True)
 
 
 def square(a: Tensor) -> Tensor:
@@ -188,7 +192,7 @@ def transpose(a: Tensor, axes: tuple[int, ...] | None = None) -> Tensor:
         raise DimensionError(f"transpose: axes {axes} do not permute shape {a.shape}")
     inverse = tuple(np.argsort(axes))
     return _result("transpose", np.transpose(a.values, axes),
-                   [(a, lambda g: np.transpose(g, inverse))])
+                   [(a, lambda g: np.transpose(g, inverse))], moves_only=True)
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -198,7 +202,7 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
         out = a.values.reshape(shape)
     except ValueError as exc:
         raise DimensionError(f"reshape: cannot reshape {in_shape} to {shape}") from exc
-    return _result("reshape", out, [(a, lambda g: g.reshape(in_shape))])
+    return _result("reshape", out, [(a, lambda g: g.reshape(in_shape))], moves_only=True)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -290,7 +294,7 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
 
         parents.append((t, vjp))
         offset += n
-    return _result("concat-along-axis", out, parents)
+    return _result("concat-along-axis", out, parents, moves_only=True)
 
 
 def row_softmax(a: Tensor) -> Tensor:
@@ -350,7 +354,7 @@ def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
         gx[:, start:stop] = g
         return gx
 
-    return _result("slice-cols", a.values[:, start:stop].copy(), [(a, vjp)])
+    return _result("slice-cols", a.values[:, start:stop].copy(), [(a, vjp)], moves_only=True)
 
 
 def _index_add(x: np.ndarray, index: np.ndarray, n: int) -> np.ndarray:
@@ -366,7 +370,8 @@ def take_rows(x: Tensor, index) -> Tensor:
     x = _as_tensor(x)
     n = x.shape[0]
     index = np.asarray(index, dtype=np.intp)
-    return _result("take-rows", x.values[index], [(x, lambda g: _index_add(g, index, n))])
+    return _result("take-rows", x.values[index], [(x, lambda g: _index_add(g, index, n))],
+                   moves_only=True)
 
 
 def index_add(x: Tensor, index, n: int) -> Tensor:

@@ -42,6 +42,18 @@ def test_gen_data_writes_file(tmp_path, capsys):
     assert len(out.read_text().splitlines()) == 12
 
 
+@pytest.mark.parametrize("count", ["-4", "0"])
+def test_gen_data_rejects_non_positive_count(tmp_path, capsys, count):
+    # num_graphs=-4 once exited 0 and wrote an empty file
+    out = tmp_path / "gen.jsonl"
+    rc = main(["gen-data", "--out", str(out), f"num_graphs={count}"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error: GraphError" in err and "num_graphs" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_train_writes_artifacts(tmp_path):
     data = write_small_dataset(tmp_path)
     out = run_train(tmp_path, data, "run")

@@ -72,6 +72,13 @@ def test_field_of_wrong_type_rejected_by_name(field, bad):
         RunConfig(**{field: bad})
 
 
+@pytest.mark.parametrize("field, bad", [
+    ("num_graphs", 2.5), ("seed", "x"), ("nodes_per_graph", True), ("feature_dim", None)])
+def test_data_config_field_of_wrong_type_rejected_by_name(field, bad):
+    with pytest.raises(ConfigError, match=f"^{field} must be a "):
+        DataConfig(**{field: bad})
+
+
 def test_int_accepted_for_float_field():
     cfg = RunConfig(diversity_weight=1, learning_rate=1)
     assert cfg.diversity_weight == 1 and cfg.learning_rate == 1

@@ -54,11 +54,13 @@ def dense_encode(batch, leaves):
     return h
 
 
-def dense_groups(batch, nodes, leaves):
+def dense_groups(batch, nodes, leaves, scale_scores=False):
     _, indicator = dense_matrices(batch)
     n, b = batch.features.shape[0], batch.num_graphs
-    a = T.segment_softmax(T.matmul(T.matmul(nodes, leaves["rep.wk"]), leaves["rep.q"]),
-                          list(batch.segments))
+    scores = T.matmul(T.matmul(nodes, leaves["rep.wk"]), leaves["rep.q"])
+    if scale_scores:
+        scores = T.smul(scores, 1.0 / np.sqrt(KEY))
+    a = T.segment_softmax(scores, list(batch.segments))
     v = T.matmul(nodes, leaves["rep.wv"])
     weighted = T.mul(T.reshape(a, (n, P, 1)), T.reshape(v, (n, 1, GROUP)))
     pooled = T.matmul(Tensor(indicator), T.reshape(weighted, (n, P * GROUP)))
@@ -133,6 +135,21 @@ def test_encode_groups_and_readout_match_dense(seed):
         return [nodes, groups, a, dense_readout(batch, nodes, leaves)]
 
     assert_same(indexed, dense, params, seed)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_scaled_groups_match_dense(seed):
+    # scaled scores divide by sqrt(key_dim), whatever the node width
+    batch = random_batch(seed)
+    params = model_params(seed)
+    nodes = Tensor(np.random.default_rng(seed).standard_normal((batch.features.shape[0], HIDDEN)))
+
+    def indexed(leaves):
+        groups, a = forward_groups(batch, nodes, leaves, scale_scores=True)
+        return [T.concat(groups, axis=1), a]
+
+    assert_same(indexed, lambda lv: list(dense_groups(batch, nodes, lv, scale_scores=True)),
+                params, seed)
 
 
 @pytest.mark.parametrize("seed", range(6))

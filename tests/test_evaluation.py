@@ -131,6 +131,14 @@ def test_probe_rejects_bad_inputs_naming_the_field(labels, embeddings, reg_grid,
         linear_probe(table, reg_grid=reg_grid)
 
 
+@pytest.mark.parametrize("split_seed", [1.5, True, "1"])
+def test_probe_rejects_non_integer_split_seed(split_seed):
+    # 1.5 and True once ran the split_seed=1 probe
+    x = np.arange(30.0).reshape(10, 3)
+    with pytest.raises(ContractError, match="split_seed"):
+        linear_probe(make_table(x, np.arange(10) % 2), split_seed=split_seed)
+
+
 def test_probe_rejects_non_finite_embeddings():
     x = np.ones((10, 3))
     x[4, 1] = np.inf

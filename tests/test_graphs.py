@@ -295,6 +295,8 @@ def test_generator_plants_motifs():
 def test_generator_parameter_bounds():
     with pytest.raises(GraphError):
         generate_planted_motif_dataset(0, 11, 12, 8)   # odd count
+    with pytest.raises(GraphError, match="positive"):
+        generate_planted_motif_dataset(0, -4, 12, 8)   # negative count
     with pytest.raises(GraphError):
         generate_planted_motif_dataset(0, 10, 7, 8)    # too few nodes
     with pytest.raises(GraphError):

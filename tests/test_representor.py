@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,9 +8,9 @@ from groupcontrast.gradcheck import finite_difference_check
 from groupcontrast.graphs import Graph, batch_graphs
 from groupcontrast.representor import (attention, concat_groups,
                                        duplicate_rep, forward_groups,
-                                       group_embed, init_representor_params)
+                                       init_representor_params)
 from groupcontrast.seeding import stream_rng
-from groupcontrast.tensor import DimensionError, Tensor
+from groupcontrast.tensor import DimensionError, Tape, Tensor, backward
 
 
 def make_batch(sizes, d, seed=0):
@@ -68,16 +70,20 @@ def test_matches_naive_weighted_sum():
 def test_scaled_scores_option():
     batch = make_batch([4], 5, seed=4)
     raw = init_representor_params(stream_rng(4, "init"), 5, 9, 6, 2)
-    k = T.matmul(Tensor(batch.features), Tensor(raw["rep.wk"]))
-    plain = attention(k, Tensor(raw["rep.q"]), list(batch.segments))
-    scaled = attention(k, Tensor(raw["rep.q"]), list(batch.segments),
-                       scale_scores=True)
+    h, wk, q = Tensor(batch.features), Tensor(raw["rep.wk"]), Tensor(raw["rep.q"])
+    plain = attention(h, wk, q, list(batch.segments))
+    scaled = attention(h, wk, q, list(batch.segments), scale_scores=True)
     assert not np.allclose(plain.values, scaled.values)
+    # scaled by the key width (9), not the node width (5)
+    want = T.segment_softmax(Tensor((batch.features @ raw["rep.wk"] @ raw["rep.q"]) / 3.0),
+                             list(batch.segments))
+    assert np.allclose(scaled.values, want.values, atol=1e-12)
 
 
 def test_attention_dim_mismatch():
     with pytest.raises(DimensionError):
-        attention(Tensor(np.ones((3, 4))), Tensor(np.ones((5, 2))), [(0, 3)])
+        attention(Tensor(np.ones((3, 6))), Tensor(np.ones((6, 4))),
+                  Tensor(np.ones((5, 2))), [(0, 3)])
 
 
 def test_permutation_invariance_of_groups():
@@ -137,3 +143,35 @@ def test_spec_dimension_example():
     assert a.shape == (7, 4)
     assert all(g.shape == (1, 40) for g in groups)
     assert concat_groups(groups).shape == (1, 160)
+
+
+def test_forward_groups_allocation_budget():
+    # one forward and backward at the default benchmark's shape (128 graphs
+    # of 14 nodes, width 32, key_dim 100, 4 groups of width 40): scoring
+    # through wk @ q and pooling before the value projection build no
+    # (N, key_dim) key or (N, d) value block, or their gradients
+    b, nodes_per_graph, width, key_dim, p, d = 128, 14, 32, 100, 4, 40
+    n = b * nodes_per_graph
+    block = n * key_dim * 8
+    rng = np.random.default_rng(0)
+    batch = batch_graphs([Graph(nodes_per_graph, rng.standard_normal((nodes_per_graph, 1)), ())
+                          for _ in range(b)])
+    h_values = rng.standard_normal((n, width))
+    params = init_representor_params(stream_rng(0, "init"), width, key_dim, d, p)
+    weights = rng.standard_normal((b, p * d))
+
+    def forward_backward():
+        tape = Tape()
+        leaves = {name: tape.leaf(v) for name, v in params.items()}
+        groups, _ = forward_groups(batch, tape.leaf(h_values), leaves)
+        backward(tape, T.tsum(T.mul(concat_groups(groups), Tensor(weights))))
+
+    forward_backward()          # first-call set-up stays out of the count
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        forward_backward()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.0 * block, f"peak {peak / block:.2f} blocks"

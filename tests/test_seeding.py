@@ -23,3 +23,14 @@ def test_key_indices_matter():
 def test_unknown_stream_rejected():
     with pytest.raises(ValueError):
         stream_rng(0, "weights")
+
+
+@pytest.mark.parametrize("seed, key", [(1.5, ()), (True, ()), ("1", ()), (1, (2.0,)), (1, (False,))])
+def test_non_integer_seed_or_key_rejected(seed, key):
+    with pytest.raises(TypeError, match="must be integers"):
+        stream_rng(seed, "probe", *key)
+
+
+def test_numpy_integer_seed_same_draws():
+    assert stream_rng(np.int64(3), "shuffle", np.int32(2)).random() == \
+        stream_rng(3, "shuffle", 2).random()

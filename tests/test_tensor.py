@@ -106,6 +106,13 @@ def test_non_finite_op_output_names_the_op():
         T.exp(Tensor([1000.0]))
 
 
+def test_index_add_overflow_names_the_op():
+    # value-moving ops skip the finiteness pass; a sum of finite rows can
+    # still overflow, so index_add keeps it
+    with pytest.raises(NumericError, match="index-add: non-finite"):
+        T.index_add(Tensor([[1e308], [1e308]]), [0, 0], 1)
+
+
 def test_sum_mean_axes():
     x = np.arange(12.0).reshape(3, 4)
     assert np.allclose(T.tsum(Tensor(x), axis=0).values, x.sum(axis=0))
