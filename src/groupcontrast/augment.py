@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, GraphError
+from .graphs import Batch, GraphError
 
 AUGMENTATION_KINDS = ("node-drop", "edge-perturb", "attribute-mask", "subgraph")
 
@@ -25,70 +25,22 @@ class AugmentationPolicy:
             raise GraphError(f"augmentation ratio must lie in [0, 1), got {self.ratio}")
 
 
-def _induced(g: Graph, keep: np.ndarray) -> Graph:
-    """The subgraph induced by the nodes where `keep` is set; nodes and edges
-    keep their relative order."""
-    new_id = np.cumsum(keep) - 1
-    edges = g.edges[keep[g.edges].all(axis=1)]
-    return Graph._trusted(g.node_features[keep], new_id[edges], g.label)
+def _lowest(key: np.ndarray, owner: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Mask of the k[b] items of lowest `key` among the items of each graph b."""
+    order = np.lexsort((key, owner))
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order)) - np.searchsorted(owner[order], owner[order])
+    return rank < k[owner]
 
 
-def node_drop(g: Graph, ratio: float, rng: np.random.Generator) -> Graph:
-    """Drop floor(ratio*N) uniform nodes; survivors keep their relative order."""
-    k = int(ratio * g.num_nodes)
-    if k >= g.num_nodes:
-        raise GraphError("node_drop would remove every node")
-    if k == 0:
-        return g
-    keep = np.ones(g.num_nodes, dtype=bool)
-    keep[rng.choice(g.num_nodes, size=k, replace=False)] = False
-    return _induced(g, keep)
-
-
-def edge_perturb(g: Graph, ratio: float, rng: np.random.Generator) -> Graph:
-    """Remove floor(ratio*|E|) uniform edges and add as many uniform
-    non-edges of the original graph (fewer if the graph is near-complete).
-    An edgeless graph has nothing to perturb and is returned unchanged."""
-    k = int(ratio * len(g.edges))
-    if k == 0:
-        return g
-    kept = np.ones(len(g.edges), dtype=bool)
-    kept[rng.choice(len(g.edges), size=k, replace=False)] = False
-    edges = g.edges[kept]
-    rows, cols = np.triu_indices(g.num_nodes, 1)
-    free = np.ones((g.num_nodes, g.num_nodes), dtype=bool)
-    free[g.edges.min(axis=1), g.edges.max(axis=1)] = False
-    non_edges = np.stack([rows, cols], axis=1)[free[rows, cols]]   # row-major order
-    n_add = min(k, len(non_edges))
-    if n_add:
-        added = rng.choice(len(non_edges), size=n_add, replace=False)
-        edges = np.concatenate([edges, non_edges[np.sort(added)]])
-    return Graph._trusted(g.node_features.copy(), edges, g.label)
-
-
-def attribute_mask(g: Graph, ratio: float, rng: np.random.Generator) -> Graph:
-    """Zero the feature rows of floor(ratio*N) uniform nodes; structure kept."""
-    k = int(ratio * g.num_nodes)
-    if k == 0:
-        return g
-    masked = rng.choice(g.num_nodes, size=k, replace=False)
-    feats = g.node_features.copy()
-    feats[masked] = 0.0
-    return Graph._trusted(feats, g.edges, g.label)
-
-
-def subgraph_sample(g: Graph, ratio: float, rng: np.random.Generator) -> Graph:
-    """Random-walk-grown node subset of size ceil((1-ratio)*N); returns the
-    induced subgraph. Connected inputs yield connected outputs. A single-node
-    graph has no proper subgraph and is returned unchanged."""
-    if g.num_nodes < 2:
-        return g
-    target = max(int(np.ceil((1.0 - ratio) * g.num_nodes)), 1)
-    # neighbor lists in ascending order, as the walk's random draws index them
-    adj: list[list[int]] = [[] for _ in range(g.num_nodes)]
-    for u, v in sorted(np.concatenate([g.edges, g.edges[:, ::-1]]).tolist()):
-        adj[u].append(v)
-    current = int(rng.integers(g.num_nodes))
+def _walk(adj: dict[int, list[int]], lo: int, hi: int, ratio: float,
+          rng: np.random.Generator) -> list[int]:
+    """A random-walk-grown subset of ceil((1-ratio)*n) of the nodes lo..hi-1.
+    A stuck walk restarts from a kept node with an unkept neighbour, so a
+    connected graph gives a connected subset; when the kept component is
+    exhausted (a disconnected graph) it jumps to a uniform unkept node."""
+    target = max(int(np.ceil((1.0 - ratio) * (hi - lo))), 1)
+    current = lo + int(rng.integers(hi - lo))
     kept = {current}
     while len(kept) < target:
         candidates = [u for u in adj[current] if u not in kept]
@@ -96,29 +48,79 @@ def subgraph_sample(g: Graph, ratio: float, rng: np.random.Generator) -> Graph:
             current = candidates[int(rng.integers(len(candidates)))]
             kept.add(current)
             continue
-        # stuck: restart from a kept node with an unkept neighbor
-        frontier = [v for v in kept if any(u not in kept for u in adj[v])]
+        frontier = [v for v in sorted(kept) if any(u not in kept for u in adj[v])]
         if frontier:
             current = frontier[int(rng.integers(len(frontier)))]
         else:
-            # kept component exhausted (disconnected input): jump outside
-            outside = [v for v in range(g.num_nodes) if v not in kept]
+            outside = [v for v in range(lo, hi) if v not in kept]
             current = outside[int(rng.integers(len(outside)))]
             kept.add(current)
-    keep = np.zeros(g.num_nodes, dtype=bool)
-    keep[list(kept)] = True
-    return _induced(g, keep)
+    return list(kept)
 
 
-_KIND_FNS = {
-    "node-drop": node_drop,
-    "edge-perturb": edge_perturb,
-    "attribute-mask": attribute_mask,
-    "subgraph": subgraph_sample,
-}
+def _perturb_edges(src, dst, owner, segments, ratios, rng):
+    """The forward edge half (`owner` holds each edge's graph) with, in each
+    graph b, the k = floor(ratios[b]*|E|) lowest-ranked edges removed and as
+    many uniform non-edges of the input graph added after its kept edges
+    (fewer if it is near-complete)."""
+    k = (ratios * np.bincount(owner, minlength=len(segments))).astype(np.intp)
+    kept = ~_lowest(rng.random(len(src)), owner, k)
+    parts = [(src[kept], dst[kept], owner[kept])]
+    for b in np.flatnonzero(k):
+        (lo, hi), mine = segments[b], owner == b
+        u, v, n = src[mine] - lo, dst[mine] - lo, hi - lo
+        rows, cols = np.triu_indices(n, 1)           # every pair, in row-major order
+        free = ~np.isin(rows * n + cols, np.minimum(u, v) * n + np.maximum(u, v))
+        rows, cols = rows[free], cols[free]
+        n_add = min(k[b], len(rows))
+        if n_add:
+            added = np.sort(rng.choice(len(rows), size=n_add, replace=False))
+            parts.append((rows[added] + lo, cols[added] + lo, np.full(n_add, b)))
+    src, dst, owner = (np.concatenate(p) for p in zip(*parts))
+    order = np.argsort(owner, kind="stable")
+    return src[order], dst[order]
 
 
-def sample_view(g: Graph, policy: AugmentationPolicy, rng: np.random.Generator) -> Graph:
-    """Uniformly pick one enabled kind and apply it with the policy ratio."""
-    kind = policy.kinds[int(rng.integers(len(policy.kinds)))]
-    return _KIND_FNS[kind](g, policy.ratio, rng)
+def sample_view(batch: Batch, policy: AugmentationPolicy, rng: np.random.Generator) -> Batch:
+    """One augmented view of every graph of a `batch_graphs` batch, in
+    `batch_graphs`' layout. Each graph draws one enabled kind uniformly and
+    applies it at the policy ratio: node-drop removes, and attribute-mask
+    zeroes the features of, a uniform floor(ratio*n) subset of its nodes;
+    edge-perturb swaps a uniform floor(ratio*|E|) subset of its edges for
+    non-edges; subgraph keeps the induced subgraph of a random walk. Edge-
+    perturb on an edgeless graph and subgraph on a one-node graph leave it
+    unchanged. The draws, in order: the kinds; one rank key per node; the
+    walks, in graph order; and only if some graph perturbs edges, one rank
+    key per edge, then each perturbed graph's added non-edges."""
+    ratio, segments, owner = policy.ratio, batch.segments, batch.graph_index
+    sizes = segments[:, 1] - segments[:, 0]
+    kind = np.asarray(policy.kinds)[rng.integers(len(policy.kinds), size=len(segments))]
+    low = _lowest(rng.random(len(owner)), owner, (ratio * sizes).astype(np.intp))
+    keep = ~(low & (kind == "node-drop")[owner])
+    src, dst = batch.edge_index
+    walked = np.flatnonzero((kind == "subgraph") & (sizes >= 2))
+    if walked.size:
+        order = np.lexsort((dst, src))
+        ptr = np.searchsorted(src[order], np.arange(len(owner) + 1))
+        for lo, hi in segments[walked]:
+            adj = {v: dst[order[ptr[v]:ptr[v + 1]]].tolist() for v in range(lo, hi)}
+            keep[lo:hi] = False
+            keep[_walk(adj, lo, hi, ratio, rng)] = True
+    src, dst = src[:len(src) // 2], dst[:len(dst) // 2]
+    if (kind == "edge-perturb").any():
+        ratios = np.where(kind == "edge-perturb", ratio, 0.0)
+        src, dst = _perturb_edges(src, dst, owner[src], segments, ratios, rng)
+    new_id = np.cumsum(keep) - 1
+    inside = keep[src] & keep[dst]
+    src, dst = new_id[src[inside]], new_id[dst[inside]]
+    features = batch.features[keep]
+    features[(low & (kind == "attribute-mask")[owner])[keep]] = 0.0
+    graph_index = owner[keep]
+    sizes = np.bincount(graph_index, minlength=len(segments))
+    ends = np.cumsum(sizes)
+    return Batch(
+        features=features,
+        edge_index=(np.concatenate([src, dst]), np.concatenate([dst, src])),
+        segments=np.stack([ends - sizes, ends], axis=1),
+        graph_index=graph_index,
+    )

@@ -54,7 +54,7 @@ class RunConfig:
         if self.estimator not in ESTIMATORS:
             raise ConfigError(f"estimator must be one of {ESTIMATORS}, got {self.estimator!r}")
         for name, least in (("num_groups", 1), ("embed_dim", 1), ("key_dim", 1), ("gin_hidden", 1),
-                            ("batch_size", 1), ("epochs", 0), ("gin_layers", 0)):
+                            ("batch_size", 1), ("epochs", 0), ("gin_layers", 0), ("seed", 0)):
             if getattr(self, name) < least:
                 raise ConfigError(f"{name} must be at least {least}, got {getattr(self, name)}")
         if self.embed_dim % self.num_groups != 0:
@@ -92,6 +92,8 @@ class DataConfig:
 
     def __post_init__(self):
         _check_field_types(self)
+        if self.seed < 0:
+            raise ConfigError(f"seed must be at least 0, got {self.seed}")
 
 
 def _convert(name: str, raw: str, kind):

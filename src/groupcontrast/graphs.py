@@ -44,14 +44,6 @@ class Graph:
         object.__setattr__(self, "node_features", feats)
         object.__setattr__(self, "edges", _checked_edges(self.edges, self.num_nodes))
 
-    @classmethod
-    def _trusted(cls, node_features: np.ndarray, edges: np.ndarray, label: int | None) -> "Graph":
-        """A graph built from parts of an already-validated one, unchecked."""
-        g = object.__new__(cls)
-        g.__dict__.update(num_nodes=node_features.shape[0], node_features=node_features,
-                          edges=edges, label=label)
-        return g
-
     @property
     def feature_dim(self) -> int:
         return self.node_features.shape[1]

@@ -22,7 +22,7 @@ from .graphs import Batch, Dataset, Graph, batch_graphs
 from .optim import AdamState, adam_step, init_adam
 from .representor import duplicate_rep, forward_groups, init_representor_params
 from .seeding import stream_rng
-from .tensor import Tape, Tensor, backward
+from .tensor import NumericError, Tape, Tensor, backward
 
 
 class TrainingError(RuntimeError):
@@ -128,18 +128,6 @@ def node_view_representations(state: ModelState, batch: Batch) -> list[np.ndarra
     return duplicate_rep(_node_view(leaves, nodes).values, state.config.num_groups)
 
 
-def _sample_views(cfg: RunConfig, graphs: list[Graph], epoch: int, step: int) -> tuple[Batch, Batch]:
-    """The two augmented views of a step's graphs, batched as (u, r). Views
-    are drawn per graph, u before r, from the step's own stream."""
-    policy = AugmentationPolicy(kinds=cfg.aug_kind_list, ratio=cfg.aug_ratio)
-    rng = stream_rng(cfg.seed, "augment", epoch, step)
-    views_u, views_r = [], []
-    for g in graphs:
-        views_u.append(sample_view(g, policy, rng))
-        views_r.append(sample_view(g, policy, rng))
-    return batch_graphs(views_u), batch_graphs(views_r)
-
-
 def _adam_update(params, opt: AdamState, tape: Tape, leaves: dict[str, Tensor], loss: Tensor):
     """Backpropagate `loss` to the leaves of `params` and take one Adam step."""
     grads = backward(tape, loss)
@@ -155,14 +143,16 @@ def _step(state: ModelState, graphs: list[Graph], epoch: int, step: int) -> obj.
     cfg = state.config
     tape = Tape()
     leaves = {name: tape.leaf(v) for name, v in state.params.items()}
+    batch = batch_graphs(graphs)
     if cfg.pipeline == "groupig":
-        batch = batch_graphs(graphs)
         u, nodes = embed_view(cfg, leaves, batch)
         pos, neg = obj.js_terms_nodewise(u, _node_view(leaves, nodes), batch.graph_index)
     else:
-        batch_u, batch_r = _sample_views(cfg, graphs, epoch, step)
-        u, _ = embed_view(cfg, leaves, batch_u, "u")
-        r, _ = embed_view(cfg, leaves, batch_r, "r")
+        # both views come from the step's own stream, u's drawn before r's
+        policy = AugmentationPolicy(kinds=cfg.aug_kind_list, ratio=cfg.aug_ratio)
+        rng = stream_rng(cfg.seed, "augment", epoch, step)
+        u, _ = embed_view(cfg, leaves, sample_view(batch, policy, rng), "u")
+        r, _ = embed_view(cfg, leaves, sample_view(batch, policy, rng), "r")
         pos, neg = obj.js_terms(u, r)
     penalized = len(u) >= 2 and cfg.diversity_weight > 0
     param = penalized and cfg.estimator == "param"
@@ -211,7 +201,13 @@ def train(
             if len(graphs) < 2:
                 warnings.warn(f"epoch {epoch}: skipping batch {step} with <2 graphs")
                 continue
-            breakdown = step_fn(state, graphs, epoch, step)
+            # every float result of a step is checked (the tape's primitives,
+            # then adam_step), so numpy's own warnings would only repeat them
+            try:
+                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                    breakdown = step_fn(state, graphs, epoch, step)
+            except NumericError as exc:
+                raise type(exc)(f"epoch {epoch} step {step}: {exc}") from exc
             history.append(HistoryRow(
                 epoch=epoch, step=step,
                 intra_positive=breakdown.intra_positive,

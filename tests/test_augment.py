@@ -1,12 +1,13 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from groupcontrast.augment import (AUGMENTATION_KINDS, AugmentationPolicy,
-                                   attribute_mask, edge_perturb, node_drop,
-                                   sample_view, subgraph_sample)
-from groupcontrast.graphs import Graph, GraphError, generate_planted_motif_dataset
+from groupcontrast.augment import AUGMENTATION_KINDS, AugmentationPolicy, sample_view
+from groupcontrast.graphs import Graph, GraphError, batch_graphs, generate_planted_motif_dataset
 from groupcontrast.seeding import stream_rng
 from strategies import valid_graphs
 
@@ -15,6 +16,28 @@ def path_graph(n=10, d=4, seed=0):
     rng = np.random.default_rng(seed)
     return Graph(n, rng.standard_normal((n, d)),
                  tuple((i, i + 1) for i in range(n - 1)), label=0)
+
+
+def view_of(graphs, kinds, ratio, seed, *key):
+    policy = AugmentationPolicy(kinds=tuple(kinds), ratio=ratio)
+    return sample_view(batch_graphs(graphs), policy, stream_rng(seed, "augment", *key))
+
+
+def unbatch(batch) -> list[Graph]:
+    """Each segment of a batch, rebuilt through the public constructor from
+    the forward half of the edge index."""
+    half = len(batch.edge_index[0]) // 2
+    src, dst = batch.edge_index[0][:half], batch.edge_index[1][:half]
+    owner = batch.graph_index[src]
+    return [Graph(int(hi - lo), batch.features[lo:hi],
+                  np.stack([src[owner == b], dst[owner == b]], axis=1) - lo)
+            for b, (lo, hi) in enumerate(batch.segments)]
+
+
+def assert_same_batch(a, b):
+    for x, y in ((a.features, b.features), (a.segments, b.segments),
+                 (a.graph_index, b.graph_index), *zip(a.edge_index, b.edge_index)):
+        assert x.dtype == y.dtype and np.array_equal(x, y)
 
 
 def is_connected(g: Graph) -> bool:
@@ -35,6 +58,21 @@ def is_connected(g: Graph) -> bool:
     return len(seen) == g.num_nodes
 
 
+def kept_rows(g: Graph, view: Graph) -> list[int]:
+    """The input nodes a view kept; feature rows are distinct, so they name them."""
+    rows = {r.tobytes(): i for i, r in enumerate(g.node_features)}
+    return [rows[r.tobytes()] for r in view.node_features]
+
+
+def assert_induced(g: Graph, view: Graph):
+    # kept nodes in input order; exactly the input edges between kept nodes,
+    # in input order and orientation
+    kept = kept_rows(g, view)
+    assert kept == sorted(kept)
+    back = [(kept[u], kept[w]) for u, w in view.edges.tolist()]
+    assert back == [(u, w) for u, w in g.edges.tolist() if u in kept and w in kept]
+
+
 def test_policy_validation():
     with pytest.raises(GraphError):
         AugmentationPolicy(kinds=())
@@ -45,114 +83,105 @@ def test_policy_validation():
 
 
 def test_zero_ratio_is_identity():
-    g = path_graph()
-    rng = stream_rng(0, "augment")
-    for fn in (node_drop, edge_perturb, attribute_mask):
-        out = fn(g, 0.0, rng)
-        assert np.array_equal(out.edges, g.edges)
-        assert np.array_equal(out.node_features, g.node_features)
+    graphs = [path_graph(), path_graph(3, seed=1), Graph(1, np.ones((1, 4)), ())]
+    for kind in AUGMENTATION_KINDS:
+        assert_same_batch(view_of(graphs, [kind], 0.0, 0), batch_graphs(graphs))
 
 
 def test_node_drop_counts_and_reindexing():
-    g = path_graph(10)
-    out = node_drop(g, 0.2, stream_rng(1, "augment"))
-    assert out.num_nodes == 8
-    assert all(0 <= u < 8 and 0 <= v < 8 for u, v in out.edges)
-    # surviving feature rows are rows of the original matrix
-    orig_rows = {r.tobytes() for r in g.node_features}
-    assert all(r.tobytes() in orig_rows for r in out.node_features)
+    graphs = [path_graph(10), path_graph(5, seed=1), Graph(1, np.zeros((1, 4)), ())]
+    view = view_of(graphs, ["node-drop"], 0.2, 1)
+    # the drop count floors, so a one-node graph is left alone
+    assert (view.segments[:, 1] - view.segments[:, 0]).tolist() == [8, 4, 1]
+    for g, v in zip(graphs, unbatch(view)):
+        assert all(0 <= u < v.num_nodes and 0 <= w < v.num_nodes for u, w in v.edges)
+        # surviving feature rows are rows of the original matrix
+        orig_rows = {r.tobytes() for r in g.node_features}
+        assert all(r.tobytes() in orig_rows for r in v.node_features)
 
 
 def test_node_drop_cannot_remove_everything():
-    g = path_graph(2)
-    with pytest.raises(GraphError):
-        node_drop(g, 1.0, stream_rng(0, "augment"))
-    # the drop count floors, so sub-threshold ratios leave tiny graphs alone
-    tiny = Graph(1, np.zeros((1, 2)), ())
-    out = node_drop(tiny, 0.5, stream_rng(0, "augment"))
-    assert out.num_nodes == 1
+    # ratio 1 is rejected by the policy, and below it the drop count floors
+    # to fewer than n, so every graph keeps a node
+    graphs = [path_graph(2), path_graph(5, seed=1), Graph(1, np.zeros((1, 4)), ())]
+    view = view_of(graphs, ["node-drop"], 0.99, 0)
+    assert (view.segments[:, 1] - view.segments[:, 0]).tolist() == [1, 1, 1]
 
 
 def test_edge_perturb_preserves_count_and_validity():
-    g = path_graph(10)
-    out = edge_perturb(g, 0.4, stream_rng(2, "augment"))
-    assert len(out.edges) == len(g.edges)
-    undirected = {frozenset(e) for e in out.edges}
-    assert len(undirected) == len(out.edges)  # no duplicates
-    # added edges come from the original graph's non-edges
-    existing = {frozenset(e) for e in g.edges}
-    added = undirected - existing
-    assert all(e not in existing for e in added)
-    assert len(added) == int(0.4 * len(g.edges))
+    graphs = [path_graph(10), path_graph(8, seed=1)]
+    for g, v in zip(graphs, unbatch(view_of(graphs, ["edge-perturb"], 0.4, 2))):
+        assert len(v.edges) == len(g.edges)
+        undirected = {frozenset(e) for e in v.edges.tolist()}
+        assert len(undirected) == len(v.edges)  # no duplicates
+        # added edges come from the original graph's non-edges
+        existing = {frozenset(e) for e in g.edges.tolist()}
+        assert len(undirected - existing) == int(0.4 * len(g.edges))
 
 
 def test_edge_perturb_on_near_complete_graph():
-    # K4 minus nothing: no non-edges to add, so only removal count shrinks
+    # K4: no non-edges to add, so only the removal count applies
     edges = tuple((u, v) for u in range(4) for v in range(u + 1, 4))
     g = Graph(4, np.zeros((4, 2)), edges)
-    out = edge_perturb(g, 0.5, stream_rng(3, "augment"))
-    assert len(out.edges) == len(edges) - int(0.5 * len(edges))
+    (v,) = unbatch(view_of([g], ["edge-perturb"], 0.5, 3))
+    assert len(v.edges) == len(edges) - int(0.5 * len(edges))
 
 
 def test_undefined_kinds_return_the_input_graph():
     # nothing to perturb on an edgeless graph, no proper subgraph of one node
     edgeless = Graph(3, np.ones((3, 2)), ())
     single = Graph(1, np.ones((1, 2)), ())
-    assert edge_perturb(edgeless, 0.5, stream_rng(0, "augment")) is edgeless
-    assert subgraph_sample(single, 0.5, stream_rng(0, "augment")) is single
+    for kind, g in (("edge-perturb", edgeless), ("subgraph", single)):
+        assert_same_batch(view_of([g, g], [kind], 0.5, 0), batch_graphs([g, g]))
 
 
 def test_attribute_mask_zeroes_rows_only():
     g = path_graph(10)
-    out = attribute_mask(g, 0.3, stream_rng(4, "augment"))
-    assert np.array_equal(out.edges, g.edges)
-    zero_rows = [i for i in range(10) if np.all(out.node_features[i] == 0)]
+    (v,) = unbatch(view_of([g], ["attribute-mask"], 0.3, 4))
+    assert np.array_equal(v.edges, g.edges)
+    zero_rows = [i for i in range(10) if np.all(v.node_features[i] == 0)]
     assert len(zero_rows) == 3
     kept = [i for i in range(10) if i not in zero_rows]
-    assert np.array_equal(out.node_features[kept], g.node_features[kept])
+    assert np.array_equal(v.node_features[kept], g.node_features[kept])
 
 
 def test_subgraph_keeps_connected_inputs_connected():
+    graphs = [path_graph(12, seed=seed) for seed in range(4)]
     for seed in range(20):
-        g = path_graph(12, seed=seed)
-        out = subgraph_sample(g, 0.25, stream_rng(seed, "augment"))
-        assert out.num_nodes == int(np.ceil(0.75 * 12))
-        assert is_connected(out)
+        for v in unbatch(view_of(graphs, ["subgraph"], 0.25, seed)):
+            assert v.num_nodes == int(np.ceil(0.75 * 12))
+            assert is_connected(v)
 
 
 def test_subgraph_handles_disconnected_input():
-    # two components of 3 nodes each; target size forces a jump
-    g = Graph(6, np.zeros((6, 2)), ((0, 1), (1, 2), (3, 4), (4, 5)))
-    out = subgraph_sample(g, 0.1, stream_rng(0, "augment"))
-    assert out.num_nodes == 6
+    # two components of 3 nodes each; the target size forces a jump
+    g = Graph(6, np.arange(12.0).reshape(6, 2), ((0, 1), (1, 2), (3, 4), (4, 5)))
+    (v,) = unbatch(view_of([g], ["subgraph"], 0.1, 0))
+    assert v.num_nodes == 6
+    assert_induced(g, v)
 
 
 def test_determinism_per_stream():
-    g = path_graph(10)
-    for fn in (node_drop, edge_perturb, attribute_mask, subgraph_sample):
-        a = fn(g, 0.3, stream_rng(7, "augment", 1))
-        b = fn(g, 0.3, stream_rng(7, "augment", 1))
-        assert np.array_equal(a.edges, b.edges)
-        assert np.array_equal(a.node_features, b.node_features)
+    graphs = [path_graph(10), path_graph(7, seed=1)]
+    for kind in AUGMENTATION_KINDS:
+        assert_same_batch(view_of(graphs, [kind], 0.3, 7, 1), view_of(graphs, [kind], 0.3, 7, 1))
 
 
 def test_sample_view_uses_enabled_kinds_only():
     # a node-drop-only policy always changes the node count at ratio 0.2
-    g = path_graph(10)
-    policy = AugmentationPolicy(kinds=("node-drop",), ratio=0.2)
+    graphs = [path_graph(10, seed=s) for s in range(3)]
     for seed in range(5):
-        out = sample_view(g, policy, stream_rng(seed, "augment"))
-        assert out.num_nodes == 8
+        view = view_of(graphs, ["node-drop"], 0.2, seed)
+        assert (view.segments[:, 1] - view.segments[:, 0]).tolist() == [8, 8, 8]
 
 
 def test_sample_view_default_policy_runs_on_generated_data():
     ds = generate_planted_motif_dataset(7, 8, 10, 6)
     policy = AugmentationPolicy()
     assert policy.kinds == ("node-drop", "attribute-mask")
-    rng = stream_rng(0, "augment")
-    for g in ds.graphs:
-        out = sample_view(g, policy, rng)
-        assert out.num_nodes >= 1
+    view = sample_view(batch_graphs(list(ds.graphs)), policy, stream_rng(0, "augment"))
+    assert view.num_graphs == 8
+    assert (view.segments[:, 1] > view.segments[:, 0]).all()
 
 
 def test_all_kinds_registered():
@@ -160,31 +189,66 @@ def test_all_kinds_registered():
         "node-drop", "edge-perturb", "attribute-mask", "subgraph"}
 
 
-def view_of(g, kind, ratio, seed):
-    policy = AugmentationPolicy(kinds=(kind,), ratio=ratio)
-    return sample_view(g, policy, stream_rng(seed, "augment"))
+# chi-square bound for 6 equally likely outcomes (5 degrees of freedom) at
+# p = 0.001; the draws are seeded, so the statistic is fixed
+CHI2_BOUND = 20.52
 
 
-@given(g=valid_graphs(), kind=st.sampled_from(AUGMENTATION_KINDS),
+@pytest.mark.parametrize("kind", ["node-drop", "attribute-mask", "edge-perturb"])
+def test_each_subset_is_equally_likely(kind):
+    # GraphCL's kinds keep a uniform floor(ratio*n) subset of the nodes or
+    # edges: on 4 of them at ratio 0.5, each of the 6 pairs is picked alike
+    g = Graph(4, np.arange(8.0).reshape(4, 2) + 1, ((0, 1), (1, 2), (2, 3), (3, 0)))
+    items = g.edges.tolist() if kind == "edge-perturb" else list(range(4))
+    counts = dict.fromkeys(itertools.combinations(range(4), 2), 0)
+    for seed in range(20):
+        for v in unbatch(view_of([g] * 60, [kind], 0.5, seed)):
+            if kind == "node-drop":
+                picked = set(range(4)) - set(kept_rows(g, v))
+            elif kind == "attribute-mask":
+                picked = {i for i in range(4) if not v.node_features[i].any()}
+            else:
+                picked = {i for i, e in enumerate(items) if e not in v.edges.tolist()}
+            counts[tuple(sorted(picked))] += 1
+    expected = 1200 / len(counts)
+    chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
+    assert chi2 < CHI2_BOUND, counts
+
+
+@given(graphs=st.lists(valid_graphs(), min_size=1, max_size=4),
        ratio=st.sampled_from((0.0, 0.2, 0.5, 0.9)), seed=st.integers(0, 99))
-def test_views_pass_the_public_constructor(g, kind, ratio, seed):
-    # views skip validation, so each must be a graph Graph(...) accepts as is
-    v = view_of(g, kind, ratio, seed)
-    checked = Graph(v.num_nodes, v.node_features, v.edges, v.label)
-    assert v.edges.dtype == np.intp and v.edges.shape == (len(v.edges), 2)
-    assert checked.num_nodes == v.num_nodes and checked.label == v.label
-    assert np.array_equal(checked.node_features, v.node_features)
-    assert np.array_equal(checked.edges, v.edges)
-
-
-@given(g=valid_graphs(), kind=st.sampled_from(("node-drop", "subgraph")),
-       ratio=st.sampled_from((0.2, 0.5, 0.9)), seed=st.integers(0, 99))
-def test_node_drop_and_subgraph_return_induced_subgraphs(g, kind, ratio, seed):
-    v = view_of(g, kind, ratio, seed)
-    # feature rows are distinct, so they name the kept nodes, in order
-    rows = {r.tobytes(): i for i, r in enumerate(g.node_features)}
-    kept = [rows[r.tobytes()] for r in v.node_features]
-    assert kept == sorted(kept)
-    # exactly the input edges between kept nodes, in input order and orientation
-    back = [(kept[u], kept[w]) for u, w in v.edges.tolist()]
-    assert back == [(u, w) for u, w in g.edges.tolist() if u in kept and w in kept]
+def test_views_are_augmented_graphs_in_batch_layout(graphs, ratio, seed):
+    view = view_of(graphs, AUGMENTATION_KINDS, ratio, seed)
+    # every segment passes the public constructor, and batching those graphs
+    # again gives the view, array for array
+    rebuilt = unbatch(view)
+    assert_same_batch(batch_graphs(rebuilt), view)
+    # the first draw of the stream is each graph's kind
+    drawn = stream_rng(seed, "augment").integers(len(AUGMENTATION_KINDS), size=len(graphs))
+    for g, v, kind in zip(graphs, rebuilt, (AUGMENTATION_KINDS[i] for i in drawn)):
+        n, k = g.num_nodes, int(ratio * g.num_nodes)
+        if kind == "node-drop":
+            assert v.num_nodes == n - k
+            assert_induced(g, v)
+        elif kind == "subgraph":
+            assert v.num_nodes == (max(math.ceil((1 - ratio) * n), 1) if n >= 2 else n)
+            assert_induced(g, v)
+        elif kind == "attribute-mask":
+            assert np.array_equal(v.edges, g.edges)
+            zeroed = ~v.node_features.any(axis=1)
+            assert zeroed.sum() == k
+            assert np.array_equal(v.node_features[~zeroed], g.node_features[~zeroed])
+        else:
+            assert np.array_equal(v.node_features, g.node_features)
+            # the kept input edges in input order and orientation, then
+            # uniform non-edges of the input in row-major order
+            edges, k = g.edges.tolist(), int(ratio * len(g.edges))
+            out = v.edges.tolist()
+            kept = [e for e in out if e in edges]
+            added = out[len(kept):]
+            assert kept == [e for e in edges if e in kept] and len(kept) == len(edges) - k
+            pairs = {frozenset(e) for e in edges}
+            non_edges = [[u, w] for u in range(n) for w in range(u + 1, n)
+                         if frozenset((u, w)) not in pairs]
+            assert added == [e for e in non_edges if e in added]
+            assert len(added) == min(k, len(non_edges))

@@ -50,6 +50,11 @@ def test_training_records_the_spans_perfbench_reads(perfbench, pipeline, estimat
                         "tensor.backward", "optim.adam_step"]
     assert [name for name in expected if name not in recorded] == []
     assert tracer.names.count(tracing.STEP) == STEPS_PER_EPOCH
+    # a step batches its graphs once; GroupCL samples both views from that
+    # batch, never graph by graph
+    views = 2 if pipeline == "groupcl" else 0
+    assert tracer.names.count("graphs.batch_graphs") == STEPS_PER_EPOCH
+    assert tracer.names.count("augment.sample_view") == views * STEPS_PER_EPOCH
     # each loss term is timed inside a step, where the per-step metrics look
     step_ids = {i for i, name in enumerate(tracer.names) if name == tracing.STEP}
     for i, name in enumerate(tracer.names):

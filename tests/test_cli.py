@@ -118,6 +118,28 @@ def test_rejected_config_value_exits_nonzero(tmp_path, capsys, bad):
     assert "Traceback" not in err
 
 
+def test_negative_seed_exits_before_writing(tmp_path, capsys):
+    data = write_small_dataset(tmp_path)
+    out, gen = tmp_path / "x", tmp_path / "gen.jsonl"
+    assert main(["train", "--data", str(data), "--out", str(out), "seed=-3"]) == 1
+    assert main(["gen-data", "--out", str(gen), "seed=-1"]) == 1
+    errs = capsys.readouterr().err.splitlines()
+    assert len(errs) == 2 and all(e.startswith("error: ConfigError: seed") for e in errs)
+    assert not (out / "config.txt").exists() and not gen.exists()
+
+
+def test_overflowing_step_names_epoch_and_step(tmp_path, capsys):
+    # one line on stderr: no numpy RuntimeWarning (which the suite's
+    # warning filter would also turn into an error escaping the CLI)
+    data = write_small_dataset(tmp_path)
+    rc = main(["train", "--data", str(data), "--out", str(tmp_path / "x")]
+              + FAST_TRAIN + ["learning_rate=1e305"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: NumericError: epoch 0 step ")
+    assert err.count("\n") == 1
+
+
 def test_missing_data_file_exits_nonzero(tmp_path, capsys):
     rc = main(["train", "--data", str(tmp_path / "nope.jsonl"),
                "--out", str(tmp_path / "x")])

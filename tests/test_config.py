@@ -79,6 +79,14 @@ def test_data_config_field_of_wrong_type_rejected_by_name(field, bad):
         DataConfig(**{field: bad})
 
 
+@pytest.mark.parametrize("cls", [RunConfig, DataConfig])
+def test_negative_seed_rejected_by_name(cls):
+    # numpy's seed sequence rejects it too, but without naming the field
+    with pytest.raises(ConfigError, match="^seed must be at least 0"):
+        cls(seed=-3)
+    assert cls(seed=0).seed == 0
+
+
 def test_int_accepted_for_float_field():
     cfg = RunConfig(diversity_weight=1, learning_rate=1)
     assert cfg.diversity_weight == 1 and cfg.learning_rate == 1
