@@ -216,6 +216,26 @@ def test_each_subset_is_equally_likely(kind):
 
 
 @given(graphs=st.lists(valid_graphs(), min_size=1, max_size=4),
+       kind=st.sampled_from(AUGMENTATION_KINDS),
+       ratio=st.sampled_from((0.0, 0.2, 0.5, 0.9)), seed=st.integers(0, 99))
+def test_views_pass_the_public_constructor(graphs, kind, ratio, seed):
+    # views are built without validation, so each segment must be a graph
+    # Graph(...) accepts as is, and batching those graphs must give the view
+    view = view_of(graphs, [kind], ratio, seed)
+    assert all(a.dtype == np.intp for a in (*view.edge_index, view.segments, view.graph_index))
+    assert view.num_graphs == len(graphs)
+    assert_same_batch(batch_graphs(unbatch(view)), view)
+
+
+@given(graphs=st.lists(valid_graphs(), min_size=1, max_size=4),
+       kind=st.sampled_from(("node-drop", "subgraph")),
+       ratio=st.sampled_from((0.2, 0.5, 0.9)), seed=st.integers(0, 99))
+def test_node_drop_and_subgraph_return_induced_subgraphs(graphs, kind, ratio, seed):
+    for g, v in zip(graphs, unbatch(view_of(graphs, [kind], ratio, seed))):
+        assert_induced(g, v)
+
+
+@given(graphs=st.lists(valid_graphs(), min_size=1, max_size=4),
        ratio=st.sampled_from((0.0, 0.2, 0.5, 0.9)), seed=st.integers(0, 99))
 def test_views_are_augmented_graphs_in_batch_layout(graphs, ratio, seed):
     view = view_of(graphs, AUGMENTATION_KINDS, ratio, seed)
