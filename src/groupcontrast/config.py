@@ -92,8 +92,12 @@ class DataConfig:
 
     def __post_init__(self):
         _check_field_types(self)
-        if self.seed < 0:
-            raise ConfigError(f"seed must be at least 0, got {self.seed}")
+        for name, least in (("seed", 0), ("nodes_per_graph", 8), ("feature_dim", 4)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be at least {least}, got {getattr(self, name)}")
+        # the generator alternates the two classes
+        if self.num_graphs <= 0 or self.num_graphs % 2:
+            raise ConfigError(f"num_graphs must be positive and even, got {self.num_graphs}")
 
 
 def _convert(name: str, raw: str, kind):

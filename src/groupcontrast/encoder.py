@@ -40,20 +40,23 @@ def init_gin_params(
 
 def gin_layer(
     h: Tensor,
-    edge_index: tuple[np.ndarray, np.ndarray],
+    batch: Batch,
     w1: Tensor,
     b1: Tensor,
     w2: Tensor,
     b2: Tensor,
     eps: Tensor | float = 0.0,
 ) -> Tensor:
-    """MLP((1+eps)*h_v + sum of the rows h_src over the directed edges (src, v))."""
-    src, dst = edge_index
-    neigh = T.index_add(T.take_rows(h, src), dst, h.shape[0])
+    """MLP((1+eps)*h_v + sum of the rows h_src over the directed edges
+    (src, v) of the batch)."""
+    neigh = T.neighbour_sum(h, batch.by_src, batch.by_dst)
     if isinstance(eps, Tensor):
         self_term = T.add(h, T.mul(h, eps))
-    else:
+    elif eps:
         self_term = T.smul(h, 1.0 + float(eps))
+    else:
+        # 1.0 * h is h bit for bit, and so is its gradient
+        self_term = h
     z = T.add(self_term, neigh)
     hidden = T.relu(T.add(T.matmul(z, w1), b1))
     return T.add(T.matmul(hidden, w2), b2)
@@ -73,7 +76,7 @@ def encode_nodes(
         eps = params.get(f"{prefix}.{layer}.eps", 0.0)
         h = gin_layer(
             h,
-            batch.edge_index,
+            batch,
             params[f"{prefix}.{layer}.w1"],
             params[f"{prefix}.{layer}.b1"],
             params[f"{prefix}.{layer}.w2"],
@@ -106,7 +109,7 @@ def readout_projection(
     prefix: str = "head",
 ) -> Tensor:
     """Per-graph sum readout followed by the two-layer projection head."""
-    pooled = T.index_add(node_embeddings, batch.graph_index, batch.num_graphs)
+    pooled = T.index_add(node_embeddings, batch.by_graph)
     if f"{prefix}.lift" in params:
         pooled = T.matmul(pooled, params[f"{prefix}.lift"])
     hidden = T.relu(T.matmul(pooled, params[f"{prefix}.w1"]))

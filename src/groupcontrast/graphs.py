@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .seeding import stream_rng
+from .tensor import RowSum
 
 
 class GraphError(ValueError):
@@ -108,6 +110,23 @@ class Batch:
     @property
     def num_graphs(self) -> int:
         return len(self.segments)
+
+    # row-sum plans, each built on first use and dropped with the batch
+
+    @cached_property
+    def by_src(self) -> RowSum:
+        """Edges bucketed by source node."""
+        return RowSum(self.edge_index[0], len(self.features))
+
+    @cached_property
+    def by_dst(self) -> RowSum:
+        """Edges bucketed by destination node."""
+        return RowSum(self.edge_index[1], len(self.features))
+
+    @cached_property
+    def by_graph(self) -> RowSum:
+        """Nodes bucketed by owning graph."""
+        return RowSum(self.graph_index, self.num_graphs)
 
 
 def batch_graphs(graphs: list[Graph]) -> Batch:

@@ -89,11 +89,11 @@ def js_mi_loss(u_groups: Sequence[Tensor], r_groups: Sequence[Tensor]) -> Tensor
 def js_terms_nodewise(
     u_groups: Sequence[Tensor],
     r_nodes: Tensor,
-    owner: np.ndarray,
+    by_graph: T.RowSum,
 ) -> tuple[Tensor, Tensor]:
     """JS terms with node-level partners: positives pair a graph's group
     embedding with its own nodes, negatives with all other graphs' nodes.
-    ``owner`` holds the graph of each node.
+    ``by_graph`` buckets the nodes by their graph.
     """
     b = u_groups[0].shape[0]
     n, d = r_nodes.shape
@@ -105,7 +105,7 @@ def js_terms_nodewise(
     # summed before u_own exists, so the (B*p, N) softplus temporaries and
     # the (N, p, d) u_own block are never held at once
     all_sum = T.tsum(T.softplus(scores))
-    u_own = T.reshape(T.take_rows(T.reshape(u, (b, p * d)), owner), (n, p, d))
+    u_own = T.reshape(T.take_rows(T.reshape(u, (b, p * d)), by_graph), (n, p, d))
     own = T.matmul(u_own, T.reshape(r_nodes, (n, d, 1)))   # (N, p, 1)
     return _js_halves(all_sum, own, b - 1)
 

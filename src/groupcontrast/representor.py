@@ -64,7 +64,7 @@ def group_embed(h: Tensor, a: Tensor, batch: Batch, wv: Tensor) -> list[Tensor]:
     width, d = wv.shape
     b = batch.num_graphs
     weighted = T.mul(T.reshape(a, (n, p, 1)), T.reshape(h, (n, 1, width)))
-    pooled = T.reshape(T.index_add(weighted, batch.graph_index, b), (b * p, width))
+    pooled = T.reshape(T.index_add(weighted, batch.by_graph), (b * p, width))
     unit = T.reshape(T.row_l2_normalize(T.matmul(pooled, wv)), (b, p * d))
     return [T.slice_cols(unit, k * d, (k + 1) * d) for k in range(p)]
 

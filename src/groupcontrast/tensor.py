@@ -357,31 +357,93 @@ def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
     return _result("slice-cols", a.values[:, start:stop].copy(), [(a, vjp)], moves_only=True)
 
 
-def _index_add(x: np.ndarray, index: np.ndarray, n: int) -> np.ndarray:
-    # one bincount over the flattened rows gives each output entry the same
-    # in-order sum as np.add.at, without its per-element dispatch
-    width = int(np.prod(x.shape[1:]))
-    flat = (index[:, None] * width + np.arange(width)).reshape(-1)
-    return np.bincount(flat, x.reshape(-1), n * width).reshape((n, *x.shape[1:]))
+class RowSum:
+    """Plan for summing the rows of an (m, ...) block into n rows: row i of
+    the sum adds the rows j with ``index[j] == i``, the bucket of i.
+
+    The plan groups the rows once. ``order`` lists them slot-major: slot k
+    holds the k-th row, in row order, of every bucket of more than k rows,
+    and the buckets are ranked largest first, so slot k fills a prefix of
+    the ranked buckets. ``sum`` adds each slot to its prefix with one
+    in-place add and un-ranks the result. Each bucket thus adds its rows to
+    0.0 one at a time in row order, the order of a sequential scatter-add
+    (``np.add.at``), so every sum keeps its bits. The slot loop runs as
+    often as the largest bucket has rows.
+    """
+
+    __slots__ = ("index", "n", "order", "_slots", "_unrank")
+
+    def __init__(self, index, n: int):
+        index = np.asarray(index, dtype=np.intp)
+        if index.ndim != 1:
+            raise DimensionError(f"row-sum: index must be a vector, got shape {index.shape}")
+        if index.size and (index.min() < 0 or index.max() >= n):
+            bad = np.flatnonzero((index < 0) | (index >= n))[0]
+            raise DimensionError(f"row-sum: index {index[bad]} at row {bad} outside [0, {n})")
+        # a stable sort groups the rows by bucket in row order; numpy sorts
+        # a 16-bit key by radix, over ten times faster than a wider one
+        grouped = np.argsort(index.astype(np.uint16) if n <= 1 << 16 else index, kind="stable")
+        counts = np.bincount(index, minlength=n)
+        # buckets of equal size may rank in any order
+        ranked = np.argsort(-counts)
+        unrank = np.empty(n, dtype=np.intp)
+        unrank[ranked] = np.arange(n)
+        # filled[k] buckets have more than k rows; slot k spans those rows of order
+        filled = np.cumsum(np.bincount(counts)[::-1])[::-1][1:]
+        offsets = np.concatenate([[0], np.cumsum(filled)])
+        bucket = index[grouped]
+        slot = np.arange(len(index)) - (np.cumsum(counts) - counts)[bucket]
+        order = np.empty_like(grouped)
+        order[offsets[slot] + unrank[bucket]] = grouped
+        self.index, self.n, self.order, self._unrank = index, n, order, unrank
+        self._slots = list(zip(offsets[:-1].tolist(), offsets[1:].tolist()))
+
+    def sum(self, x: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+        """The (n, ...) bucket sums of the block ``x[rows]``, or of ``x``
+        itself without ``rows``: row j of the block goes to bucket
+        ``index[j]``. Each slot gathers its own rows, so the block is never
+        built."""
+        take = self.order if rows is None else rows[self.order]
+        out = np.zeros((self.n, *x.shape[1:]))
+        # overflow to inf is left to the caller's finiteness check: a sum of
+        # finite floats can overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo, hi in self._slots:
+                out[:hi - lo] += x.take(take[lo:hi], axis=0)
+        return out[self._unrank]
 
 
-def take_rows(x: Tensor, index) -> Tensor:
-    """Rows ``x[index]``, indices in [0, len(x)), repeats allowed; adjoint of ``index_add``."""
+def take_rows(x: Tensor, plan: RowSum) -> Tensor:
+    """Rows ``x[plan.index]``, repeats allowed, for a plan over len(x) rows;
+    the adjoint of ``index_add``."""
     x = _as_tensor(x)
-    n = x.shape[0]
-    index = np.asarray(index, dtype=np.intp)
-    return _result("take-rows", x.values[index], [(x, lambda g: _index_add(g, index, n))],
-                   moves_only=True)
+    if x.values.ndim == 0 or plan.n != x.shape[0]:
+        raise DimensionError(f"take-rows: plan over {plan.n} rows for input shape {x.shape}")
+    return _result("take-rows", x.values[plan.index], [(x, plan.sum)], moves_only=True)
 
 
-def index_add(x: Tensor, index, n: int) -> Tensor:
-    """(n, ...) block whose row i sums the rows ``x[j]`` with ``index[j] == i``;
-    the adjoint of ``take_rows``."""
+def index_add(x: Tensor, plan: RowSum) -> Tensor:
+    """(plan.n, ...) block whose row i sums the rows ``x[j]`` with
+    ``plan.index[j] == i``; the adjoint of ``take_rows``."""
     x = _as_tensor(x)
-    index = np.asarray(index, dtype=np.intp)
+    index = plan.index
     if index.shape != x.shape[:1]:
         raise DimensionError(f"index-add: {index.size} indices for input shape {x.shape}")
-    return _result("index-add", _index_add(x.values, index, n), [(x, lambda g: g[index])])
+    return _result("index-add", plan.sum(x.values), [(x, lambda g: g[index])])
+
+
+def neighbour_sum(x: Tensor, by_src: RowSum, by_dst: RowSum) -> Tensor:
+    """``index_add(take_rows(x, by_src), by_dst)`` as one op: row i sums the
+    rows ``x[src[e]]`` over the edges e with ``dst[e] == i``, where src and
+    dst are the indices of the two plans; the vjp sums ``g[dst[e]]`` into
+    row ``src[e]``. Neither direction builds an (E, ...) edge block."""
+    x = _as_tensor(x)
+    src, dst = by_src.index, by_dst.index
+    if x.values.ndim == 0 or by_src.n != x.shape[0] or src.shape != dst.shape:
+        raise DimensionError(f"neighbour-sum: plans over {by_src.n} rows and "
+                             f"{src.size} / {dst.size} edges for input shape {x.shape}")
+    return _result("neighbour-sum", by_dst.sum(x.values, src),
+                   [(x, lambda g: by_src.sum(g, dst))])
 
 
 def backward(tape: Tape, loss: Tensor) -> dict[int, np.ndarray]:

@@ -3,6 +3,7 @@ and history logging."""
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import math
 import struct
@@ -146,7 +147,7 @@ def _step(state: ModelState, graphs: list[Graph], epoch: int, step: int) -> obj.
     batch = batch_graphs(graphs)
     if cfg.pipeline == "groupig":
         u, nodes = embed_view(cfg, leaves, batch)
-        pos, neg = obj.js_terms_nodewise(u, _node_view(leaves, nodes), batch.graph_index)
+        pos, neg = obj.js_terms_nodewise(u, _node_view(leaves, nodes), batch.by_graph)
     else:
         # both views come from the step's own stream, u's drawn before r's
         policy = AugmentationPolicy(kinds=cfg.aug_kind_list, ratio=cfg.aug_ratio)
@@ -237,9 +238,20 @@ def write_history(path, history: list[HistoryRow]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# checkpoint: versioned header, shape table, raw little-endian float64
+# checkpoint: magic, header length, JSON header with a shape table, raw
+# little-endian float64. A version-2 header opens with the sha256 of the whole
+# file, read with those 64 hex digits as zeros; version 1 carries none.
 
 _MAGIC = b"GCCHKPT1"
+_DIGEST_KEY = b'{"sha256":"'
+_DIGEST = slice(16 + len(_DIGEST_KEY), 16 + len(_DIGEST_KEY) + 64)
+
+
+def _digest(raw: bytes) -> bytes:
+    h = hashlib.sha256(raw[:_DIGEST.start])
+    h.update(b"0" * 64)
+    h.update(memoryview(raw)[_DIGEST.stop:])
+    return h.hexdigest().encode("ascii")
 
 
 def _array_table(state: ModelState) -> list[tuple[str, np.ndarray]]:
@@ -258,7 +270,8 @@ def _array_table(state: ModelState) -> list[tuple[str, np.ndarray]]:
 def checkpoint_save(path, state: ModelState) -> None:
     table = _array_table(state)
     header = {
-        "version": 1,
+        "sha256": "0" * 64,
+        "version": 2,
         "config": dataclasses.asdict(state.config),
         "epoch": state.epoch,
         "adam": {"step": state.opt.step, "lr": state.opt.lr},
@@ -267,12 +280,10 @@ def checkpoint_save(path, state: ModelState) -> None:
         "arrays": [[key, list(arr.shape)] for key, arr in table],
     }
     blob = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    raw = b"".join([_MAGIC, struct.pack("<Q", len(blob)), blob]
+                   + [np.ascontiguousarray(arr, dtype="<f8").tobytes() for _, arr in table])
     with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<Q", len(blob)))
-        f.write(blob)
-        for _, arr in table:
-            f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        f.write(raw[:_DIGEST.start] + _digest(raw) + raw[_DIGEST.stop:])
 
 
 def input_width(config: RunConfig, params: Mapping[str, np.ndarray]) -> int:
@@ -306,8 +317,9 @@ def _read_adam(entry, what: str, m: dict, v: dict) -> AdamState:
 
 
 def checkpoint_load(path) -> ModelState:
-    """Read a checkpoint, checking its header, and that its arrays are the
-    parameters (and Adam moments) that init_model creates for its config."""
+    """Read a checkpoint, checking its digest (version 2; version 1 has
+    none), its header, and that its arrays are the parameters (and Adam
+    moments) that init_model creates for its config."""
     with open(path, "rb") as f:
         raw = f.read()
     if len(raw) < len(_MAGIC) + 8 or raw[:len(_MAGIC)] != _MAGIC:
@@ -319,7 +331,10 @@ def checkpoint_load(path) -> ModelState:
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CheckpointError(f"corrupt checkpoint header: {exc}") from exc
     _require(isinstance(header, dict), "header is not a mapping")
-    if header.get("version") != 1:
+    if header.get("version") == 2:
+        _require(raw[16:_DIGEST.start] == _DIGEST_KEY and raw[_DIGEST] == _digest(raw),
+                 "sha256 mismatch")
+    elif header.get("version") != 1:
         raise CheckpointError(f"unsupported checkpoint version {header.get('version')!r}")
     # older checkpoints also carry node_dim; it is derived now, so it is ignored
     missing = {"config", "epoch", "adam", "var_adam", "arrays"} - header.keys()

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from groupcontrast.config import (ConfigError, DataConfig, RunConfig,
                                   build_config, format_config, load_config,
                                   parse_pairs, read_config_file)
+from groupcontrast.graphs import GraphError, generate_planted_motif_dataset
 
 
 def test_defaults_match_reference_setup():
@@ -77,6 +80,18 @@ def test_field_of_wrong_type_rejected_by_name(field, bad):
 def test_data_config_field_of_wrong_type_rejected_by_name(field, bad):
     with pytest.raises(ConfigError, match=f"^{field} must be a "):
         DataConfig(**{field: bad})
+
+
+@pytest.mark.parametrize("field, bad, rule", [
+    ("num_graphs", 0, "positive and even"), ("num_graphs", -4, "positive and even"),
+    ("num_graphs", 7, "positive and even"), ("nodes_per_graph", 7, "at least 8"),
+    ("feature_dim", 3, "at least 4")])
+def test_data_config_out_of_range_rejected_by_name(field, bad, rule):
+    # the generator's own limits, checked before it runs
+    with pytest.raises(ConfigError, match=f"^{field} must be {rule}, got {bad}$"):
+        DataConfig(**{field: bad})
+    with pytest.raises(GraphError):
+        generate_planted_motif_dataset(**dict(dataclasses.asdict(DataConfig()), **{field: bad}))
 
 
 @pytest.mark.parametrize("cls", [RunConfig, DataConfig])

@@ -163,7 +163,7 @@ def test_nodewise_js_matches_dense(seed):
 
     def indexed(leaves):
         u = [leaves[f"u{k}"] for k in range(P)]
-        return list(js_terms_nodewise(u, leaves["r"], batch.graph_index))
+        return list(js_terms_nodewise(u, leaves["r"], batch.by_graph))
 
     def dense(leaves):
         terms = [dense_js_nodewise(leaves[f"u{k}"], leaves["r"], indicator) for k in range(P)]
@@ -173,7 +173,7 @@ def test_nodewise_js_matches_dense(seed):
 
 
 def test_edgeless_batch_matches_dense():
-    # no edge at all: the neighbor sum is an index-add over an empty edge index
+    # no edge at all: the neighbour sums run over empty edge plans
     rng = np.random.default_rng(9)
     batch = batch_graphs([Graph(n, rng.standard_normal((n, D)), ()) for n in (1, 2, 4)])
     params = model_params(9)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,9 +8,9 @@ from groupcontrast.encoder import (encode_nodes, gin_layer, glorot_uniform,
                                    init_gin_params, init_projection_head,
                                    readout_projection)
 from groupcontrast.gradcheck import finite_difference_check
-from groupcontrast.graphs import Graph, batch_graphs
+from groupcontrast.graphs import Graph, batch_graphs, generate_planted_motif_dataset
 from groupcontrast.seeding import stream_rng
-from groupcontrast.tensor import Tape, Tensor
+from groupcontrast.tensor import Tape, Tensor, backward
 
 
 def random_graph(n, d, seed, density=0.4):
@@ -38,7 +40,7 @@ def test_gin_layer_matches_naive_reference():
     params = init_gin_params(rng, 4, 5, 1)
     batch = batch_graphs([g])
     out = gin_layer(
-        Tensor(batch.features), batch.edge_index,
+        Tensor(batch.features), batch,
         Tensor(params["gin.0.w1"]), Tensor(params["gin.0.b1"]),
         Tensor(params["gin.0.w2"]), Tensor(params["gin.0.b2"]))
     ref = naive_gin_layer(g.node_features, g,
@@ -52,7 +54,7 @@ def test_learnable_eps_changes_self_term():
     rng = stream_rng(1, "init")
     params = init_gin_params(rng, 3, 4, 1)
     batch = batch_graphs([g])
-    args = (Tensor(batch.features), batch.edge_index,
+    args = (Tensor(batch.features), batch,
             Tensor(params["gin.0.w1"]), Tensor(params["gin.0.b1"]),
             Tensor(params["gin.0.w2"]), Tensor(params["gin.0.b2"]))
     base = gin_layer(*args, eps=0.0)
@@ -135,3 +137,32 @@ def test_readout_is_sum_pooling():
     pooled = batch.features.sum(axis=0, keepdims=True) @ head["head.lift"]
     ref = np.maximum(pooled @ head["head.w1"], 0.0) @ head["head.w2"]
     assert np.allclose(out, ref, atol=1e-12)
+
+
+def test_encode_nodes_allocation_budget():
+    # one forward and backward at the groupcl-large benchmark's batch (64
+    # graphs of 40 nodes, 15.5k directed edges, width 32), plans included:
+    # the neighbour sums gather each slot's rows straight from the node
+    # block, so no (E, width) edge block (6 node blocks) and no flat index
+    # is built. That peaks near 11 node blocks; a gathered edge block plus a
+    # flat index of its size pushes it near 20
+    ds = generate_planted_motif_dataset(1, 64, 40, 8)
+    params = init_gin_params(stream_rng(1, "init"), 8, 32, 3)
+    w = np.random.default_rng(1).standard_normal((64 * 40, 32))
+    block = w.nbytes
+
+    def forward_backward(batch):
+        tape = Tape()
+        leaves = {name: tape.leaf(v) for name, v in params.items()}
+        backward(tape, T.tsum(T.mul(encode_nodes(batch, leaves, 3), Tensor(w))))
+
+    forward_backward(batch_graphs(list(ds.graphs)))     # first-call set-up stays out
+    batch = batch_graphs(list(ds.graphs))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        forward_backward(batch)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 15 * block, f"peak {peak / block:.2f} node blocks"

@@ -14,7 +14,7 @@ from groupcontrast.objectives import (LossBreakdown, club_param_penalty,
                                       total_loss_nonparam, total_loss_param,
                                       varnet_likelihood_loss)
 from groupcontrast.seeding import stream_rng
-from groupcontrast.tensor import ContractError, Tape, Tensor, backward
+from groupcontrast.tensor import ContractError, RowSum, Tape, Tensor, backward
 
 
 def sp(x):
@@ -110,7 +110,7 @@ def test_group_width_mismatch_rejected_by_every_loss():
     with pytest.raises(ContractError):
         js_terms(ragged, ragged)
     with pytest.raises(ContractError):
-        js_terms_nodewise(ragged, nodes, np.repeat(np.arange(3), 2))
+        js_terms_nodewise(ragged, nodes, RowSum(np.repeat(np.arange(3), 2), 3))
     with pytest.raises(ContractError):
         interspace_penalty_nonparam(ragged)
     with pytest.raises(ContractError):
@@ -126,7 +126,7 @@ def test_nodewise_js_matches_bruteforce():
     n = 6
     u = random_groups(18, b, p, d)
     r_nodes = Tensor(unit_rows(rng, n, d))
-    pos, neg = js_terms_nodewise(u, r_nodes, owner)
+    pos, neg = js_terms_nodewise(u, r_nodes, RowSum(owner, b))
 
     tp, tn, n_pos, n_neg = 0.0, 0.0, 0, 0
     for k in range(p):
@@ -156,7 +156,7 @@ def test_js_terms_agree_with_nodewise_on_one_node_per_graph(b, p, d, seed):
         tape = Tape()
         u = [tape.leaf(v) for v in u_values]
         r = tape.leaf(r_values)
-        pos, neg = (js_terms_nodewise(u, r, np.arange(b)) if nodewise
+        pos, neg = (js_terms_nodewise(u, r, RowSum(np.arange(b), b)) if nodewise
                     else js_terms(u, [r] * p))
         grads = backward(tape, T.add(pos, neg))
         results.append((pos.item(), neg.item(),
@@ -177,7 +177,7 @@ def test_nodewise_js_gradients_pass_oracle():
 
     def fn(leaves):
         pos, neg = js_terms_nodewise([leaves[f"u{k}"] for k in range(p)],
-                                     leaves["r"], owner)
+                                     leaves["r"], RowSum(owner, b))
         return T.add(pos, neg)
 
     assert finite_difference_check(fn, params) <= 1e-4
@@ -195,12 +195,12 @@ def test_nodewise_js_step_allocation_budget():
     rng = np.random.default_rng(0)
     u_values = [unit_rows(rng, b, d) for _ in range(p)]
     r_values = unit_rows(rng, n, d)
-    owner = np.repeat(np.arange(b), nodes_per_graph)
+    by_graph = RowSum(np.repeat(np.arange(b), nodes_per_graph), b)
 
     def forward_backward():
         tape = Tape()
         u = [tape.leaf(v) for v in u_values]
-        pos, neg = js_terms_nodewise(u, tape.leaf(r_values), owner)
+        pos, neg = js_terms_nodewise(u, tape.leaf(r_values), by_graph)
         backward(tape, T.add(pos, neg))
 
     forward_backward()          # first-call set-up stays out of the count

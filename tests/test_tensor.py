@@ -110,7 +110,7 @@ def test_index_add_overflow_names_the_op():
     # value-moving ops skip the finiteness pass; a sum of finite rows can
     # still overflow, so index_add keeps it
     with pytest.raises(NumericError, match="index-add: non-finite"):
-        T.index_add(Tensor([[1e308], [1e308]]), [0, 0], 1)
+        T.index_add(Tensor([[1e308], [1e308]]), T.RowSum([0, 0], 1))
 
 
 def test_sum_mean_axes():
@@ -316,16 +316,57 @@ def test_reshape_gradcheck(shape, data, seed):
     assert err <= 1e-6
 
 
+@given(sizes=st.lists(dims, min_size=1, max_size=4), cols=dims, seed=st.integers(0, 2**16))
+def test_segment_softmax_gradcheck(sizes, cols, seed):
+    ends = np.cumsum(sizes)
+    segments = list(zip((ends - sizes).tolist(), ends.tolist()))
+    x, w = _array(seed, (ends[-1], cols)), _array(seed + 1, (ends[-1], cols))
+    out = T.segment_softmax(Tensor(x), segments)
+    for lo, hi in segments:
+        assert np.allclose(out.values[lo:hi].sum(axis=0), 1.0)
+    err = _gradcheck(lambda x: T.tsum(T.mul(T.segment_softmax(x, segments), Tensor(w))), x=x)
+    assert err <= 1e-6
+
+
+@given(rows=st.integers(1, 5), cols=dims, data=st.data(), seed=st.integers(0, 2**16))
+def test_row_l2_normalize_gradcheck_with_zero_rows(rows, cols, data, seed):
+    # a zero row has no direction: the mask zeroes it before normalizing, so
+    # its entries move nothing and must get an exact, finite zero gradient
+    zero = np.array(data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows)))
+    mask = Tensor(np.where(zero, 0.0, 1.0)[:, None])
+    x, w = _array(seed, (rows, cols)), _array(seed + 1, (rows, cols))
+    out = T.row_l2_normalize(T.mul(Tensor(x), mask)).values
+    assert np.all(out[zero] == 0.0)
+    assert np.allclose(np.linalg.norm(out[~zero], axis=1), 1.0)
+    err = _gradcheck(lambda x: T.tsum(T.mul(T.row_l2_normalize(T.mul(x, mask)), Tensor(w))), x=x)
+    assert err <= 1e-6
+
+
+@given(shape=st.lists(dims, min_size=1, max_size=3), data=st.data(), seed=st.integers(0, 2**16))
+def test_concat_gradcheck(shape, data, seed):
+    axis = data.draw(st.integers(0, len(shape) - 1))
+    widths = data.draw(st.lists(dims, min_size=1, max_size=3))
+    parts = {f"a{i}": _array(seed + i, [*shape[:axis], n, *shape[axis + 1:]])
+             for i, n in enumerate(widths)}
+    out = T.concat([Tensor(v) for v in parts.values()], axis=axis)
+    assert np.array_equal(out.values, np.concatenate(list(parts.values()), axis=axis))
+    w = _array(seed + len(widths), out.shape)
+    err = _gradcheck(lambda **lv: T.tsum(T.mul(T.concat(list(lv.values()), axis=axis),
+                                               Tensor(w))), **parts)
+    assert err <= 1e-6
+
+
 @given(rows=st.integers(1, 5), tail=st.lists(dims, max_size=2), data=st.data(),
        seed=st.integers(0, 2**16))
 def test_take_rows_gradcheck(rows, tail, data, seed):
     # repeated and empty index vectors included
     index = data.draw(st.lists(st.integers(0, rows - 1), max_size=6))
+    plan = T.RowSum(index, rows)
     x = _array(seed, (rows, *tail))
-    out = T.take_rows(Tensor(x), index)
+    out = T.take_rows(Tensor(x), plan)
     assert np.array_equal(out.values, x[np.array(index, dtype=int)])
     w = _array(seed + 1, out.shape)
-    err = _gradcheck(lambda x: T.tsum(T.mul(T.take_rows(x, index), Tensor(w))), x=x)
+    err = _gradcheck(lambda x: T.tsum(T.mul(T.take_rows(x, plan), Tensor(w))), x=x)
     assert err <= 1e-6
 
 
@@ -333,29 +374,94 @@ def test_take_rows_gradcheck(rows, tail, data, seed):
        seed=st.integers(0, 2**16))
 def test_index_add_gradcheck(n, tail, data, seed):
     index = data.draw(st.lists(st.integers(0, n - 1), max_size=6))
+    plan = T.RowSum(index, n)
     x = _array(seed, (len(index), *tail))
-    out = T.index_add(Tensor(x), index, n)
+    out = T.index_add(Tensor(x), plan)
     ref = np.zeros((n, *tail))
     np.add.at(ref, np.array(index, dtype=int), x)
-    assert np.allclose(out.values, ref, rtol=0, atol=1e-15)
+    assert out.values.tobytes() == ref.tobytes()
     w = _array(seed + 1, out.shape)
-    err = _gradcheck(lambda x: T.tsum(T.mul(T.index_add(x, index, n), Tensor(w))), x=x)
+    err = _gradcheck(lambda x: T.tsum(T.mul(T.index_add(x, plan), Tensor(w))), x=x)
     assert err <= 1e-6
 
 
 def test_take_rows_and_index_add_are_adjoint():
     # <take_rows(x), y> == <x, index_add(y)> for any x, y
     rng = np.random.default_rng(5)
-    index = np.array([2, 0, 2, 3, 2])
+    plan = T.RowSum([2, 0, 2, 3, 2], 4)
     x, y = rng.standard_normal((4, 3)), rng.standard_normal((5, 3))
-    lhs = (T.take_rows(Tensor(x), index).values * y).sum()
-    rhs = (x * T.index_add(Tensor(y), index, 4).values).sum()
+    lhs = (T.take_rows(Tensor(x), plan).values * y).sum()
+    rhs = (x * T.index_add(Tensor(y), plan).values).sum()
     assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
 def test_index_add_rejects_index_length_mismatch():
     with pytest.raises(DimensionError):
-        T.index_add(Tensor(np.ones((3, 2))), [0, 1], 4)
+        T.index_add(Tensor(np.ones((3, 2))), T.RowSum([0, 1], 4))
+    with pytest.raises(DimensionError, match="take-rows"):
+        T.take_rows(Tensor(np.ones((3, 2))), T.RowSum([0, 1], 4))
+
+
+@pytest.mark.parametrize("index, n, bad", [
+    ([-1, 0], 2, "index -1 at row 0"),      # wrapped round in the forward pass
+    ([0, 5], 3, "index 5 at row 1"),        # failed as a bare reshape error
+    ([1, 2, 2, 7, -3], 2, "index 2 at row 1"),
+])
+def test_row_sum_rejects_out_of_range_index(index, n, bad):
+    with pytest.raises(DimensionError, match=f"^row-sum: {bad} outside \\[0, {n}\\)$"):
+        T.RowSum(index, n)
+
+
+# slot k of a plan holds one row of every bucket of more than k rows. Each
+# family draws (index, n): random indices; buckets of 9 to 40 rows beside
+# empty ones; the empty index; and bucket counts past the 16-bit sort key
+_PLAN_FAMILIES = {
+    "random": st.integers(1, 9).flatmap(lambda n: st.tuples(
+        st.lists(st.integers(0, n - 1), max_size=40), st.just(n))),
+    "large-buckets": st.tuples(st.lists(st.sampled_from([0, 2]), min_size=18, max_size=40),
+                               st.integers(3, 5)),
+    "empty": st.tuples(st.just([]), st.integers(0, 3)),
+    "wide": st.tuples(st.lists(st.sampled_from([0, 65535, 65536, 70000]), max_size=12),
+                      st.sampled_from([70001, 1 << 17])),
+}
+# magnitudes apart by up to 1e16 and signed zeros: a sum in any other order
+# than row order shows in the bits
+_addends = st.floats(-1e8, 1e8, allow_nan=False) | st.sampled_from([0.0, -0.0, 1e-8, -1e-8])
+
+
+@pytest.mark.parametrize("family", _PLAN_FAMILIES)
+@given(width=st.integers(1, 3), data=st.data())
+def test_row_sum_is_byte_equal_to_sequential_scatter_add(family, width, data):
+    index, n = data.draw(_PLAN_FAMILIES[family])
+    rows = data.draw(hnp.arrays(np.float64, (len(index), width), elements=_addends))
+    plan = T.RowSum(index, n)
+    ref = np.zeros((n, width))
+    np.add.at(ref, np.array(index, dtype=np.intp), rows)
+    assert sorted(plan.order.tolist()) == list(range(len(index)))
+    assert _bits(plan.sum(rows)).tobytes() == _bits(ref).tobytes()
+
+
+@given(nodes=st.integers(1, 6), data=st.data(), seed=st.integers(0, 2**16))
+def test_neighbour_sum_matches_take_rows_then_index_add(nodes, data, seed):
+    # the fused GIN aggregation: same values and gradients, bit for bit, and
+    # a gradcheck of its own vjp
+    edge = st.tuples(st.integers(0, nodes - 1), st.integers(0, nodes - 1))
+    edges = np.array(data.draw(st.lists(edge, max_size=12)), dtype=np.intp).reshape(-1, 2)
+    by_src, by_dst = T.RowSum(edges[:, 0], nodes), T.RowSum(edges[:, 1], nodes)
+    x, w = _array(seed, (nodes, 2)), _array(seed + 1, (nodes, 2))
+
+    def value_and_grad(fn):
+        tape = Tape()
+        leaf = tape.leaf(x)
+        y = fn(leaf)
+        return y.values, backward(tape, T.tsum(T.mul(y, Tensor(w))))[leaf.node_id]
+
+    fused = value_and_grad(lambda h: T.neighbour_sum(h, by_src, by_dst))
+    composed = value_and_grad(lambda h: T.index_add(T.take_rows(h, by_src), by_dst))
+    for a, b in zip(fused, composed):
+        assert a.tobytes() == b.tobytes()
+    err = _gradcheck(lambda x: T.tsum(T.mul(T.neighbour_sum(x, by_src, by_dst), Tensor(w))), x=x)
+    assert err <= 1e-6
 
 
 # -- softplus and the sum vjps: values, bits and gradient ownership ------------

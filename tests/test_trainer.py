@@ -1,7 +1,9 @@
 import dataclasses
 import gc
+import hashlib
 import json
 import math
+import re
 import struct
 
 import numpy as np
@@ -9,11 +11,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from groupcontrast import graphs, trainer
 from groupcontrast.augment import AUGMENTATION_KINDS
 from groupcontrast.config import PIPELINES, RunConfig
 from groupcontrast.graphs import (Dataset, Graph, batch_graphs,
                                   generate_planted_motif_dataset)
-from groupcontrast.tensor import Tape
+from groupcontrast.tensor import RowSum, Tape
 from groupcontrast.trainer import (CheckpointError, HISTORY_HEADER, ModelState,
                                    TrainingError, checkpoint_load,
                                    checkpoint_save, init_model,
@@ -113,6 +116,35 @@ def test_steps_leave_no_cyclic_tapes(overrides):
     assert alive == 0
 
 
+@pytest.mark.parametrize("pipeline, views", [("groupcl", 2), ("groupig", 1),
+                                             ("graphcl-baseline", 2)])
+def test_step_builds_each_plan_of_a_view_once(monkeypatch, pipeline, views):
+    # each encoded batch builds its three row-sum plans (edges by source,
+    # edges by destination, nodes by graph) once, for all GIN layers, the
+    # pooling and the loss, and the plans leave no cyclic tape behind
+    built = []
+
+    class Counted(RowSum):
+        __slots__ = ()
+
+        def __init__(self, index, n):
+            built.append(index)
+            super().__init__(index, n)
+
+    monkeypatch.setattr(graphs, "RowSum", Counted)
+    state = init_model(RunConfig(pipeline=pipeline, seed=0, batch_size=16), DATASET.feature_dim)
+    gc.collect()
+    gc.disable()
+    try:
+        trainer._step(state, list(DATASET.graphs[:16]), 0, 0)
+        alive = sum(isinstance(o, Tape) for o in gc.get_objects())
+    finally:
+        gc.enable()
+    assert alive == 0
+    assert len(built) == 3 * views
+    assert len({id(index) for index in built}) == len(built)
+
+
 @pytest.mark.parametrize("kind", AUGMENTATION_KINDS)
 def test_train_finishes_on_edgeless_and_single_node_graphs(kind):
     # edge-perturb and subgraph are undefined on these graphs and fall back
@@ -207,11 +239,22 @@ def read_checkpoint_parts(raw):
     return header, arrays
 
 
+def signed(raw):
+    """A version-2 file with its digest filled in: the sha256 of the file with
+    the 64 hex digits after the header's opening '{"sha256":"' zeroed."""
+    at = 16 + len(b'{"sha256":"')
+    zeroed = raw[:at] + b"0" * 64 + raw[at + 64:]
+    return raw[:at] + hashlib.sha256(zeroed).hexdigest().encode() + raw[at + 64:]
+
+
 def write_checkpoint_parts(path, header, arrays):
+    """Write a header and arrays as a checkpoint, signed when the header is
+    of version 2, so the load checks behind the digest are reached."""
     header = dict(header, arrays=[[k, list(a.shape)] for k, a in arrays.items()])
     blob = json.dumps(header, separators=(",", ":")).encode()
-    path.write_bytes(b"GCCHKPT1" + struct.pack("<Q", len(blob)) + blob
-                     + b"".join(np.ascontiguousarray(a, "<f8").tobytes() for a in arrays.values()))
+    raw = (b"GCCHKPT1" + struct.pack("<Q", len(blob)) + blob
+           + b"".join(np.ascontiguousarray(a, "<f8").tobytes() for a in arrays.values()))
+    path.write_bytes(signed(raw) if header.get("version") == 2 else raw)
 
 
 def _shrink(arrays, key):
@@ -331,6 +374,34 @@ def test_checkpoint_with_node_dim_key_still_loads(tmp_path):
 
 _SMALL = RunConfig(estimator="param", num_groups=2, embed_dim=4, key_dim=3, gin_layers=1,
                    gin_hidden=3)
+
+
+@given(data=st.data())
+def test_every_flipped_bit_raises_checkpoint_error(tmp_path_factory, data):
+    # in the magic, the length, the header, the digest or the float data
+    path = tmp_path_factory.mktemp("flip") / "ck.bin"
+    checkpoint_save(path, train(dataclasses.replace(_SMALL, epochs=1, batch_size=20),
+                                Dataset(DATASET.graphs[:20], 8, 2))[0])
+    raw = bytearray(path.read_bytes())
+    bit = data.draw(st.integers(0, 8 * len(raw) - 1)
+                    | st.integers(8 * (len(raw) - 64), 8 * len(raw) - 1))
+    raw[bit // 8] ^= 1 << bit % 8
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError):
+        checkpoint_load(path)
+
+
+def test_version_1_checkpoint_loads_unverified(tmp_path):
+    # version 1 carries no digest, so it loads with nothing to verify
+    state, _ = train(dataclasses.replace(_SMALL, epochs=1, batch_size=20),
+                     Dataset(DATASET.graphs[:20], 8, 2))
+    path = tmp_path / "ck.bin"
+    checkpoint_save(path, state)
+    header, arrays = read_checkpoint_parts(path.read_bytes())
+    assert header["version"] == 2 and re.fullmatch("[0-9a-f]{64}", header.pop("sha256"))
+    write_checkpoint_parts(path, dict(header, version=1), arrays)
+    back = checkpoint_load(path)
+    assert all(back.params[k].tobytes() == state.params[k].tobytes() for k in state.params)
 
 
 @given(cut=st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
