@@ -115,12 +115,10 @@ def sample_view(batch: Batch, policy: AugmentationPolicy, rng: np.random.Generat
     src, dst = new_id[src[inside]], new_id[dst[inside]]
     features = batch.features[keep]
     features[(low & (kind == "attribute-mask")[owner])[keep]] = 0.0
-    graph_index = owner[keep]
-    sizes = np.bincount(graph_index, minlength=len(segments))
+    sizes = np.bincount(owner[keep], minlength=len(segments))
     ends = np.cumsum(sizes)
     return Batch(
         features=features,
         edge_index=(np.concatenate([src, dst]), np.concatenate([dst, src])),
         segments=np.stack([ends - sizes, ends], axis=1),
-        graph_index=graph_index,
     )

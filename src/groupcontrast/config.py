@@ -131,9 +131,12 @@ def parse_pairs(pairs: list[str]) -> dict[str, str]:
 
 def read_config_file(path) -> dict[str, str]:
     pairs = []
-    with open(path, "r", encoding="utf-8") as f:
+    with open(path, "rb") as f:
         for lineno, line in enumerate(f, start=1):
-            line = line.strip()
+            try:
+                line = line.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"{path}: line {lineno}: {exc}") from exc
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:

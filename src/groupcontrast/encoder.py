@@ -45,18 +45,12 @@ def gin_layer(
     b1: Tensor,
     w2: Tensor,
     b2: Tensor,
-    eps: Tensor | float = 0.0,
+    eps: Tensor | None = None,
 ) -> Tensor:
     """MLP((1+eps)*h_v + sum of the rows h_src over the directed edges
-    (src, v) of the batch)."""
-    neigh = T.neighbour_sum(h, batch.by_src, batch.by_dst)
-    if isinstance(eps, Tensor):
-        self_term = T.add(h, T.mul(h, eps))
-    elif eps:
-        self_term = T.smul(h, 1.0 + float(eps))
-    else:
-        # 1.0 * h is h bit for bit, and so is its gradient
-        self_term = h
+    (src, v) of the batch); no eps is eps = 0."""
+    neigh = T.neighbour_sum(h, batch.by_dst, batch.edge_index[0])
+    self_term = h if eps is None else T.add(h, T.mul(h, eps))
     z = T.add(self_term, neigh)
     hidden = T.relu(T.add(T.matmul(z, w1), b1))
     return T.add(T.matmul(hidden, w2), b2)
@@ -70,10 +64,7 @@ def encode_nodes(
 ) -> Tensor:
     """Stack GIN layers over the batched node block; L=0 returns the inputs."""
     h = Tensor(batch.features)
-    if num_layers == 0:
-        return h
     for layer in range(num_layers):
-        eps = params.get(f"{prefix}.{layer}.eps", 0.0)
         h = gin_layer(
             h,
             batch,
@@ -81,7 +72,7 @@ def encode_nodes(
             params[f"{prefix}.{layer}.b1"],
             params[f"{prefix}.{layer}.w2"],
             params[f"{prefix}.{layer}.b2"],
-            eps=eps,
+            eps=params.get(f"{prefix}.{layer}.eps"),
         )
     return h
 

@@ -211,6 +211,9 @@ def export_attention(state: ModelState, graph: Graph) -> tuple[list[AttentionRec
 def count_head_params(p: int, d_n: int, d_k: int, d_o: int) -> dict[str, int]:
     """Trainable parameter counts of the two post-encoder heads (no biases):
     queries + key/value projections vs two dense layers of width d_o."""
+    for name, size in (("p", p), ("d_n", d_n), ("d_k", d_k), ("d_o", d_o)):
+        if size <= 0:
+            raise ContractError(f"{name} must be positive, got {size}")
     if d_o % p != 0:
         raise ContractError(f"embed dim {d_o} not divisible by group count {p}")
     return {

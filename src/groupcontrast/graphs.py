@@ -105,18 +105,18 @@ class Batch:
     features: np.ndarray                         # (total_nodes, d)
     edge_index: tuple[np.ndarray, np.ndarray]    # directed (src, dst), see batch_graphs
     segments: np.ndarray                         # (B, 2) [start, end) per graph, in order
-    graph_index: np.ndarray                      # (total_nodes,) owning graph of each node
 
     @property
     def num_graphs(self) -> int:
         return len(self.segments)
 
-    # row-sum plans, each built on first use and dropped with the batch
+    # derived once on first use and dropped with the batch
 
     @cached_property
-    def by_src(self) -> RowSum:
-        """Edges bucketed by source node."""
-        return RowSum(self.edge_index[0], len(self.features))
+    def graph_index(self) -> np.ndarray:
+        """(total_nodes,) owning graph of each node."""
+        sizes = self.segments[:, 1] - self.segments[:, 0]
+        return np.repeat(np.arange(self.num_graphs), sizes)
 
     @cached_property
     def by_dst(self) -> RowSum:
@@ -146,7 +146,6 @@ def batch_graphs(graphs: list[Graph]) -> Batch:
         edge_index=(np.concatenate([edges[:, 0], edges[:, 1]]),
                     np.concatenate([edges[:, 1], edges[:, 0]])),
         segments=np.stack([starts, ends], axis=1),
-        graph_index=np.repeat(np.arange(len(graphs)), sizes),
     )
 
 
@@ -175,9 +174,13 @@ def save_dataset(path, dataset: Dataset) -> None:
 def load_dataset(path) -> Dataset:
     graphs: list[Graph] = []
     feature_dim: int | None = None
-    with open(path, "r", encoding="utf-8") as f:
+    # read as bytes and decode line by line, so a bad byte names its line
+    with open(path, "rb") as f:
         for lineno, line in enumerate(f, start=1):
-            line = line.strip()
+            try:
+                line = line.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise DatasetFormatError(f"line {lineno}: {exc}") from exc
             if not line:
                 continue
             try:

@@ -432,18 +432,19 @@ def index_add(x: Tensor, plan: RowSum) -> Tensor:
     return _result("index-add", plan.sum(x.values), [(x, lambda g: g[index])])
 
 
-def neighbour_sum(x: Tensor, by_src: RowSum, by_dst: RowSum) -> Tensor:
-    """``index_add(take_rows(x, by_src), by_dst)`` as one op: row i sums the
-    rows ``x[src[e]]`` over the edges e with ``dst[e] == i``, where src and
-    dst are the indices of the two plans; the vjp sums ``g[dst[e]]`` into
-    row ``src[e]``. Neither direction builds an (E, ...) edge block."""
+def neighbour_sum(x: Tensor, by_dst: RowSum, src: np.ndarray) -> Tensor:
+    """``index_add(take_rows(x, RowSum(src, n)), by_dst)`` as one op: row i
+    sums the rows ``x[src[e]]`` over the edges e with ``dst[e] == i``, where
+    dst is the index of the plan. Precondition: the edges are symmetric, each
+    (u, v) also listed as (v, u), as in a `Batch`. The sum is then its own
+    adjoint, so the vjp is the same sum of the gradient. Neither direction
+    builds an (E, ...) edge block."""
     x = _as_tensor(x)
-    src, dst = by_src.index, by_dst.index
-    if x.values.ndim == 0 or by_src.n != x.shape[0] or src.shape != dst.shape:
-        raise DimensionError(f"neighbour-sum: plans over {by_src.n} rows and "
-                             f"{src.size} / {dst.size} edges for input shape {x.shape}")
+    if x.values.ndim == 0 or by_dst.n != x.shape[0] or src.shape != by_dst.index.shape:
+        raise DimensionError(f"neighbour-sum: plan over {by_dst.n} rows and "
+                             f"{src.size} / {by_dst.index.size} edges for input shape {x.shape}")
     return _result("neighbour-sum", by_dst.sum(x.values, src),
-                   [(x, lambda g: by_src.sum(g, dst))])
+                   [(x, lambda g: by_dst.sum(g, src))])
 
 
 def backward(tape: Tape, loss: Tensor) -> dict[int, np.ndarray]:

@@ -33,6 +33,40 @@ def test_count_params_prints_paper_values(capsys):
     assert "graphcl_head=51200" in out
 
 
+@pytest.mark.parametrize("args, name", [
+    (["--p", "0"], "p"), (["--p", "-4"], "p"), (["--d-n", "0"], "d_n"),
+    (["--d-k", "-5"], "d_k"), (["--d-o", "0"], "d_o"), (["--p", "0", "--d-o", "0"], "p")])
+def test_count_params_rejects_non_positive_size(capsys, args, name):
+    # --p 0 once died dividing by zero; --d-k -5 printed a negative count
+    assert main(["count-params", *args]) == 1
+    captured = capsys.readouterr()
+    assert f"error: ContractError: {name} must be positive" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_non_utf8_dataset_byte_names_its_line(tmp_path, capsys):
+    data = tmp_path / "data.jsonl"
+    data.write_bytes(b'{"n":1,"x":[0],"e":[]}\n{"n":1,"x":[0],"e":[],"y":\xff}\n')
+    rc = main(["train", "--data", str(data), "--out", str(tmp_path / "x")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error: DatasetFormatError: line 2: 'utf-8' codec can't decode byte 0xff" in err
+    assert "Traceback" not in err
+
+
+def test_non_utf8_config_byte_names_its_line(tmp_path, capsys):
+    data = write_small_dataset(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"# run\r\nepochs=2\r\nseed=\xe9\r\n")
+    rc = main(["train", "--config", str(cfg), "--data", str(data), "--out", str(tmp_path / "x")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"error: ConfigError: {cfg}: line 3: 'utf-8' codec can't decode byte 0xe9" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "x").exists()
+
+
 def test_gen_data_writes_file(tmp_path, capsys):
     out = tmp_path / "gen.jsonl"
     rc = main(["gen-data", "--out", str(out), "num_graphs=12",

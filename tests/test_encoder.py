@@ -57,7 +57,7 @@ def test_learnable_eps_changes_self_term():
     args = (Tensor(batch.features), batch,
             Tensor(params["gin.0.w1"]), Tensor(params["gin.0.b1"]),
             Tensor(params["gin.0.w2"]), Tensor(params["gin.0.b2"]))
-    base = gin_layer(*args, eps=0.0)
+    base = gin_layer(*args)
     bumped = gin_layer(*args, eps=Tensor(np.array([0.3])))
     ref = naive_gin_layer(g.node_features, g,
                           params["gin.0.w1"], params["gin.0.b1"],

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from groupcontrast import graphs, trainer
 from groupcontrast.augment import AUGMENTATION_KINDS
-from groupcontrast.config import PIPELINES, RunConfig
+from groupcontrast.config import ESTIMATORS, PIPELINES, RunConfig
 from groupcontrast.graphs import (Dataset, Graph, batch_graphs,
                                   generate_planted_motif_dataset)
 from groupcontrast.tensor import RowSum, Tape
@@ -119,8 +119,8 @@ def test_steps_leave_no_cyclic_tapes(overrides):
 @pytest.mark.parametrize("pipeline, views", [("groupcl", 2), ("groupig", 1),
                                              ("graphcl-baseline", 2)])
 def test_step_builds_each_plan_of_a_view_once(monkeypatch, pipeline, views):
-    # each encoded batch builds its three row-sum plans (edges by source,
-    # edges by destination, nodes by graph) once, for all GIN layers, the
+    # each encoded batch builds its two row-sum plans (edges by destination,
+    # nodes by graph) once, for all GIN layers forward and backward, the
     # pooling and the loss, and the plans leave no cyclic tape behind
     built = []
 
@@ -141,7 +141,7 @@ def test_step_builds_each_plan_of_a_view_once(monkeypatch, pipeline, views):
     finally:
         gc.enable()
     assert alive == 0
-    assert len(built) == 3 * views
+    assert len(built) == 2 * views
     assert len({id(index) for index in built}) == len(built)
 
 
@@ -225,6 +225,64 @@ def test_save_resume_matches_uninterrupted(tmp_path):
         assert np.allclose(final.params[k], full_state.params[k], atol=1e-12)
     joined = [r.total for r in first_half] + [r.total for r in second_half]
     assert joined == [r.total for r in full_hist]
+
+
+@st.composite
+def run_configs(draw):
+    """Small valid configs over every pipeline, estimator and view tying,
+    with and without GIN layers and a learnable eps."""
+    num_groups = draw(st.integers(1, 3))
+    kinds = draw(st.lists(st.sampled_from(AUGMENTATION_KINDS), min_size=1, unique=True))
+    return RunConfig(
+        pipeline=draw(st.sampled_from(PIPELINES)), num_groups=num_groups,
+        embed_dim=num_groups * draw(st.integers(1, 3)), key_dim=draw(st.integers(1, 4)),
+        gin_layers=draw(st.integers(0, 2)), gin_hidden=draw(st.integers(1, 4)),
+        diversity_weight=draw(st.floats(0.0, 10.0)),
+        estimator=draw(st.sampled_from(ESTIMATORS)),
+        aug_kinds=",".join(kinds), aug_ratio=draw(st.floats(0.0, 0.99)),
+        learning_rate=draw(st.floats(1e-9, 1.0)), epochs=draw(st.integers(0, 100)),
+        batch_size=draw(st.integers(1, 256)), seed=draw(st.integers(0, 2**32)),
+        tie_views=draw(st.booleans()), scale_scores=draw(st.booleans()),
+        learnable_eps=draw(st.booleans()))
+
+
+_adam_headers = st.tuples(st.integers(0, 2**53), st.floats(1e-12, 1e3))
+
+
+@given(config=run_configs(), feature_dim=st.integers(1, 5), epoch=st.integers(0, 2**53),
+       adam=_adam_headers, var_adam=_adam_headers, seed=st.integers(0, 2**16))
+def test_checkpoint_round_trip_is_bit_exact(tmp_path_factory, config, feature_dim, epoch,
+                                            adam, var_adam, seed):
+    # every array holds random finite bit patterns (negative zeros, subnormals,
+    # extremes); arrays, config, epoch and both Adam headers come back exact
+    rng = np.random.default_rng(seed)
+    state = init_model(config, feature_dim)
+    tables = [state.params, state.opt.m, state.opt.v, state.var_params]
+    if state.var_opt is not None:
+        tables += [state.var_opt.m, state.var_opt.v]
+    for table in tables:
+        for name, arr in table.items():
+            bits = rng.integers(0, 2**64, size=arr.shape, dtype=np.uint64).view(np.float64)
+            table[name] = np.where(np.isfinite(bits), bits, -0.0)
+    state.epoch = epoch
+    state.opt = dataclasses.replace(state.opt, step=adam[0], lr=adam[1])
+    if state.var_opt is not None:
+        state.var_opt = dataclasses.replace(state.var_opt, step=var_adam[0], lr=var_adam[1])
+    path = tmp_path_factory.mktemp("ck") / "ck.bin"
+    checkpoint_save(path, state)
+    back = checkpoint_load(path)
+    assert back.config == config and back.epoch == epoch
+    pairs = [(back.opt, state.opt)] + ([(back.var_opt, state.var_opt)]
+                                       if state.var_opt is not None else [])
+    assert (back.var_opt is None) == (state.var_opt is None)
+    for got, want in [(back.params, state.params), (back.var_params, state.var_params),
+                      *((g.m, w.m) for g, w in pairs), *((g.v, w.v) for g, w in pairs)]:
+        assert got.keys() == want.keys()
+        for name in want:
+            assert got[name].shape == want[name].shape
+            assert got[name].tobytes() == want[name].tobytes()
+    for got, want in pairs:
+        assert (got.step, got.lr) == (want.step, want.lr)
 
 
 def read_checkpoint_parts(raw):
