@@ -6,51 +6,51 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .config import (ConfigError, DataConfig, RunConfig, format_config, load_config)
+from .config import DataConfig, RunConfig, format_config, load_config
 from .evaluation import (count_head_params, export_attention, extract_embeddings,
                          linear_probe, mean_offdiag_abs_cosine, query_cosine_matrix)
-from .graphs import (DatasetFormatError, GraphError, generate_planted_motif_dataset,
-                     load_dataset, save_dataset)
-from .tensor import ContractError, DimensionError, NumericError
+from .graphs import GraphError, generate_planted_motif_dataset, load_dataset, save_dataset
+from .tensor import NumericError
 from .trainer import (CheckpointError, TrainingError, checkpoint_load,
                       checkpoint_save, train, write_history)
 
-_KNOWN_ERRORS = (
-    ConfigError, DatasetFormatError, GraphError, TrainingError, CheckpointError,
-    ContractError, DimensionError, NumericError, OSError, ValueError,
-)
+# ValueError covers ConfigError, DatasetFormatError, GraphError, ContractError, DimensionError
+_KNOWN_ERRORS = (ValueError, OSError, NumericError, TrainingError, CheckpointError)
 
 
-def _write_probe(out_dir: Path, probe) -> None:
-    lines = [
-        f"train_accuracy={probe.train_accuracy!r}",
-        f"validation_accuracy={probe.validation_accuracy!r}",
-        f"test_accuracy={probe.test_accuracy!r}",
-        f"selected_regularization={probe.selected_regularization!r}",
-    ]
-    for c, acc in enumerate(probe.per_class_accuracy):
-        lines.append(f"class_{c}_accuracy={acc!r}")
-    (out_dir / "probe.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    with open(out_dir / "probe.csv", "w", encoding="utf-8", newline="\n") as f:
-        f.write("metric,value\n")
-        f.write(f"train_accuracy,{probe.train_accuracy!r}\n")
-        f.write(f"validation_accuracy,{probe.validation_accuracy!r}\n")
-        f.write(f"test_accuracy,{probe.test_accuracy!r}\n")
-        for c, acc in enumerate(probe.per_class_accuracy):
-            f.write(f"class_{c}_accuracy,{acc!r}\n")
-        n = probe.confusion.shape[0]
-        for i in range(n):
-            for j in range(n):
-                f.write(f"confusion_{i}_{j},{int(probe.confusion[i, j])}\n")
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return repr(float(value))
+    return str(value)
 
 
-def _write_embeddings(path: Path, table) -> None:
-    d = table.embeddings.shape[1]
+def _write_rows(path: Path, header, rows) -> None:
+    """Write one comma-separated line per row, after the header unless it is
+    None: UTF-8, "\\n" line ends, floats as their repr (every bit kept), None
+    as an empty cell. Creates the file's directory, so a command that fails
+    before its first write leaves no output directory behind."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("id,label," + ",".join(f"e{i}" for i in range(d)) + "\n")
-        for gid, label, row in zip(table.ids, table.labels, table.embeddings):
-            lbl = "" if label is None else str(label)
-            f.write(f"{gid},{lbl}," + ",".join(repr(float(v)) for v in row) + "\n")
+        if header is not None:
+            f.write(",".join(header) + "\n")
+        for row in rows:
+            f.write(",".join(_cell(value) for value in row) + "\n")
+
+
+def _probe_metrics(probe) -> list[tuple[str, object]]:
+    """The probe's results as (metric, value) pairs, in file order."""
+    pairs = [
+        ("train_accuracy", probe.train_accuracy),
+        ("validation_accuracy", probe.validation_accuracy),
+        ("test_accuracy", probe.test_accuracy),
+        ("selected_regularization", probe.selected_regularization),
+    ]
+    pairs += [(f"class_{c}_accuracy", acc) for c, acc in enumerate(probe.per_class_accuracy)]
+    for i, row in enumerate(probe.confusion):
+        pairs += [(f"confusion_{i}_{j}", int(count)) for j, count in enumerate(row)]
+    return pairs
 
 
 def _cmd_gen_data(args) -> int:
@@ -79,12 +79,20 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     state = checkpoint_load(args.checkpoint)
     dataset = load_dataset(args.data)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     table = extract_embeddings(state, dataset)
-    _write_embeddings(out / "embeddings.csv", table)
     probe = linear_probe(table, split_seed=state.config.seed)
-    _write_probe(out, probe)
+    out = Path(args.out)
+    _write_rows(out / "embeddings.csv",
+                ["id", "label"] + [f"e{i}" for i in range(table.embeddings.shape[1])],
+                ((gid, label, *row) for gid, label, row
+                 in zip(table.ids, table.labels, table.embeddings)))
+    metrics = _probe_metrics(probe)
+    # probe.txt omits the confusion counts, probe.csv the selected L2 value
+    _write_rows(out / "probe.txt", None,
+                ([f"{name}={_cell(value)}"] for name, value in metrics
+                 if not name.startswith("confusion_")))
+    _write_rows(out / "probe.csv", ["metric", "value"],
+                (pair for pair in metrics if pair[0] != "selected_regularization"))
     print(f"test accuracy {probe.test_accuracy:.4f} "
           f"(val {probe.validation_accuracy:.4f}, reg {probe.selected_regularization})")
     return 0
@@ -92,12 +100,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_analyze(args) -> int:
     state = checkpoint_load(args.checkpoint)
-    m = query_cosine_matrix(state)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "query_cosine.csv", "w", encoding="utf-8", newline="\n") as f:
-        for row in m:
-            f.write(",".join(repr(float(v)) for v in row) + "\n")
+    _write_rows(Path(args.out) / "query_cosine.csv", None, query_cosine_matrix(state))
     print(f"mean off-diagonal |cosine| = {mean_offdiag_abs_cosine(state):.6f}")
     return 0
 
@@ -106,17 +109,16 @@ def _cmd_export_attn(args) -> int:
     state = checkpoint_load(args.checkpoint)
     dataset = load_dataset(args.data)
     ids = [int(s) for s in args.graph_ids.split(",") if s.strip()]
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "attention.csv", "w", encoding="utf-8", newline="\n") as f:
-        f.write("graph,node,group,weight,is_top\n")
-        for gid in ids:
-            if not (0 <= gid < len(dataset)):
-                raise GraphError(f"graph id {gid} out of range (dataset has {len(dataset)})")
-            records, top = export_attention(state, dataset.graphs[gid])
-            for rec in records:
-                flag = 1 if top[rec.group] == rec.node else 0
-                f.write(f"{gid},{rec.node},{rec.group},{rec.weight!r},{flag}\n")
+    rows = []
+    for gid in ids:
+        if not (0 <= gid < len(dataset)):
+            raise GraphError(f"graph id {gid} out of range (dataset has {len(dataset)})")
+        w = export_attention(state, dataset.graphs[gid])
+        top = w.argmax(axis=0)  # the first maximum of each group's column
+        rows += [(gid, node, group, w[node, group], int(top[group] == node))
+                 for node in range(w.shape[0]) for group in range(w.shape[1])]
+    _write_rows(Path(args.out) / "attention.csv",
+                ["graph", "node", "group", "weight", "is_top"], rows)
     print(f"exported attention for {len(ids)} graphs")
     return 0
 
@@ -133,8 +135,6 @@ def _cmd_sweep(args) -> int:
     dataset = load_dataset(args.data)
     p_values = [int(s) for s in args.p_grid.split(",") if s.strip()]
     lam_values = [float(s) for s in args.lambda_grid.split(",") if s.strip()]
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     rows = []
     for p in p_values:
         for lam in lam_values:
@@ -145,10 +145,8 @@ def _cmd_sweep(args) -> int:
             final = history[-1].total if history else float("nan")
             rows.append((p, lam, final, probe.test_accuracy))
             print(f"p={p} lambda={lam}: test accuracy {probe.test_accuracy:.4f}")
-    with open(out / "sweep.csv", "w", encoding="utf-8", newline="\n") as f:
-        f.write("p,lambda,final_loss,test_accuracy\n")
-        for p, lam, final, acc in rows:
-            f.write(f"{p},{lam},{final!r},{acc!r}\n")
+    _write_rows(Path(args.out) / "sweep.csv",
+                ["p", "lambda", "final_loss", "test_accuracy"], rows)
     return 0
 
 

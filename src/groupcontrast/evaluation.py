@@ -115,9 +115,13 @@ def linear_probe(
         raise NumericError("embeddings: non-finite values")
     if any(lbl is None for lbl in labels):
         raise ContractError("labels: linear probe requires labeled graphs")
+    # checked before any array is built: the largest label sets the width of
+    # the one-hot and weight blocks
+    for lbl in labels:
+        if not 0 <= lbl < len(labels):
+            raise ContractError(
+                f"labels: label {lbl} outside [0, {len(labels)}), the number of labeled graphs")
     y = np.array(labels, dtype=int)
-    if y.min() < 0:
-        raise ContractError(f"labels: negative label {y.min()}")
     regs = np.array(reg_grid, dtype=np.float64)
     if regs.size == 0 or not np.all(np.isfinite(regs)) or np.any(regs < 0):
         raise ContractError(f"reg_grid: need finite values >= 0, got {tuple(reg_grid)}")
@@ -182,15 +186,9 @@ def mean_offdiag_abs_cosine(state: ModelState) -> float:
     return float(off.mean())
 
 
-@dataclass(frozen=True)
-class AttentionRecord:
-    node: int
-    group: int
-    weight: float
-
-
-def export_attention(state: ModelState, graph: Graph) -> tuple[list[AttentionRecord], list[int]]:
-    """Per-node, per-group attention weights and the argmax node per group."""
+def export_attention(state: ModelState, graph: Graph) -> np.ndarray:
+    """The graph's (num_nodes, p) attention weights: column k holds group k's
+    weights over the nodes."""
     if "rep.wk" not in state.params:
         raise ContractError("model has no representor")
     leaves = {name: Tensor(v) for name, v in state.params.items()}
@@ -198,14 +196,7 @@ def export_attention(state: ModelState, graph: Graph) -> tuple[list[AttentionRec
     nodes = encode_nodes(batch, leaves, state.config.gin_layers, prefix="gin")
     _, att = forward_groups(
         batch, nodes, leaves, scale_scores=state.config.scale_scores, prefix="rep")
-    weights = att.values  # (N, p)
-    records = [
-        AttentionRecord(node=v, group=k, weight=float(weights[v, k]))
-        for v in range(weights.shape[0])
-        for k in range(weights.shape[1])
-    ]
-    top_nodes = [int(weights[:, k].argmax()) for k in range(weights.shape[1])]
-    return records, top_nodes
+    return att.values
 
 
 def count_head_params(p: int, d_n: int, d_k: int, d_o: int) -> dict[str, int]:

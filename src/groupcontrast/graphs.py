@@ -189,6 +189,9 @@ def load_dataset(path) -> Dataset:
                 raise DatasetFormatError(f"line {lineno}: invalid record: {exc}") from exc
             if not isinstance(rec, dict) or "n" not in rec or "x" not in rec or "e" not in rec:
                 raise DatasetFormatError(f"line {lineno}: record must carry fields n, x, e")
+            for field in rec:
+                if field not in ("n", "x", "e", "y"):
+                    raise DatasetFormatError(f"line {lineno}: unknown field {field!r}")
             n = rec["n"]
             # `type(...) is int`: JSON true/false decode to bool, an int subclass
             if type(n) is not int or n <= 0:
@@ -255,10 +258,15 @@ def generate_planted_motif_dataset(
     for i in range(num_graphs):
         label = i % 2
         n = nodes_per_graph
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        num_background = int(round(_BACKGROUND_DENSITY * len(pairs)))
-        chosen = rng.choice(len(pairs), size=num_background, replace=False)
-        edge_set: set[tuple[int, int]] = {pairs[j] for j in chosen}
+        num_pairs = n * (n - 1) // 2
+        num_background = int(round(_BACKGROUND_DENSITY * num_pairs))
+        chosen = rng.choice(num_pairs, size=num_background, replace=False)
+        # pair j in the order (0, 1), (0, 2), ..., (1, 2), ...: row u of the
+        # upper triangle starts at pair u * (2n - u - 1) / 2
+        rows = np.arange(n - 1)
+        u = np.searchsorted(rows * (2 * n - rows - 1) // 2, chosen, side="right") - 1
+        v = chosen - u * (2 * n - u - 1) // 2 + u + 1
+        edge_set: set[tuple[int, int]] = set(zip(u.tolist(), v.tolist()))
         motif_size = 4 if label == 0 else 6
         motif = sorted(rng.choice(n, size=motif_size, replace=False).tolist())
         if label == 0:

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from groupcontrast.cli import main
-from groupcontrast.graphs import generate_planted_motif_dataset, save_dataset
+from groupcontrast.evaluation import export_attention, extract_embeddings
+from groupcontrast.graphs import generate_planted_motif_dataset, load_dataset, save_dataset
+from groupcontrast.trainer import checkpoint_load
 
 
 def write_small_dataset(tmp_path, num_graphs=24):
@@ -118,6 +120,13 @@ def test_eval_and_analyze_and_attn(tmp_path):
     lines = (ev / "embeddings.csv").read_text().splitlines()
     assert len(lines) == 41  # header + one row per graph
     assert lines[0].startswith("id,label,e0")
+    # floats are written as their repr, so the file holds every bit
+    state = checkpoint_load(ck)
+    table = extract_embeddings(state, load_dataset(data))
+    cells = [line.split(",") for line in lines[1:]]
+    assert [(int(c[0]), int(c[1])) for c in cells] == list(zip(table.ids, table.labels))
+    assert np.array([[float(v) for v in c[2:]] for c in cells]).tobytes() \
+        == table.embeddings.tobytes()
 
     an = tmp_path / "analysis"
     assert main(["analyze", "--checkpoint", str(ck), "--out", str(an)]) == 0
@@ -131,6 +140,10 @@ def test_eval_and_analyze_and_attn(tmp_path):
     rows = (at / "attention.csv").read_text().splitlines()
     assert rows[0] == "graph,node,group,weight,is_top"
     assert len(rows) == 1 + 2 * 10 * 2  # two graphs, 10 nodes, 2 groups
+    w = export_attention(state, load_dataset(data).graphs[3])
+    top = w.argmax(axis=0)
+    assert rows[21:] == [f"3,{v},{k},{float(w[v, k])!r},{int(top[k] == v)}"
+                         for v in range(10) for k in range(2)]
 
 
 def test_unknown_config_key_exits_nonzero(tmp_path, capsys):
@@ -190,13 +203,37 @@ def test_malformed_dataset_error_names_line(tmp_path, capsys):
 
 
 def test_export_attn_rejects_bad_graph_id(tmp_path, capsys):
+    # the valid id 0 once left a partial attention.csv behind
     data = write_small_dataset(tmp_path)
     run = run_train(tmp_path, data, "run")
     rc = main(["export-attn", "--checkpoint", str(run / "checkpoint.bin"),
                "--data", str(data), "--out", str(tmp_path / "attn"),
-               "--graph-ids", "999"])
+               "--graph-ids", "0,999"])
     assert rc == 1
-    assert "out of range" in capsys.readouterr().err
+    assert "error: GraphError: graph id 999 out of range" in capsys.readouterr().err
+    assert not (tmp_path / "attn").exists()
+
+
+@pytest.mark.parametrize("case", ["huge-label", "unlabeled"])
+def test_eval_whose_probe_fails_writes_nothing(tmp_path, capsys, case):
+    # the huge label once escaped as an OverflowError traceback; the
+    # unlabeled dataset once left embeddings.csv behind
+    data = write_small_dataset(tmp_path)
+    run = run_train(tmp_path, data, "run")
+    records = [json.loads(line) for line in data.read_text().splitlines()]
+    if case == "huge-label":
+        records[5]["y"] = 10**30
+        message = f"labels: label {10**30} outside [0, 24), the number of labeled graphs"
+    else:
+        for rec in records:
+            del rec["y"]
+        message = "labels: linear probe requires labeled graphs"
+    data.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    rc = main(["eval", "--checkpoint", str(run / "checkpoint.bin"), "--data", str(data),
+               "--out", str(tmp_path / "eval")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: ContractError: {message}\n"
+    assert not (tmp_path / "eval").exists()
 
 
 def test_export_attn_rejects_baseline_checkpoint(tmp_path, capsys):

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from groupcontrast.graphs import (Batch, Dataset, DatasetFormatError, Graph,
@@ -147,8 +147,9 @@ def test_edgeless_batch_has_empty_edge_index():
 # -- file format --------------------------------------------------------------
 
 def test_parse_triangle_record(tmp_path):
+    # blank and whitespace-only lines are skipped
     path = tmp_path / "data.jsonl"
-    path.write_text('{"n":3,"x":[1,0,0,1,0,0],"e":[0,1,1,2,2,0]}\n')
+    path.write_text('\n \t\n{"n":3,"x":[1,0,0,1,0,0],"e":[0,1,1,2,2,0]}\n\n')
     ds = load_dataset(path)
     assert len(ds) == 1
     g = ds.graphs[0]
@@ -199,6 +200,13 @@ def test_feature_length_mismatch_names_line(tmp_path):
     ('{"n":2,"x":[[1],[2]],"e":[]}', "features"),       # nested lists
     ('{"n":2,"x":[1,null],"e":[]}', "features"),
     ('{"n":1,"x":[1' + "0" * 400 + '],"e":[]}', "too large"),  # int beyond float64
+    ('[0,1]', "record must carry fields n, x, e"),
+    ('{"x":[0],"e":[]}', "record must carry fields n, x, e"),
+    ('{"n":1,"e":[]}', "record must carry fields n, x, e"),
+    ('{"n":1,"x":[0]}', "record must carry fields n, x, e"),
+    ('{"n":2,"x":[0,0,0],"e":[]}', "feature list length 3 not divisible by 2 nodes"),
+    ('{"n":2,"x":[0,0],"e":[0,1,1]}', "edge list must hold endpoint pairs"),
+    ('{"n":2,"x":[0,0],"e":[0,1],"label":1}', "unknown field 'label'"),  # not "y"
 ])
 def test_bad_record_names_line(tmp_path, record, message):
     path = tmp_path / "bad.jsonl"
@@ -218,8 +226,16 @@ def test_save_load_roundtrip(tmp_path):
         assert np.allclose(a.node_features, b.node_features)
 
 
-@given(graphs=st.lists(valid_graphs(), min_size=1, max_size=4))
+EDGE_FLOATS = [-0.0, 5e-324, -2.5e-310, 1e308, -1e308, 0.1]
+
+
+@given(graphs=st.lists(valid_graphs(features=st.sampled_from(EDGE_FLOATS)
+                                    | st.floats(allow_nan=False, allow_infinity=False)),
+                       min_size=1, max_size=4))
+@example(graphs=[Graph(2, np.reshape(EDGE_FLOATS, (2, 3)), ((1, 0),)),
+                 Graph(3, np.zeros((3, 3)), ((2, 1), (0, 1)), label=3)])
 def test_save_load_roundtrip_property(graphs):
+    # features bit for bit (-0.0, subnormals, +-1e308), edges in stored order
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "ds.jsonl"
         save_dataset(path, Dataset(graphs=graphs, feature_dim=3, num_classes=4))
@@ -230,6 +246,14 @@ def test_save_load_roundtrip_property(graphs):
         assert b.node_features.tobytes() == a.node_features.tobytes()
         assert b.edges.dtype == np.intp and b.edges.shape == (len(a.edges), 2)
         assert np.array_equal(b.edges, a.edges)
+
+
+def test_dataset_rejects_mixed_widths_and_out_of_range_label():
+    g = Graph(2, np.zeros((2, 2)), ((0, 1),), label=1)
+    with pytest.raises(GraphError, match="graph feature dim 2 != dataset dim 3"):
+        Dataset((g,), feature_dim=3, num_classes=2)
+    with pytest.raises(GraphError, match=r"label 1 outside \[0, 1\)"):
+        Dataset((g,), feature_dim=2, num_classes=1)
 
 
 def test_record_omits_missing_label():

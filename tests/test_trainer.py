@@ -392,6 +392,15 @@ def test_checkpoint_corruption_detected(tmp_path):
     assert loaded == []
 
 
+def test_checkpoint_of_unknown_version_rejected(tmp_path):
+    path = tmp_path / "ck.bin"
+    checkpoint_save(path, init_model(RunConfig(seed=9), 8))
+    header, arrays = read_checkpoint_parts(path.read_bytes())
+    write_checkpoint_parts(path, dict(header, version=3), arrays)
+    with pytest.raises(CheckpointError, match="unsupported checkpoint version 3"):
+        checkpoint_load(path)
+
+
 def test_checkpoint_config_with_zero_key_dim_rejected(tmp_path):
     state = init_model(RunConfig(seed=9), 8)
     path = tmp_path / "ck.bin"
@@ -480,6 +489,12 @@ def test_init_model_head_layout_by_pipeline():
     assert grouped.params["rep.q"].shape == (100, 4)
     ig = init_model(RunConfig(pipeline="groupig"), 8)
     assert "nodemap.w" in ig.params
+
+
+def test_dataset_too_small_for_any_batch_names_the_epoch():
+    with pytest.warns(UserWarning, match="epoch 0: skipping batch 0"):
+        with pytest.raises(TrainingError, match="epoch 0 had no usable batch"):
+            train(RunConfig(epochs=1), Dataset(DATASET.graphs[:1], 8, 2))
 
 
 def test_small_final_batch_is_used_or_skipped():
