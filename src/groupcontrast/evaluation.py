@@ -115,12 +115,18 @@ def linear_probe(
         raise NumericError("embeddings: non-finite values")
     if any(lbl is None for lbl in labels):
         raise ContractError("labels: linear probe requires labeled graphs")
-    # checked before any array is built: the largest label sets the width of
-    # the one-hot and weight blocks
     for lbl in labels:
+        if isinstance(lbl, bool) or not isinstance(lbl, (int, np.integer)):
+            raise ContractError(f"labels: label {lbl!r} is not an integer")
+        # a cap on label values, checked before any array is built: the
+        # one-hot, weight and confusion blocks are as wide as the largest
+        # label, so the cap stops a stray huge label from sizing them. It is
+        # not a rule about classes, and it does not bound memory.
         if not 0 <= lbl < len(labels):
             raise ContractError(
-                f"labels: label {lbl} outside [0, {len(labels)}), the number of labeled graphs")
+                f"labels: label {lbl} is not below {len(labels)}, the number of labeled "
+                "graphs; the probe caps labels there because its blocks are as wide as "
+                "the largest label")
     y = np.array(labels, dtype=int)
     regs = np.array(reg_grid, dtype=np.float64)
     if regs.size == 0 or not np.all(np.isfinite(regs)) or np.any(regs < 0):

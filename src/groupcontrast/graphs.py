@@ -255,18 +255,13 @@ def generate_planted_motif_dataset(
         raise GraphError("feature_dim must be at least 4")
     rng = stream_rng(seed, "data")
     graphs = []
+    n = nodes_per_graph
+    us, vs = np.triu_indices(n, 1)  # node pairs (0, 1), (0, 2), ..., (1, 2), ...
     for i in range(num_graphs):
         label = i % 2
-        n = nodes_per_graph
-        num_pairs = n * (n - 1) // 2
-        num_background = int(round(_BACKGROUND_DENSITY * num_pairs))
-        chosen = rng.choice(num_pairs, size=num_background, replace=False)
-        # pair j in the order (0, 1), (0, 2), ..., (1, 2), ...: row u of the
-        # upper triangle starts at pair u * (2n - u - 1) / 2
-        rows = np.arange(n - 1)
-        u = np.searchsorted(rows * (2 * n - rows - 1) // 2, chosen, side="right") - 1
-        v = chosen - u * (2 * n - u - 1) // 2 + u + 1
-        edge_set: set[tuple[int, int]] = set(zip(u.tolist(), v.tolist()))
+        num_background = int(round(_BACKGROUND_DENSITY * len(us)))
+        chosen = rng.choice(len(us), size=num_background, replace=False)
+        edge_set: set[tuple[int, int]] = set(zip(us[chosen].tolist(), vs[chosen].tolist()))
         motif_size = 4 if label == 0 else 6
         motif = sorted(rng.choice(n, size=motif_size, replace=False).tolist())
         if label == 0:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from groupcontrast.cli import main
-from groupcontrast.evaluation import export_attention, extract_embeddings
+from groupcontrast.evaluation import export_attention, extract_embeddings, linear_probe
 from groupcontrast.graphs import generate_planted_motif_dataset, load_dataset, save_dataset
 from groupcontrast.trainer import checkpoint_load
 
@@ -115,8 +115,6 @@ def test_eval_and_analyze_and_attn(tmp_path):
     ev = tmp_path / "eval"
     assert main(["eval", "--checkpoint", str(ck), "--data", str(data),
                  "--out", str(ev)]) == 0
-    assert (ev / "embeddings.csv").exists()
-    assert (ev / "probe.txt").exists()
     lines = (ev / "embeddings.csv").read_text().splitlines()
     assert len(lines) == 41  # header + one row per graph
     assert lines[0].startswith("id,label,e0")
@@ -127,6 +125,22 @@ def test_eval_and_analyze_and_attn(tmp_path):
     assert [(int(c[0]), int(c[1])) for c in cells] == list(zip(table.ids, table.labels))
     assert np.array([[float(v) for v in c[2:]] for c in cells]).tobytes() \
         == table.embeddings.tobytes()
+    # probe.txt holds the L2 value but no confusion counts, probe.csv the
+    # reverse; every float as its repr
+    probe = linear_probe(table, split_seed=state.config.seed)
+    accuracies = [("train_accuracy", probe.train_accuracy),
+                  ("validation_accuracy", probe.validation_accuracy),
+                  ("test_accuracy", probe.test_accuracy)]
+    per_class = [(f"class_{c}_accuracy", acc)
+                 for c, acc in enumerate(probe.per_class_accuracy)]
+    assert len(per_class) == 2
+    assert (ev / "probe.txt").read_text() == "".join(
+        f"{name}={float(value)!r}\n" for name, value in
+        accuracies + [("selected_regularization", probe.selected_regularization)] + per_class)
+    assert (ev / "probe.csv").read_text() == "metric,value\n" + "".join(
+        f"{name},{float(value)!r}\n" for name, value in accuracies + per_class) + "".join(
+        f"confusion_{i}_{j},{int(probe.confusion[i, j])}\n"
+        for i in range(2) for j in range(2))
 
     an = tmp_path / "analysis"
     assert main(["analyze", "--checkpoint", str(ck), "--out", str(an)]) == 0
@@ -223,7 +237,9 @@ def test_eval_whose_probe_fails_writes_nothing(tmp_path, capsys, case):
     records = [json.loads(line) for line in data.read_text().splitlines()]
     if case == "huge-label":
         records[5]["y"] = 10**30
-        message = f"labels: label {10**30} outside [0, 24), the number of labeled graphs"
+        message = (f"labels: label {10**30} is not below 24, the number of labeled graphs; "
+                   "the probe caps labels there because its blocks are as wide as the "
+                   "largest label")
     else:
         for rec in records:
             del rec["y"]

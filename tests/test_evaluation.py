@@ -134,17 +134,38 @@ def test_probe_is_deterministic():
     (None, None, (), "reg_grid"),
     (None, None, (1.0, -1e-3), "reg_grid"),
     (None, None, (float("nan"),), "reg_grid"),
-    # a label sizes the one-hot block: one at or past the row count is refused
-    ((0, 1, 10, 0, 1, 0, 1, 0, 1, 0), None, (1.0,), r"labels: label 10 outside \[0, 10\)"),
-    ((0, 1, 10**30, 0, 1, 0, 1, 0, 1, 0), None, (1.0,), f"labels: label {10**30} outside"),
+    # labels size the probe's blocks: one at or past the row count is refused
+    ((0, 1, 10, 0, 1, 0, 1, 0, 1, 0), None, (1.0,), "labels: label 10 is not below 10, "),
+    ((0, 1, 10**30, 0, 1, 0, 1, 0, 1, 0), None, (1.0,), f"labels: label {10**30} is not below"),
+    # 1.5 and True once ran as the labels 1 and 1
+    ((0, 1.5, 0, 1, 0, 1, 0, 1, 0, 1), None, (1.0,), "labels: label 1.5 is not an integer"),
+    ((0, True, 0, 1, 0, 1, 0, 1, 0, 1), None, (1.0,), "labels: label True is not an integer"),
 ], ids=["negative-label", "empty-table", "empty-grid", "negative-reg", "nan-reg",
-        "label-past-rows", "label-past-int64"])
+        "label-past-rows", "label-past-int64", "float-label", "bool-label"])
 def test_probe_rejects_bad_inputs_naming_the_field(labels, embeddings, reg_grid, field):
     labels = tuple(i % 2 for i in range(10)) if labels is None else labels
     embeddings = np.ones((len(labels), 3)) if embeddings is None else embeddings
     table = EmbeddingTable(ids=tuple(range(len(labels))), embeddings=embeddings, labels=labels)
     with pytest.raises(ContractError, match=field):
         linear_probe(table, reg_grid=reg_grid)
+
+
+def test_probe_takes_sparse_labels_below_the_row_count():
+    # classes 0 and 5 of 20 graphs: the absent classes 1-4 get empty
+    # confusion rows and accuracy 0.0, as before the label cap; class 25 is
+    # past the cap
+    rng = np.random.default_rng(0)
+    y = np.where(np.arange(20) % 2 == 0, 0, 5)
+    x = rng.standard_normal((20, 3)) + (y == 5)[:, None] * 3.0
+    probe = linear_probe(make_table(x, y), split_seed=0)
+    assert probe.confusion.shape == (6, 6)
+    assert probe.confusion[1:5].sum() == 0 and probe.confusion.sum() == 2
+    assert probe.per_class_accuracy[1:5] == (0.0,) * 4
+    with pytest.raises(ContractError, match="labels: label 25 is not below 20, "):
+        linear_probe(make_table(x, np.where(y == 5, 25, 0)), split_seed=0)
+    # numpy integers are integers
+    assert linear_probe(EmbeddingTable(ids=tuple(range(20)), embeddings=x, labels=tuple(y)),
+                        split_seed=0).test_accuracy == probe.test_accuracy
 
 
 @pytest.mark.parametrize("split_seed", [1.5, True, "1"])
