@@ -6,7 +6,7 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .config import DataConfig, RunConfig, format_config, load_config
+from .config import ConfigError, DataConfig, RunConfig, _convert, format_config, load_config
 from .evaluation import (count_head_params, export_attention, extract_embeddings,
                          linear_probe, mean_offdiag_abs_cosine, query_cosine_matrix)
 from .graphs import GraphError, generate_planted_motif_dataset, load_dataset, save_dataset
@@ -14,13 +14,21 @@ from .tensor import NumericError
 from .trainer import (CheckpointError, TrainingError, checkpoint_load,
                       checkpoint_save, train, write_history)
 
-# ValueError covers ConfigError, DatasetFormatError, GraphError, ContractError, DimensionError
-_KNOWN_ERRORS = (ValueError, OSError, NumericError, TrainingError, CheckpointError)
+# ValueError covers ConfigError, DatasetFormatError, GraphError, ContractError, DimensionError;
+# MemoryError covers a model too large to allocate
+_KNOWN_ERRORS = (ValueError, OSError, MemoryError, NumericError, TrainingError, CheckpointError)
+
+
+def _parse_list(option: str, text: str, kind) -> list:
+    """The items of a comma-separated option, each converted as a config
+    value is; a bad item or an empty list raises ConfigError naming it."""
+    items = [_convert(option, item, kind) for item in text.split(",") if item.strip()]
+    if not items:
+        raise ConfigError(f"{option}: no values in {text!r}")
+    return items
 
 
 def _cell(value) -> str:
-    if value is None:
-        return ""
     if isinstance(value, float):
         return repr(float(value))
     return str(value)
@@ -28,9 +36,9 @@ def _cell(value) -> str:
 
 def _write_rows(path: Path, header, rows) -> None:
     """Write one comma-separated line per row, after the header unless it is
-    None: UTF-8, "\\n" line ends, floats as their repr (every bit kept), None
-    as an empty cell. Creates the file's directory, so a command that fails
-    before its first write leaves no output directory behind."""
+    None: UTF-8, "\\n" line ends, floats as their repr (every bit kept).
+    Creates the file's directory, so a command that fails before its first
+    write leaves no output directory behind."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         if header is not None:
@@ -106,9 +114,9 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_export_attn(args) -> int:
+    ids = _parse_list("--graph-ids", args.graph_ids, int)
     state = checkpoint_load(args.checkpoint)
     dataset = load_dataset(args.data)
-    ids = [int(s) for s in args.graph_ids.split(",") if s.strip()]
     rows = []
     for gid in ids:
         if not (0 <= gid < len(dataset)):
@@ -131,10 +139,10 @@ def _cmd_count_params(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    p_values = _parse_list("--p-grid", args.p_grid, int)
+    lam_values = _parse_list("--lambda-grid", args.lambda_grid, float)
     base = load_config(RunConfig, args.config, args.override)
     dataset = load_dataset(args.data)
-    p_values = [int(s) for s in args.p_grid.split(",") if s.strip()]
-    lam_values = [float(s) for s in args.lambda_grid.split(",") if s.strip()]
     rows = []
     for p in p_values:
         for lam in lam_values:

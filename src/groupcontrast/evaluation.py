@@ -39,7 +39,7 @@ def extract_embeddings(state: ModelState, dataset: Dataset) -> EmbeddingTable:
     """Deterministic forward pass without augmentation; per graph the view's
     group vectors (the baseline's one projection) are concatenated in group
     order."""
-    expected = input_width(state.config, state.params)
+    expected = input_width(state.config, {k: v.shape for k, v in state.params.items()})
     if dataset.feature_dim != expected:
         raise ContractError(
             f"dataset feature dim {dataset.feature_dim} does not match model input width {expected}")

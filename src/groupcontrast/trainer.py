@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import struct
 import warnings
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -255,15 +256,12 @@ def _digest(raw: bytes) -> bytes:
 
 
 def _array_table(state: ModelState) -> list[tuple[str, np.ndarray]]:
+    """The file's arrays in file order: each parameter, then its Adam moments."""
     table = []
-    for name in sorted(state.params):
-        table.append((f"p/{name}", state.params[name]))
-        table.append((f"m/{name}", state.opt.m[name]))
-        table.append((f"v/{name}", state.opt.v[name]))
-    for name in sorted(state.var_params):
-        table.append((f"vp/{name}", state.var_params[name]))
-        table.append((f"vm/{name}", state.var_opt.m[name]))
-        table.append((f"vv/{name}", state.var_opt.v[name]))
+    for pre, params, opt in (("", state.params, state.opt), ("v", state.var_params, state.var_opt)):
+        for name in sorted(params):
+            table += [(f"{pre}p/{name}", params[name]), (f"{pre}m/{name}", opt.m[name]),
+                      (f"{pre}v/{name}", opt.v[name])]
     return table
 
 
@@ -286,13 +284,13 @@ def checkpoint_save(path, state: ModelState) -> None:
         f.write(raw[:_DIGEST.start] + _digest(raw) + raw[_DIGEST.stop:])
 
 
-def input_width(config: RunConfig, params: Mapping[str, np.ndarray]) -> int:
-    """The feature width the model was initialized for, read off its first
-    weights. The head's lift exists only when that width differs from
-    embed_dim."""
+def input_width(config: RunConfig, shapes: Mapping[str, Sequence[int]]) -> int:
+    """The feature width the model was initialized for, read off the shapes
+    of its first weights. The head's lift exists only when that width
+    differs from embed_dim."""
     for name in ("gin.0.w1", "rep.wk", "head.lift"):
-        if name in params and params[name].ndim == 2:
-            return params[name].shape[0]
+        if name in shapes and len(shapes[name]) == 2:
+            return shapes[name][0]
     return config.embed_dim
 
 
@@ -310,16 +308,17 @@ def _read_config(entries) -> RunConfig:
         raise CheckpointError(f"corrupt checkpoint: config rejected: {exc}") from exc
 
 
-def _read_adam(entry, what: str, m: dict, v: dict) -> AdamState:
+def _read_adam(entry, what: str, opt: AdamState) -> AdamState:
     _require(isinstance(entry, dict) and type(entry.get("step")) is int and entry["step"] >= 0
              and type(entry.get("lr")) is float and entry["lr"] > 0, f"bad {what} header")
-    return AdamState(lr=entry["lr"], step=entry["step"], m=m, v=v)
+    return dataclasses.replace(opt, lr=entry["lr"], step=entry["step"])
 
 
 def checkpoint_load(path) -> ModelState:
-    """Read a checkpoint, checking its digest (version 2; version 1 has
-    none), its header, and that its arrays are the parameters (and Adam
-    moments) that init_model creates for its config."""
+    """Read a checkpoint into the state init_model builds for its config,
+    after checking its digest (version 2; version 1 has none), its header,
+    and that it lists exactly that state's arrays, in the order
+    checkpoint_save writes them."""
     with open(path, "rb") as f:
         raw = f.read()
     if len(raw) < len(_MAGIC) + 8 or raw[:len(_MAGIC)] != _MAGIC:
@@ -341,35 +340,34 @@ def checkpoint_load(path) -> ModelState:
     _require(not missing, f"header lacks {sorted(missing)}")
     config = _read_config(header["config"])
     _require(type(header["epoch"]) is int and header["epoch"] >= 0, "bad epoch")
-    _require(isinstance(header["arrays"], list), "bad array table")
-    offset = 16 + blob_len
-    tables: dict[str, dict[str, np.ndarray]] = {k: {} for k in ("p", "m", "v", "vp", "vm", "vv")}
-    for entry in header["arrays"]:
+    offset, total = 16 + blob_len, 0
+    listing = header["arrays"]
+    _require(isinstance(listing, list), "bad array table")
+    for entry in listing:
         _require(isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
                  and isinstance(entry[1], list)
                  and all(type(n) is int and n >= 0 for n in entry[1]),
                  f"bad array entry {entry!r}")
-        key, shape = entry
-        prefix, _, name = key.partition("/")
-        _require(prefix in tables and name not in tables[prefix], f"unexpected array {key!r}")
-        count = math.prod(shape)
-        _require(offset + count * 8 <= len(raw), f"truncated data for {key!r}")
-        arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset).reshape(shape).copy()
+        total += 8 * math.prod(entry[1])
+        _require(offset + total <= len(raw), f"truncated data for {entry[0]!r}")
+    _require(offset + total == len(raw), "trailing bytes")
+    # a valid file holds the input weight's `width` rows, so it bounds the width
+    width = input_width(config, {key[2:]: shape for key, shape in listing if key[:2] == "p/"})
+    _require(8 * width <= total, f"input width {width} exceeds the file's data")
+    try:
+        state = init_model(config, width)
+    except MemoryError as exc:
+        raise CheckpointError(f"cannot allocate the model of the stored config {config}") from exc
+    table = _array_table(state)
+    for got, want in itertools.zip_longest(listing, [[k, list(a.shape)] for k, a in table]):
+        _require(got == want, f"array {got!r} where the stored config has {want!r}")
+    for key, arr in table:
+        arr[...] = np.frombuffer(raw, dtype="<f8", count=arr.size, offset=offset).reshape(arr.shape)
         _require(bool(np.all(np.isfinite(arr))), f"non-finite values in {key!r}")
-        tables[prefix][name] = arr
-        offset += count * 8
-    _require(offset == len(raw), "trailing bytes")
-
-    expected = init_model(config, input_width(config, tables["p"]))
-    for prefix, got in tables.items():
-        want = expected.var_params if prefix in ("vp", "vm", "vv") else expected.params
-        _require(got.keys() == want.keys() and all(got[k].shape == want[k].shape for k in want),
-                 f"{prefix}/ arrays do not match the parameters of the stored config")
-    _require((header["var_adam"] is None) == (expected.var_opt is None), "bad var_adam header")
-    opt = _read_adam(header["adam"], "adam", tables["m"], tables["v"])
-    var_opt = (None if expected.var_opt is None
-               else _read_adam(header["var_adam"], "var_adam", tables["vm"], tables["vv"]))
-    return ModelState(
-        config=config, params=tables["p"], opt=opt,
-        var_params=tables["vp"], var_opt=var_opt, epoch=header["epoch"],
-    )
+        offset += 8 * arr.size
+    _require((header["var_adam"] is None) == (state.var_opt is None), "bad var_adam header")
+    state.opt = _read_adam(header["adam"], "adam", state.opt)
+    if state.var_opt is not None:
+        state.var_opt = _read_adam(header["var_adam"], "var_adam", state.var_opt)
+    state.epoch = header["epoch"]
+    return state

@@ -1,9 +1,11 @@
 import json
+import re
 import struct
 
 import numpy as np
 import pytest
 
+from groupcontrast import trainer
 from groupcontrast.cli import main
 from groupcontrast.evaluation import export_attention, extract_embeddings, linear_probe
 from groupcontrast.graphs import generate_planted_motif_dataset, load_dataset, save_dataset
@@ -305,3 +307,53 @@ def test_train_epochs_zero_writes_initial_checkpoint(tmp_path):
                "embed_dim=40", "key_dim=16", "num_groups=2", "gin_hidden=12"])
     assert rc == 0
     assert (out / "checkpoint.bin").exists()
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--graph-ids", "1.5", "invalid value for '--graph-ids': .*'1.5'"),
+    ("--graph-ids", ",", "--graph-ids: no values in ','"),
+    ("--p-grid", "2,x", "invalid value for '--p-grid': .*'x'"),
+    ("--p-grid", "", "--p-grid: no values in ''"),
+    ("--lambda-grid", "0.5,y", "invalid value for '--lambda-grid': .*'y'"),
+    ("--lambda-grid", " , ", "--lambda-grid: no values in ' , '"),
+])
+def test_list_option_names_option_and_item(tmp_path, capsys, option, value, message):
+    # a bad item once escaped as a bare int()/float() ValueError, and an
+    # empty --graph-ids wrote a header-only attention.csv
+    data = write_small_dataset(tmp_path)
+    out = tmp_path / "out"
+    if option == "--graph-ids":
+        run = run_train(tmp_path, data, "run")
+        argv = ["export-attn", "--checkpoint", str(run / "checkpoint.bin")]
+    else:
+        argv = ["sweep"] + FAST_TRAIN
+    capsys.readouterr()
+    assert main(argv + ["--data", str(data), "--out", str(out), option, value]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and re.fullmatch(f"error: ConfigError: {message}\n", err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_model_too_large_to_allocate_prints_one_line(tmp_path, capsys, monkeypatch, command):
+    # a model the machine cannot hold (say gin_hidden=1000000) once printed
+    # numpy's allocation traceback; init_model stands in for the allocation
+    data = write_small_dataset(tmp_path)
+    run = run_train(tmp_path, data, "run")
+
+    def init_model(config, feature_dim):
+        raise MemoryError("Unable to allocate 7.28 TiB")
+
+    monkeypatch.setattr(trainer, "init_model", init_model)
+    capsys.readouterr()
+    if command == "train":
+        argv = ["train", "--data", str(data), "--out", str(tmp_path / "big")] + FAST_TRAIN
+        message = "error: MemoryError: Unable to allocate 7.28 TiB\n"
+    else:
+        argv = ["eval", "--checkpoint", str(run / "checkpoint.bin"), "--data", str(data),
+                "--out", str(tmp_path / "eval")]
+        message = "error: CheckpointError: cannot allocate the model of the stored config "
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
+    assert not (tmp_path / "eval").exists()

@@ -33,6 +33,11 @@ def test_graph_rejects_self_loop_and_duplicate():
         Graph(num_nodes=3, node_features=np.zeros((3, 2)), edges=((0, 1), (1, 0)))
 
 
+def test_graph_rejects_zero_nodes():
+    with pytest.raises(GraphError, match="graph must have at least one node"):
+        Graph(num_nodes=0, node_features=np.zeros((0, 2)), edges=())
+
+
 def test_graph_rejects_bad_features():
     with pytest.raises(GraphError):
         Graph(num_nodes=3, node_features=np.zeros((2, 2)), edges=())
@@ -206,6 +211,7 @@ def test_feature_length_mismatch_names_line(tmp_path):
     ('{"n":1,"x":[0]}', "record must carry fields n, x, e"),
     ('{"n":2,"x":[0,0,0],"e":[]}', "feature list length 3 not divisible by 2 nodes"),
     ('{"n":2,"x":[0,0],"e":[0,1,1]}', "edge list must hold endpoint pairs"),
+    ('{"n":1,"x":[0,0],"e":[]}', "feature dim 2 differs from earlier dim 1"),
     ('{"n":2,"x":[0,0],"e":[0,1],"label":1}', "unknown field 'label'"),  # not "y"
 ])
 def test_bad_record_names_line(tmp_path, record, message):

@@ -96,6 +96,11 @@ def test_js_requires_two_graphs():
         js_terms(g, [Tensor(np.ones((1, 3)))])
 
 
+def test_nodewise_js_requires_two_graphs():
+    with pytest.raises(ContractError, match="node-wise JS loss needs at least 2 graphs"):
+        js_terms_nodewise([Tensor(np.ones((1, 3)))], Tensor(np.ones((2, 3))), RowSum([0, 0], 1))
+
+
 def test_js_group_count_mismatch():
     with pytest.raises(ContractError):
         js_terms(random_groups(0, 3, 2, 4), random_groups(1, 3, 3, 4))

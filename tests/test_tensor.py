@@ -216,6 +216,43 @@ def test_mixed_tapes_rejected():
         T.add(a, b)
 
 
+def test_backward_rejects_loss_of_another_tape():
+    t1, t2 = Tape(), Tape()
+    loss = T.tsum(t2.leaf(np.ones(2)))
+    with pytest.raises(ContractError, match="backward: loss was not produced by this tape"):
+        backward(t1, loss)
+
+
+def test_backward_skips_op_off_the_loss_path():
+    # relu(b) is recorded but never reaches the loss: its entry gets no
+    # gradient, and b a zero gradient of its own shape
+    tape = Tape()
+    a, b = tape.leaf(np.ones(3)), tape.leaf(np.ones((2, 2)))
+    T.relu(b)
+    grads = backward(tape, T.tsum(a))
+    assert np.array_equal(grads[a.node_id], np.ones(3))
+    assert np.array_equal(grads[b.node_id], np.zeros((2, 2)))
+
+
+_MATRIX, _VECTOR = Tensor(np.ones((2, 3))), Tensor(np.ones(3))
+
+
+@pytest.mark.parametrize("op, message", [
+    (lambda: T.add(_MATRIX, Tensor(np.ones(2))), r"add: shapes \(2, 3\) \+ \(2,\)"),
+    (lambda: T.mul(_MATRIX, Tensor(np.ones(2))), r"elementwise-multiply: shapes \(2, 3\) \*"),
+    (lambda: T.concat([]), "concat-along-axis: empty input list"),
+    (lambda: T.segment_softmax(_VECTOR, [(0, 3)]), "segment-row-softmax: expected matrix"),
+    (lambda: T.row_l2_normalize(_VECTOR), "row-L2-normalize: expected matrix"),
+    (lambda: T.slice_cols(_VECTOR, 0, 1), "slice-cols: expected matrix"),
+    (lambda: T.RowSum(np.zeros((2, 2), dtype=int), 2), "row-sum: index must be a vector"),
+    (lambda: T.neighbour_sum(_MATRIX, T.RowSum([0, 1], 2), np.array([1, 0, 1])),
+     "neighbour-sum: plan over 2 rows and 3 / 2 edges"),
+])
+def test_op_rejects_bad_shapes(op, message):
+    with pytest.raises(DimensionError, match=message):
+        op()
+
+
 def test_fanout_accumulates():
     tape = Tape()
     a = tape.leaf(np.array([3.0]))

@@ -5,6 +5,7 @@ import json
 import math
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -345,6 +346,7 @@ CORRUPTIONS = {
     "no varnets": lambda h, a: [a.pop(k) for k in list(a) if k.startswith("v") and "/var." in k],
     "var_adam for nonparam": lambda h, a: h["config"].update(estimator="nonparam"),
     "non-finite value": lambda h, a: a.update({"p/rep.q": np.full_like(a["p/rep.q"], np.nan)}),
+    "reordered listing": lambda h, a: a.update({"p/rep.q": a.pop("p/rep.q")}),
 }
 
 
@@ -469,6 +471,42 @@ def test_version_1_checkpoint_loads_unverified(tmp_path):
     write_checkpoint_parts(path, dict(header, version=1), arrays)
     back = checkpoint_load(path)
     assert all(back.params[k].tobytes() == state.params[k].tobytes() for k in state.params)
+
+
+def test_checkpoint_names_the_first_array_out_of_place(tmp_path):
+    # every version has written the arrays in one order, so a file that
+    # lists them in another is refused, not sorted back
+    path = tmp_path / "ck.bin"
+    checkpoint_save(path, init_model(RunConfig(seed=9), 8))
+    header, arrays = read_checkpoint_parts(path.read_bytes())
+    (first, a), (second, b) = list(arrays.items())[:2]
+    arrays[first] = arrays.pop(first)
+    write_checkpoint_parts(path, header, arrays)
+    got, want = [second, list(b.shape)], [first, list(a.shape)]
+    with pytest.raises(CheckpointError,
+                       match=re.escape(f"array {got!r} where the stored config has {want!r}")):
+        checkpoint_load(path)
+
+
+def test_checkpoint_bounds_the_input_width_by_its_data(tmp_path):
+    # a 0.25 MB file listing the input weight (and its moments) as
+    # (200000, 0) once had init_model allocate 147 MB before the arrays
+    # were compared
+    path = tmp_path / "ck.bin"
+    checkpoint_save(path, init_model(RunConfig(seed=9), 8))
+    header, arrays = read_checkpoint_parts(path.read_bytes())
+    del header["sha256"]
+    for key in ("p/gin.0.w1", "m/gin.0.w1", "v/gin.0.w1"):
+        arrays[key] = np.zeros((200000, 0))
+    write_checkpoint_parts(path, dict(header, version=1), arrays)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError, match="input width 200000 exceeds the file's data"):
+            checkpoint_load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 @given(cut=st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
