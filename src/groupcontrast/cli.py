@@ -142,17 +142,20 @@ def _cmd_sweep(args) -> int:
     p_values = _parse_list("--p-grid", args.p_grid, int)
     lam_values = _parse_list("--lambda-grid", args.lambda_grid, float)
     base = load_config(RunConfig, args.config, args.override)
+    # every config of the grid is built, and so checked, before the data is
+    # read and the first run trains
+    grid = [dataclasses.replace(base, num_groups=p, diversity_weight=lam)
+            for p in p_values for lam in lam_values]
     dataset = load_dataset(args.data)
     rows = []
-    for p in p_values:
-        for lam in lam_values:
-            cfg = dataclasses.replace(base, num_groups=p, diversity_weight=lam)
-            state, history = train(cfg, dataset)
-            table = extract_embeddings(state, dataset)
-            probe = linear_probe(table, split_seed=cfg.seed)
-            final = history[-1].total if history else float("nan")
-            rows.append((p, lam, final, probe.test_accuracy))
-            print(f"p={p} lambda={lam}: test accuracy {probe.test_accuracy:.4f}")
+    for cfg in grid:
+        state, history = train(cfg, dataset)
+        table = extract_embeddings(state, dataset)
+        probe = linear_probe(table, split_seed=cfg.seed)
+        final = history[-1].total if history else float("nan")
+        rows.append((cfg.num_groups, cfg.diversity_weight, final, probe.test_accuracy))
+        print(f"p={cfg.num_groups} lambda={cfg.diversity_weight}: "
+              f"test accuracy {probe.test_accuracy:.4f}")
     _write_rows(Path(args.out) / "sweep.csv",
                 ["p", "lambda", "final_loss", "test_accuracy"], rows)
     return 0
@@ -211,7 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--p-grid", default="1,2,3,4,5")
+    p.add_argument("--p-grid", default="1,2,4,5",
+                   help="group counts; each must divide embed_dim")
     p.add_argument("--lambda-grid", default="0.0,0.1,0.3,0.5,0.7,0.9")
     add_overrides(p)
     p.set_defaults(fn=_cmd_sweep)

@@ -22,18 +22,17 @@ def init_gin_params(
     hidden: int,
     num_layers: int,
     learnable_eps: bool = False,
-    prefix: str = "gin",
 ) -> dict[str, np.ndarray]:
     """Per-layer two-linear MLP (d_in -> hidden -> hidden) with ReLU inside."""
     params: dict[str, np.ndarray] = {}
     d = in_dim
     for layer in range(num_layers):
-        params[f"{prefix}.{layer}.w1"] = glorot_uniform(rng, d, hidden)
-        params[f"{prefix}.{layer}.b1"] = np.zeros(hidden)
-        params[f"{prefix}.{layer}.w2"] = glorot_uniform(rng, hidden, hidden)
-        params[f"{prefix}.{layer}.b2"] = np.zeros(hidden)
+        params[f"gin.{layer}.w1"] = glorot_uniform(rng, d, hidden)
+        params[f"gin.{layer}.b1"] = np.zeros(hidden)
+        params[f"gin.{layer}.w2"] = glorot_uniform(rng, hidden, hidden)
+        params[f"gin.{layer}.b2"] = np.zeros(hidden)
         if learnable_eps:
-            params[f"{prefix}.{layer}.eps"] = np.zeros(1)
+            params[f"gin.{layer}.eps"] = np.zeros(1)
         d = hidden
     return params
 
@@ -60,7 +59,6 @@ def encode_nodes(
     batch: Batch,
     params: Mapping[str, Tensor],
     num_layers: int,
-    prefix: str = "gin",
 ) -> Tensor:
     """Stack GIN layers over the batched node block; L=0 returns the inputs."""
     h = Tensor(batch.features)
@@ -68,11 +66,11 @@ def encode_nodes(
         h = gin_layer(
             h,
             batch,
-            params[f"{prefix}.{layer}.w1"],
-            params[f"{prefix}.{layer}.b1"],
-            params[f"{prefix}.{layer}.w2"],
-            params[f"{prefix}.{layer}.b2"],
-            eps=params.get(f"{prefix}.{layer}.eps"),
+            params[f"gin.{layer}.w1"],
+            params[f"gin.{layer}.b1"],
+            params[f"gin.{layer}.w2"],
+            params[f"gin.{layer}.b2"],
+            eps=params.get(f"gin.{layer}.eps"),
         )
     return h
 
@@ -81,15 +79,14 @@ def init_projection_head(
     rng: np.random.Generator,
     node_dim: int,
     out_dim: int,
-    prefix: str = "head",
 ) -> dict[str, np.ndarray]:
     """Two dense layers of width out_dim (no biases), plus a linear lift when
     the node width differs from the head width."""
     params: dict[str, np.ndarray] = {}
     if node_dim != out_dim:
-        params[f"{prefix}.lift"] = glorot_uniform(rng, node_dim, out_dim)
-    params[f"{prefix}.w1"] = glorot_uniform(rng, out_dim, out_dim)
-    params[f"{prefix}.w2"] = glorot_uniform(rng, out_dim, out_dim)
+        params["head.lift"] = glorot_uniform(rng, node_dim, out_dim)
+    params["head.w1"] = glorot_uniform(rng, out_dim, out_dim)
+    params["head.w2"] = glorot_uniform(rng, out_dim, out_dim)
     return params
 
 
@@ -97,11 +94,10 @@ def readout_projection(
     node_embeddings: Tensor,
     batch: Batch,
     params: Mapping[str, Tensor],
-    prefix: str = "head",
 ) -> Tensor:
     """Per-graph sum readout followed by the two-layer projection head."""
     pooled = T.index_add(node_embeddings, batch.by_graph)
-    if f"{prefix}.lift" in params:
-        pooled = T.matmul(pooled, params[f"{prefix}.lift"])
-    hidden = T.relu(T.matmul(pooled, params[f"{prefix}.w1"]))
-    return T.matmul(hidden, params[f"{prefix}.w2"])
+    if "head.lift" in params:
+        pooled = T.matmul(pooled, params["head.lift"])
+    hidden = T.relu(T.matmul(pooled, params["head.w1"]))
+    return T.matmul(hidden, params["head.w2"])

@@ -11,7 +11,7 @@ from .graphs import Dataset, Graph, batch_graphs
 from .optim import adam_step, init_adam
 from .representor import forward_groups
 from .seeding import stream_rng
-from .tensor import ContractError, NumericError, Tensor
+from .tensor import ContractError, NumericError
 from .trainer import ModelState, embed_view, input_width
 
 
@@ -43,8 +43,7 @@ def extract_embeddings(state: ModelState, dataset: Dataset) -> EmbeddingTable:
     if dataset.feature_dim != expected:
         raise ContractError(
             f"dataset feature dim {dataset.feature_dim} does not match model input width {expected}")
-    leaves = {name: Tensor(v) for name, v in state.params.items()}
-    groups, _ = embed_view(state.config, leaves, batch_graphs(list(dataset.graphs)))
+    groups, _ = embed_view(state.config, state.params, batch_graphs(list(dataset.graphs)))
     embeddings = np.concatenate([g.values for g in groups], axis=1)
     return EmbeddingTable(
         ids=tuple(range(len(dataset))),
@@ -197,11 +196,9 @@ def export_attention(state: ModelState, graph: Graph) -> np.ndarray:
     weights over the nodes."""
     if "rep.wk" not in state.params:
         raise ContractError("model has no representor")
-    leaves = {name: Tensor(v) for name, v in state.params.items()}
     batch = batch_graphs([graph])
-    nodes = encode_nodes(batch, leaves, state.config.gin_layers, prefix="gin")
-    _, att = forward_groups(
-        batch, nodes, leaves, scale_scores=state.config.scale_scores, prefix="rep")
+    nodes = encode_nodes(batch, state.params, state.config.gin_layers)
+    _, att = forward_groups(batch, nodes, state.params, scale_scores=state.config.scale_scores)
     return att.values
 
 

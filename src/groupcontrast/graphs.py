@@ -2,6 +2,7 @@
 planted-motif generator, and block-segment batching."""
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property
@@ -257,27 +258,19 @@ def generate_planted_motif_dataset(
     graphs = []
     n = nodes_per_graph
     us, vs = np.triu_indices(n, 1)  # node pairs (0, 1), (0, 2), ..., (1, 2), ...
+    num_background = int(round(_BACKGROUND_DENSITY * len(us)))
     for i in range(num_graphs):
         label = i % 2
-        num_background = int(round(_BACKGROUND_DENSITY * len(us)))
         chosen = rng.choice(len(us), size=num_background, replace=False)
-        edge_set: set[tuple[int, int]] = set(zip(us[chosen].tolist(), vs[chosen].tolist()))
-        motif_size = 4 if label == 0 else 6
-        motif = sorted(rng.choice(n, size=motif_size, replace=False).tolist())
+        edge_set = set(zip(us[chosen].tolist(), vs[chosen].tolist()))
+        motif = sorted(rng.choice(n, size=4 if label == 0 else 6, replace=False).tolist())
+        pairs = set(itertools.combinations(motif, 2))
         if label == 0:
-            for a in range(motif_size):
-                for b in range(a + 1, motif_size):
-                    edge_set.add((motif[a], motif[b]))
+            edge_set |= pairs
         else:
             # the cycle is planted as an induced subgraph: background chords
             # between motif nodes are removed so the motif really is a 6-cycle
-            ring = list(motif)
-            for a in range(motif_size):
-                for b in range(a + 1, motif_size):
-                    edge_set.discard((motif[a], motif[b]))
-            for a in range(motif_size):
-                u, v = ring[a], ring[(a + 1) % motif_size]
-                edge_set.add((min(u, v), max(u, v)))
+            edge_set = (edge_set - pairs) | set(zip(motif, motif[1:])) | {(motif[0], motif[-1])}
         edges = tuple(sorted(edge_set))
         degree = np.bincount(np.ravel(edges), minlength=n)
         feats = np.zeros((n, feature_dim))

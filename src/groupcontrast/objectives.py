@@ -125,32 +125,24 @@ def interspace_penalty_nonparam(u_groups: Sequence[Tensor]) -> Tensor:
     return T.smul(total, 1.0 / (p * (p - 1) // 2 * b))
 
 
-def init_varnet_params(rng: np.random.Generator, dim: int, prefix: str = "var") -> dict[str, np.ndarray]:
+def init_varnet_params(rng: np.random.Generator, dim: int) -> dict[str, np.ndarray]:
     """Two two-layer MLPs (dim -> dim) producing the conditional mean and the
     per-dimension log-variance."""
     params = {}
     for net in ("mu", "lv"):
-        params[f"{prefix}.{net}.w1"] = glorot_uniform(rng, dim, dim)
-        params[f"{prefix}.{net}.b1"] = np.zeros(dim)
-        params[f"{prefix}.{net}.w2"] = glorot_uniform(rng, dim, dim)
-        params[f"{prefix}.{net}.b2"] = np.zeros(dim)
+        params[f"var.{net}.w1"] = glorot_uniform(rng, dim, dim)
+        params[f"var.{net}.b1"] = np.zeros(dim)
+        params[f"var.{net}.w2"] = glorot_uniform(rng, dim, dim)
+        params[f"var.{net}.b2"] = np.zeros(dim)
     return params
 
 
-def _varnet_forward(x: Tensor, params: Mapping, net: str, prefix: str = "var") -> Tensor:
-    def pick(name):
-        val = params[f"{prefix}.{net}.{name}"]
-        return val if isinstance(val, Tensor) else Tensor(val)
-
-    hidden = T.relu(T.add(T.matmul(x, pick("w1")), pick("b1")))
-    return T.add(T.matmul(hidden, pick("w2")), pick("b2"))
+def _varnet_forward(x: Tensor, params: Mapping, net: str) -> Tensor:
+    hidden = T.relu(T.add(T.matmul(x, params[f"var.{net}.w1"]), params[f"var.{net}.b1"]))
+    return T.add(T.matmul(hidden, params[f"var.{net}.w2"]), params[f"var.{net}.b2"])
 
 
-def _club_expression(
-    u_groups: Sequence[Tensor],
-    var_params: Mapping,
-    prefix: str = "var",
-) -> Tensor:
+def _club_expression(u_groups: Sequence[Tensor], var_params: Mapping) -> Tensor:
     """Mean over graphs and ordered group pairs (k != l) of
     sum_i(-lv_i - (u^(l)_i - mu_i)^2 / exp(lv_i)), where mu and lv are the
     variational nets applied to u^(k).
@@ -165,8 +157,8 @@ def _club_expression(
     b, d = u_groups[0].shape
     u = _stack(u_groups)
     rows = T.reshape(u, (b * p, d))
-    mu = T.reshape(_varnet_forward(rows, var_params, "mu", prefix), (b, p, 1, d))
-    lv = _varnet_forward(rows, var_params, "lv", prefix)
+    mu = T.reshape(_varnet_forward(rows, var_params, "mu"), (b, p, 1, d))
+    lv = _varnet_forward(rows, var_params, "lv")
     inv_var = T.reshape(T.exp(T.neg(lv)), (b, p, 1, d))
     resid = T.square(T.sub(T.reshape(u, (b, 1, p, d)), mu))
     off_diag = Tensor((1.0 - np.eye(p))[:, :, None])

@@ -18,13 +18,12 @@ def init_representor_params(
     key_dim: int,
     group_dim: int,
     num_groups: int,
-    prefix: str = "rep",
 ) -> dict[str, np.ndarray]:
     return {
-        f"{prefix}.wk": glorot_uniform(rng, node_dim, key_dim),
-        f"{prefix}.wv": glorot_uniform(rng, node_dim, group_dim),
+        "rep.wk": glorot_uniform(rng, node_dim, key_dim),
+        "rep.wv": glorot_uniform(rng, node_dim, group_dim),
         # queries scaled to keep initial attention scores O(1)
-        f"{prefix}.q": rng.standard_normal((key_dim, num_groups)) / np.sqrt(key_dim),
+        "rep.q": rng.standard_normal((key_dim, num_groups)) / np.sqrt(key_dim),
     }
 
 
@@ -87,9 +86,8 @@ def forward_groups(
     node_embeddings: Tensor,
     params: Mapping[str, Tensor],
     scale_scores: bool = False,
-    prefix: str = "rep",
 ) -> tuple[list[Tensor], Tensor]:
     """Full representor pass; returns group tensors and the attention matrix."""
-    a = attention(node_embeddings, params[f"{prefix}.wk"], params[f"{prefix}.q"],
+    a = attention(node_embeddings, params["rep.wk"], params["rep.q"],
                   batch.segments, scale_scores)
-    return group_embed(node_embeddings, a, batch, params[f"{prefix}.wv"]), a
+    return group_embed(node_embeddings, a, batch, params["rep.wv"]), a

@@ -57,27 +57,34 @@ class ModelState:
     epoch: int = 0
 
 
+def _view_r_name(name: str) -> str:
+    """The name of view r's own copy of a parameter when the views are
+    untied: "gin.0.w1" -> "gin_r.0.w1"."""
+    module, _, rest = name.partition(".")
+    return f"{module}_r.{rest}"
+
+
 def init_model(config: RunConfig, feature_dim: int) -> ModelState:
     rng = stream_rng(config.seed, "init")
     # encode_nodes output width; equals the input width when L = 0
     node_dim = config.gin_hidden if config.gin_layers > 0 else feature_dim
     baseline = config.pipeline == "graphcl-baseline"
 
-    def encoder(prefix):
+    def encoder():
         return init_gin_params(rng, feature_dim, config.gin_hidden, config.gin_layers,
-                               learnable_eps=config.learnable_eps, prefix=prefix)
+                               learnable_eps=config.learnable_eps)
 
-    def representor(prefix):
+    def representor():
         return init_representor_params(rng, node_dim, config.key_dim, config.group_dim,
-                                       config.num_groups, prefix=prefix)
+                                       config.num_groups)
 
-    params = encoder("gin")
-    params.update(init_projection_head(rng, node_dim, config.embed_dim, prefix="head")
-                  if baseline else representor("rep"))
+    params = encoder()
+    params.update(init_projection_head(rng, node_dim, config.embed_dim)
+                  if baseline else representor())
     if not config.tie_views and config.pipeline != "groupig":
-        params.update(encoder("gin_r"))
-        if not baseline:
-            params.update(representor("rep_r"))
+        # view r's own encoder and representor; the baseline's head is shared
+        second = encoder() if baseline else {**encoder(), **representor()}
+        params.update({_view_r_name(name): v for name, v in second.items()})
     if config.pipeline == "groupig":
         # linear map from node embeddings to the group width before
         # node-level discrimination
@@ -85,7 +92,7 @@ def init_model(config: RunConfig, feature_dim: int) -> ModelState:
     var_params: dict[str, np.ndarray] = {}
     var_opt = None
     if config.estimator == "param" and not baseline:
-        var_params = obj.init_varnet_params(rng, config.group_dim, prefix="var")
+        var_params = obj.init_varnet_params(rng, config.group_dim)
         var_opt = init_adam(var_params, config.learning_rate)
     return ModelState(
         config=config,
@@ -99,35 +106,35 @@ def init_model(config: RunConfig, feature_dim: int) -> ModelState:
 
 def embed_view(
     config: RunConfig,
-    leaves: Mapping[str, Tensor],
+    params: Mapping[str, Tensor],
     batch: Batch,
     view: str = "u",
 ) -> tuple[list[Tensor], Tensor]:
     """A view's graph-level tensors and the node embeddings they pool. The
     graph-level tensors are the p group embeddings, or the baseline's one
-    normalized projection. View "r" runs the second encoder when the views
-    are untied."""
-    branch = "_r" if view == "r" and not config.tie_views else ""
-    nodes = encode_nodes(batch, leaves, config.gin_layers, prefix="gin" + branch)
+    normalized projection. When the views are untied, view "r" reads each
+    parameter's own copy where one exists. ``params`` may hold tape leaves
+    or plain arrays, which the tape ops take as constants."""
+    if view == "r" and not config.tie_views:
+        params = {name: params.get(_view_r_name(name), v) for name, v in params.items()}
+    nodes = encode_nodes(batch, params, config.gin_layers)
     if config.pipeline == "graphcl-baseline":
-        return [T.row_l2_normalize(readout_projection(nodes, batch, leaves, prefix="head"))], nodes
-    groups, _ = forward_groups(
-        batch, nodes, leaves, scale_scores=config.scale_scores, prefix="rep" + branch)
+        return [T.row_l2_normalize(readout_projection(nodes, batch, params))], nodes
+    groups, _ = forward_groups(batch, nodes, params, scale_scores=config.scale_scores)
     return groups, nodes
 
 
-def _node_view(leaves: Mapping[str, Tensor], nodes: Tensor) -> Tensor:
+def _node_view(params: Mapping[str, Tensor], nodes: Tensor) -> Tensor:
     """GroupIG's second view: the node embeddings mapped to the group width
     and normalized."""
-    return T.row_l2_normalize(T.matmul(nodes, leaves["nodemap.w"]))
+    return T.row_l2_normalize(T.matmul(nodes, params["nodemap.w"]))
 
 
 def node_view_representations(state: ModelState, batch: Batch) -> list[np.ndarray]:
     """The duplicated node-level view: p value-independent copies of the
     normalized, width-mapped node embeddings."""
-    leaves = {name: Tensor(v) for name, v in state.params.items()}
-    nodes = encode_nodes(batch, leaves, state.config.gin_layers)
-    return duplicate_rep(_node_view(leaves, nodes).values, state.config.num_groups)
+    nodes = encode_nodes(batch, state.params, state.config.gin_layers)
+    return duplicate_rep(_node_view(state.params, nodes).values, state.config.num_groups)
 
 
 def _adam_update(params, opt: AdamState, tape: Tape, leaves: dict[str, Tensor], loss: Tensor):
@@ -186,11 +193,17 @@ def train(
     state: ModelState | None = None,
 ) -> tuple[ModelState, list[HistoryRow]]:
     """Run (or resume) training; the trajectory is fully determined by
-    (seed, config, dataset)."""
+    (seed, config, dataset). A resumed ``state`` must carry ``config`` up to
+    ``epochs``, because its steps read the state's config."""
     if len(dataset) == 0:
         raise TrainingError("dataset is empty")
     if state is None:
         state = init_model(config, dataset.feature_dim)
+    for f in dataclasses.fields(config):
+        had, has = getattr(state.config, f.name), getattr(config, f.name)
+        if f.name != "epochs" and had != has:
+            raise TrainingError(f"cannot resume with {f.name}={has!r}: the state was trained "
+                                f"with {f.name}={had!r}, and a resumed run may change epochs only")
     step_fn = _STEP_FNS[config.pipeline]
     history: list[HistoryRow] = []
     n = len(dataset)

@@ -5,8 +5,9 @@ import struct
 import numpy as np
 import pytest
 
-from groupcontrast import trainer
-from groupcontrast.cli import main
+from groupcontrast import cli, trainer
+from groupcontrast.cli import build_parser, main
+from groupcontrast.config import RunConfig
 from groupcontrast.evaluation import export_attention, extract_embeddings, linear_probe
 from groupcontrast.graphs import generate_planted_motif_dataset, load_dataset, save_dataset
 from groupcontrast.trainer import checkpoint_load
@@ -298,6 +299,30 @@ def test_sweep_writes_grid(tmp_path):
     assert len(rows) == 3
     assert rows[1].startswith("1,0.5,")
     assert rows[2].startswith("4,0.5,")
+
+
+def test_sweep_checks_every_grid_point_before_training(tmp_path, capsys, monkeypatch):
+    # p=3 does not divide embed_dim=40; the runs for p=1 and p=2 once
+    # trained before the grid failed and nothing was written
+    data = write_small_dataset(tmp_path)
+    calls = []
+
+    def train(config, dataset, state=None):
+        calls.append(config.num_groups)
+        return trainer.train(config, dataset, state)
+
+    monkeypatch.setattr(cli, "train", train)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--data", str(data), "--out", str(out), "--p-grid", "1,2,3",
+                 "--lambda-grid", "0.5"] + FAST_TRAIN[:2] + ["embed_dim=40"]) == 1
+    assert capsys.readouterr().err == (
+        "error: ConfigError: embed_dim 40 not divisible by num_groups 3\n")
+    assert calls == [] and not out.exists()
+
+
+def test_sweep_default_group_counts_divide_default_embed_dim():
+    default = build_parser().parse_args(["sweep", "--data", "d", "--out", "o"]).p_grid
+    assert all(RunConfig().embed_dim % int(p) == 0 for p in default.split(","))
 
 
 def test_train_epochs_zero_writes_initial_checkpoint(tmp_path):

@@ -94,10 +94,39 @@ def test_param_estimator_trains_varnets():
 
 
 def test_untied_views_create_second_branch():
-    cfg = RunConfig(tie_views=False, seed=3, **FAST)
-    state, _ = train(cfg, DATASET)
-    assert "gin_r.0.w1" in state.params
-    assert "rep_r.q" in state.params
+    # view r reads exactly its own copies: with each gin_r.* and rep_r.*
+    # array stored under its gin.* or rep.* name, view u gives the same
+    # bytes; the baseline's head.* stays shared
+    batch = batch_graphs(list(DATASET.graphs[:8]))
+    for pipeline in ("groupcl", "graphcl-baseline"):
+        cfg = RunConfig(pipeline=pipeline, tie_views=False, seed=3, **FAST)
+        state, _ = train(cfg, DATASET)
+        assert "gin_r.0.w1" in state.params
+        assert ("rep_r.q" in state.params) == (pipeline == "groupcl")
+        assert not any(name.startswith("head_r.") for name in state.params)
+        swapped = dict(state.params)
+        for name, value in state.params.items():
+            if name.startswith(("gin_r.", "rep_r.")):
+                swapped[name.replace("_r.", ".", 1)] = value
+        r_groups, r_nodes = trainer.embed_view(cfg, state.params, batch, "r")
+        u_groups, u_nodes = trainer.embed_view(cfg, swapped, batch, "u")
+        assert r_nodes.values.tobytes() == u_nodes.values.tobytes()
+        assert [g.values.tobytes() for g in r_groups] == [g.values.tobytes() for g in u_groups]
+        own_u, _ = trainer.embed_view(cfg, state.params, batch, "u")
+        assert own_u[0].values.tobytes() != r_groups[0].values.tobytes()
+
+
+@pytest.mark.parametrize("field, value", [("diversity_weight", 0.0), ("learning_rate", 0.5),
+                                          ("seed", 3), ("batch_size", 12)])
+def test_resume_refuses_a_changed_config(field, value):
+    # a resumed run's steps read the state's config, so any change but
+    # epochs would mix two configs in one run
+    first = RunConfig(seed=0, epochs=1, batch_size=16)
+    state, _ = train(first, DATASET)
+    changed = dataclasses.replace(first, epochs=2, **{field: value})
+    with pytest.raises(TrainingError, match=f"{field}={value!r}"):
+        train(changed, DATASET, state=state)
+    assert state.epoch == 1
 
 
 @pytest.mark.parametrize("overrides", [
