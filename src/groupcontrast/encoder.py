@@ -16,6 +16,40 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.nd
     return rng.uniform(-a, a, size=(fan_in, fan_out))
 
 
+# A layout lists a block's parameters in draw order as (name, shape, init):
+# "glorot" draws glorot_uniform over the two axes, "normal" a standard normal
+# over the square root of the row count, and "zeros" draws nothing. Shapes
+# are known before any array exists.
+Layout = list[tuple[str, tuple[int, ...], str]]
+
+
+def draw_params(rng: np.random.Generator, layout: Layout) -> dict[str, np.ndarray]:
+    params = {}
+    for name, shape, init in layout:
+        if init == "glorot":
+            params[name] = glorot_uniform(rng, *shape)
+        elif init == "normal":
+            params[name] = rng.standard_normal(shape) / np.sqrt(shape[0])
+        else:
+            params[name] = np.zeros(shape)
+    return params
+
+
+def gin_layout(in_dim: int, hidden: int, num_layers: int, learnable_eps: bool = False) -> Layout:
+    """Per-layer two-linear MLP (d_in -> hidden -> hidden) with ReLU inside."""
+    layout: Layout = []
+    d = in_dim
+    for layer in range(num_layers):
+        layout += [(f"gin.{layer}.w1", (d, hidden), "glorot"),
+                   (f"gin.{layer}.b1", (hidden,), "zeros"),
+                   (f"gin.{layer}.w2", (hidden, hidden), "glorot"),
+                   (f"gin.{layer}.b2", (hidden,), "zeros")]
+        if learnable_eps:
+            layout.append((f"gin.{layer}.eps", (1,), "zeros"))
+        d = hidden
+    return layout
+
+
 def init_gin_params(
     rng: np.random.Generator,
     in_dim: int,
@@ -23,18 +57,7 @@ def init_gin_params(
     num_layers: int,
     learnable_eps: bool = False,
 ) -> dict[str, np.ndarray]:
-    """Per-layer two-linear MLP (d_in -> hidden -> hidden) with ReLU inside."""
-    params: dict[str, np.ndarray] = {}
-    d = in_dim
-    for layer in range(num_layers):
-        params[f"gin.{layer}.w1"] = glorot_uniform(rng, d, hidden)
-        params[f"gin.{layer}.b1"] = np.zeros(hidden)
-        params[f"gin.{layer}.w2"] = glorot_uniform(rng, hidden, hidden)
-        params[f"gin.{layer}.b2"] = np.zeros(hidden)
-        if learnable_eps:
-            params[f"gin.{layer}.eps"] = np.zeros(1)
-        d = hidden
-    return params
+    return draw_params(rng, gin_layout(in_dim, hidden, num_layers, learnable_eps))
 
 
 def gin_layer(
@@ -75,19 +98,20 @@ def encode_nodes(
     return h
 
 
+def head_layout(node_dim: int, out_dim: int) -> Layout:
+    """Two dense layers of width out_dim (no biases), plus a linear lift when
+    the node width differs from the head width."""
+    lift = [("head.lift", (node_dim, out_dim), "glorot")] if node_dim != out_dim else []
+    return lift + [("head.w1", (out_dim, out_dim), "glorot"),
+                   ("head.w2", (out_dim, out_dim), "glorot")]
+
+
 def init_projection_head(
     rng: np.random.Generator,
     node_dim: int,
     out_dim: int,
 ) -> dict[str, np.ndarray]:
-    """Two dense layers of width out_dim (no biases), plus a linear lift when
-    the node width differs from the head width."""
-    params: dict[str, np.ndarray] = {}
-    if node_dim != out_dim:
-        params["head.lift"] = glorot_uniform(rng, node_dim, out_dim)
-    params["head.w1"] = glorot_uniform(rng, out_dim, out_dim)
-    params["head.w2"] = glorot_uniform(rng, out_dim, out_dim)
-    return params
+    return draw_params(rng, head_layout(node_dim, out_dim))
 
 
 def readout_projection(

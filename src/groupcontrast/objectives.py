@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import tensor as T
-from .encoder import glorot_uniform
+from .encoder import Layout, draw_params
 from .tensor import ContractError, Tensor
 
 
@@ -93,7 +93,8 @@ def js_terms_nodewise(
 ) -> tuple[Tensor, Tensor]:
     """JS terms with node-level partners: positives pair a graph's group
     embedding with its own nodes, negatives with all other graphs' nodes.
-    ``by_graph`` buckets the nodes by their graph.
+    ``by_graph`` buckets the nodes by their graph. One fused op sums the
+    softplus over every group-node score, so no (B*p, N) block is built.
     """
     b = u_groups[0].shape[0]
     n, d = r_nodes.shape
@@ -101,10 +102,7 @@ def js_terms_nodewise(
         raise ContractError("node-wise JS loss needs at least 2 graphs")
     p = len(u_groups)
     u = _stack(u_groups)
-    scores = T.matmul(T.reshape(u, (b * p, d)), T.transpose(r_nodes))
-    # summed before u_own exists, so the (B*p, N) softplus temporaries and
-    # the (N, p, d) u_own block are never held at once
-    all_sum = T.tsum(T.softplus(scores))
+    all_sum = T.softplus_sum_of_products(T.reshape(u, (b * p, d)), r_nodes)
     u_own = T.reshape(T.take_rows(T.reshape(u, (b, p * d)), by_graph), (n, p, d))
     own = T.matmul(u_own, T.reshape(r_nodes, (n, d, 1)))   # (N, p, 1)
     return _js_halves(all_sum, own, b - 1)
@@ -125,16 +123,16 @@ def interspace_penalty_nonparam(u_groups: Sequence[Tensor]) -> Tensor:
     return T.smul(total, 1.0 / (p * (p - 1) // 2 * b))
 
 
-def init_varnet_params(rng: np.random.Generator, dim: int) -> dict[str, np.ndarray]:
+def varnet_layout(dim: int) -> Layout:
     """Two two-layer MLPs (dim -> dim) producing the conditional mean and the
     per-dimension log-variance."""
-    params = {}
-    for net in ("mu", "lv"):
-        params[f"var.{net}.w1"] = glorot_uniform(rng, dim, dim)
-        params[f"var.{net}.b1"] = np.zeros(dim)
-        params[f"var.{net}.w2"] = glorot_uniform(rng, dim, dim)
-        params[f"var.{net}.b2"] = np.zeros(dim)
-    return params
+    return [(f"var.{net}.{name}", shape, init) for net in ("mu", "lv")
+            for name, shape, init in (("w1", (dim, dim), "glorot"), ("b1", (dim,), "zeros"),
+                                      ("w2", (dim, dim), "glorot"), ("b2", (dim,), "zeros"))]
+
+
+def init_varnet_params(rng: np.random.Generator, dim: int) -> dict[str, np.ndarray]:
+    return draw_params(rng, varnet_layout(dim))
 
 
 def _varnet_forward(x: Tensor, params: Mapping, net: str) -> Tensor:

@@ -7,9 +7,16 @@ from typing import Mapping
 import numpy as np
 
 from . import tensor as T
-from .encoder import glorot_uniform
+from .encoder import Layout, draw_params
 from .graphs import Batch
 from .tensor import DimensionError, Tensor
+
+
+def representor_layout(node_dim: int, key_dim: int, group_dim: int, num_groups: int) -> Layout:
+    # queries scaled to keep initial attention scores O(1)
+    return [("rep.wk", (node_dim, key_dim), "glorot"),
+            ("rep.wv", (node_dim, group_dim), "glorot"),
+            ("rep.q", (key_dim, num_groups), "normal")]
 
 
 def init_representor_params(
@@ -19,12 +26,7 @@ def init_representor_params(
     group_dim: int,
     num_groups: int,
 ) -> dict[str, np.ndarray]:
-    return {
-        "rep.wk": glorot_uniform(rng, node_dim, key_dim),
-        "rep.wv": glorot_uniform(rng, node_dim, group_dim),
-        # queries scaled to keep initial attention scores O(1)
-        "rep.q": rng.standard_normal((key_dim, num_groups)) / np.sqrt(key_dim),
-    }
+    return draw_params(rng, representor_layout(node_dim, key_dim, group_dim, num_groups))
 
 
 def attention(

@@ -264,6 +264,63 @@ def tsum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     return _result("sum", a.values.sum(axis=axis, keepdims=keepdims), [(a, vjp)])
 
 
+# the row chunks of softplus_sum_of_products hold at most this many bytes of
+# scores per buffer: 64 rows of 1792 partners, the groupig-param benchmark's
+# block, where larger chunks cost more minor page faults per step
+_CHUNK_BYTES = 64 * 1792 * 8
+
+
+def softplus_sum_of_products(a: Tensor, b: Tensor) -> Tensor:
+    """``tsum(softplus(matmul(a, transpose(b))))`` for matrices a (m, d) and
+    b (n, d), without building the (m, n) score block.
+
+    Row chunks of a pass through three reused buffers. Each chunk's scores s
+    give ``e = exp(-|s|)`` once; the softplus is ``max(s, 0) + log1p(e)``
+    and its logistic ``exp(min(s, 0)) / (1 + e)``. The output is a scalar,
+    so the vjps are ``g * (σ @ b)`` and ``g * (σᵀ @ a)``: for the inputs on
+    a tape, both products are taken in the chunk loop, while the chunk is
+    in cache. A non-finite score raises, as the product's own check would.
+    """
+    a, b = _as_tensor(a), _as_tensor(b)
+    if a.values.ndim != 2 or b.values.ndim != 2 or a.shape[1] != b.shape[1]:
+        raise DimensionError(f"softplus-sum-of-products: shapes {a.shape} and {b.shape} "
+                             "are not (m, d) and (n, d)")
+    av, bv = a.values, b.values
+    m, n = len(av), len(bv)
+    rows = max(1, min(m, _CHUNK_BYTES // (8 * max(n, 1))))
+    s, e, t = (np.empty((rows, n)) for _ in range(3))
+    grads = a.tape is not None or b.tape is not None
+    if grads:
+        ga, gb, gb_chunk = np.empty_like(av), np.zeros_like(bv), np.empty_like(bv)
+    total = 0.0
+    # a non-finite score raises at once; a sum that overflows is left to
+    # the output's finiteness check
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, m, rows):
+            ac = av[lo:lo + rows]
+            sc, ec, tc = s[:len(ac)], e[:len(ac)], t[:len(ac)]
+            np.matmul(ac, bv.T, out=sc)
+            np.abs(sc, out=ec)
+            if not np.isfinite(ec.max(initial=0.0)):
+                raise NumericError("softplus-sum-of-products: non-finite score")
+            np.negative(ec, out=ec)
+            np.exp(ec, out=ec)
+            np.log1p(ec, out=tc)
+            total += tc.sum()
+            if grads:
+                np.minimum(sc, 0.0, out=tc)
+            np.maximum(sc, 0.0, out=sc)
+            total += sc.sum()
+            if grads:
+                np.exp(tc, out=tc)
+                ec += 1.0
+                tc /= ec
+                np.matmul(tc, bv, out=ga[lo:lo + rows])
+                gb += np.matmul(tc.T, ac, out=gb_chunk)
+    return _result("softplus-sum-of-products", total,
+                   [(a, lambda g: g * ga), (b, lambda g: g * gb)])
+
+
 def tmean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
     shape = a.shape

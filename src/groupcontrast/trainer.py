@@ -18,11 +18,11 @@ from . import objectives as obj
 from . import tensor as T
 from .augment import AugmentationPolicy, sample_view
 from .config import PIPELINES, RunConfig
-from .encoder import (encode_nodes, glorot_uniform, init_gin_params, init_projection_head,
+from .encoder import (Layout, draw_params, encode_nodes, gin_layout, head_layout,
                       readout_projection)
 from .graphs import Batch, Dataset, Graph, batch_graphs
 from .optim import AdamState, adam_step, init_adam
-from .representor import duplicate_rep, forward_groups, init_representor_params
+from .representor import duplicate_rep, forward_groups, representor_layout
 from .seeding import stream_rng
 from .tensor import NumericError, Tape, Tensor, backward
 
@@ -64,42 +64,40 @@ def _view_r_name(name: str) -> str:
     return f"{module}_r.{rest}"
 
 
-def init_model(config: RunConfig, feature_dim: int) -> ModelState:
-    rng = stream_rng(config.seed, "init")
+def param_layout(config: RunConfig, feature_dim: int) -> tuple[Layout, Layout]:
+    """The layouts of the model's parameters and of the variational nets
+    (empty unless the estimator is param), in the order init_model draws
+    them. No array is built."""
     # encode_nodes output width; equals the input width when L = 0
     node_dim = config.gin_hidden if config.gin_layers > 0 else feature_dim
     baseline = config.pipeline == "graphcl-baseline"
-
-    def encoder():
-        return init_gin_params(rng, feature_dim, config.gin_hidden, config.gin_layers,
-                               learnable_eps=config.learnable_eps)
-
-    def representor():
-        return init_representor_params(rng, node_dim, config.key_dim, config.group_dim,
-                                       config.num_groups)
-
-    params = encoder()
-    params.update(init_projection_head(rng, node_dim, config.embed_dim)
-                  if baseline else representor())
+    encoder = gin_layout(feature_dim, config.gin_hidden, config.gin_layers, config.learnable_eps)
+    head = (head_layout(node_dim, config.embed_dim) if baseline else
+            representor_layout(node_dim, config.key_dim, config.group_dim, config.num_groups))
+    layout = encoder + head
     if not config.tie_views and config.pipeline != "groupig":
         # view r's own encoder and representor; the baseline's head is shared
-        second = encoder() if baseline else {**encoder(), **representor()}
-        params.update({_view_r_name(name): v for name, v in second.items()})
+        second = encoder if baseline else encoder + head
+        layout += [(_view_r_name(name), shape, init) for name, shape, init in second]
     if config.pipeline == "groupig":
         # linear map from node embeddings to the group width before
         # node-level discrimination
-        params["nodemap.w"] = glorot_uniform(rng, node_dim, config.group_dim)
-    var_params: dict[str, np.ndarray] = {}
-    var_opt = None
-    if config.estimator == "param" and not baseline:
-        var_params = obj.init_varnet_params(rng, config.group_dim)
-        var_opt = init_adam(var_params, config.learning_rate)
+        layout.append(("nodemap.w", (node_dim, config.group_dim), "glorot"))
+    param = config.estimator == "param" and not baseline
+    return layout, obj.varnet_layout(config.group_dim) if param else []
+
+
+def init_model(config: RunConfig, feature_dim: int) -> ModelState:
+    rng = stream_rng(config.seed, "init")
+    layout, var_layout = param_layout(config, feature_dim)
+    params = draw_params(rng, layout)
+    var_params = draw_params(rng, var_layout)
     return ModelState(
         config=config,
         params=params,
         opt=init_adam(params, config.learning_rate),
         var_params=var_params,
-        var_opt=var_opt,
+        var_opt=init_adam(var_params, config.learning_rate) if var_layout else None,
         epoch=0,
     )
 
@@ -268,13 +266,26 @@ def _digest(raw: bytes) -> bytes:
     return h.hexdigest().encode("ascii")
 
 
+def _listing(shapes: Mapping[str, Sequence[int]],
+             var_shapes: Mapping[str, Sequence[int]]) -> list[list]:
+    """The header's array listing, [key, shape] in file order: each
+    parameter under "p/" and its name, then its Adam moments under "m/" and
+    "v/"; the variational nets' arrays follow, each key led by a "v"."""
+    return [[f"{pre}{kind}/{name}", list(shape)]
+            for pre, table in (("", shapes), ("v", var_shapes))
+            for name, shape in sorted(table.items()) for kind in "pmv"]
+
+
 def _array_table(state: ModelState) -> list[tuple[str, np.ndarray]]:
-    """The file's arrays in file order: each parameter, then its Adam moments."""
+    """The state's arrays under their listing keys, in file order."""
+    arrays = {"p": state.params, "m": state.opt.m, "v": state.opt.v}
+    if state.var_opt is not None:
+        arrays.update(vp=state.var_params, vm=state.var_opt.m, vv=state.var_opt.v)
+    shapes = ({name: a.shape for name, a in p.items()} for p in (state.params, state.var_params))
     table = []
-    for pre, params, opt in (("", state.params, state.opt), ("v", state.var_params, state.var_opt)):
-        for name in sorted(params):
-            table += [(f"{pre}p/{name}", params[name]), (f"{pre}m/{name}", opt.m[name]),
-                      (f"{pre}v/{name}", opt.v[name])]
+    for key, _ in _listing(*shapes):
+        kind, _, name = key.partition("/")
+        table.append((key, arrays[kind][name]))
     return table
 
 
@@ -367,14 +378,17 @@ def checkpoint_load(path) -> ModelState:
     # a valid file holds the input weight's `width` rows, so it bounds the width
     width = input_width(config, {key[2:]: shape for key, shape in listing if key[:2] == "p/"})
     _require(8 * width <= total, f"input width {width} exceeds the file's data")
+    # the listing is checked against the stored config's layout before any
+    # array exists, so it also bounds the config's own sizes by the file's
+    layouts = param_layout(config, width)
+    expected = _listing(*({name: shape for name, shape, _ in lay} for lay in layouts))
+    for got, want in itertools.zip_longest(listing, expected):
+        _require(got == want, f"array {got!r} where the stored config has {want!r}")
     try:
         state = init_model(config, width)
     except MemoryError as exc:
         raise CheckpointError(f"cannot allocate the model of the stored config {config}") from exc
-    table = _array_table(state)
-    for got, want in itertools.zip_longest(listing, [[k, list(a.shape)] for k, a in table]):
-        _require(got == want, f"array {got!r} where the stored config has {want!r}")
-    for key, arr in table:
+    for key, arr in _array_table(state):
         arr[...] = np.frombuffer(raw, dtype="<f8", count=arr.size, offset=offset).reshape(arr.shape)
         _require(bool(np.all(np.isfinite(arr))), f"non-finite values in {key!r}")
         offset += 8 * arr.size

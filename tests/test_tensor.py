@@ -1,9 +1,10 @@
 import gc
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -247,6 +248,8 @@ _MATRIX, _VECTOR = Tensor(np.ones((2, 3))), Tensor(np.ones(3))
     (lambda: T.RowSum(np.zeros((2, 2), dtype=int), 2), "row-sum: index must be a vector"),
     (lambda: T.neighbour_sum(_MATRIX, T.RowSum([0, 1], 2), np.array([1, 0, 1])),
      "neighbour-sum: plan over 2 rows and 3 / 2 edges"),
+    (lambda: T.softplus_sum_of_products(_MATRIX, Tensor(np.ones((2, 2)))),
+     r"softplus-sum-of-products: shapes \(2, 3\) and \(2, 2\) are not"),
 ])
 def test_op_rejects_bad_shapes(op, message):
     with pytest.raises(DimensionError, match=message):
@@ -539,6 +542,68 @@ def test_softplus_values_and_gradient_bits_match_reference(x, seed):
 def test_softplus_gradcheck_at_large_magnitudes():
     x = np.array([-710.0, -709.0, -700.0, -40.0, -25.0, 25.0, 40.0, 700.0, 709.0, 710.0])
     assert _gradcheck(lambda x: T.tsum(T.softplus(x)), x=x) <= 1e-6
+
+
+# -- the fused softplus sum over a product block --------------------------------
+
+def _chunk_rows(rows, n):
+    """Patch the fused op's chunk to ``rows`` rows of n partners."""
+    return mock.patch.object(T, "_CHUNK_BYTES", 8 * n * rows)
+
+
+@given(rows=st.integers(1, 4), m=st.integers(1, 13), n=st.integers(1, 5), d=dims,
+       tracked=st.sampled_from(["a", "b", "ab"]), seed=st.integers(0, 2**16))
+@example(rows=3, m=1, n=4, d=2, tracked="ab", seed=0)   # m = 1, below the chunk
+@example(rows=3, m=3, n=1, d=2, tracked="ab", seed=1)   # n = 1, one full chunk
+@example(rows=3, m=7, n=4, d=3, tracked="ab", seed=2)   # chunks of 3, 3 and 1
+@example(rows=2, m=6, n=3, d=1, tracked="ab", seed=3)   # a multiple of the chunk
+def test_softplus_sum_of_products_matches_dense_reference(rows, m, n, d, tracked, seed):
+    # b's entries up to 710 give scores of either sign beyond 710, where
+    # exp(|s|) overflows; values and gradients agree within 1e-12 of the
+    # largest entry
+    rng = np.random.default_rng(seed)
+    a, b = rng.uniform(-1.0, 1.0, (m, d)), rng.uniform(-710.0, 710.0, (n, d))
+
+    def run(fn):
+        tape = Tape()
+        x = tape.leaf(a) if "a" in tracked else Tensor(a)
+        y = tape.leaf(b) if "b" in tracked else Tensor(b)
+        out = fn(x, y)
+        grads = backward(tape, out)
+        return out.item(), [grads[t.node_id] for t in (x, y) if t.tape is not None]
+
+    with _chunk_rows(rows, n):
+        value, grads = run(T.softplus_sum_of_products)
+    want_value, want_grads = run(lambda x, y: T.tsum(T.softplus(T.matmul(x, T.transpose(y)))))
+    assert value == pytest.approx(want_value, rel=1e-12)
+    for got, want in zip(grads, want_grads, strict=True):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * max(1.0, np.abs(want).max()))
+
+
+def test_softplus_sum_of_products_gradcheck_across_chunks():
+    rng = np.random.default_rng(3)
+    with _chunk_rows(2, 3):
+        err = _gradcheck(T.softplus_sum_of_products,
+                         a=rng.standard_normal((5, 2)), b=3.0 * rng.standard_normal((3, 2)))
+    assert err <= 1e-6
+
+
+@pytest.mark.parametrize("a, b", [
+    ([[1e308, 1e308]], [[1e308, 1e308]]),      # a score of +inf
+    ([[1e308, 1e308]], [[-1e308, -1e308]]),    # -inf, which adds 0 to the softplus sum
+    ([[1e308, 1e308]], [[1e308, -1e308]]),     # inf - inf: nan
+    ([[1e154]], [[1e154], [1e154]]),           # finite scores whose sum overflows
+])
+def test_softplus_sum_of_products_overflow_names_the_op(a, b):
+    # pyproject turns a RuntimeWarning into an error, so none escapes
+    with pytest.raises(NumericError, match="softplus-sum-of-products: non-finite"):
+        T.softplus_sum_of_products(Tensor(a), Tensor(b))
+
+
+def test_softplus_sum_of_products_without_a_tape_is_a_constant():
+    out = T.softplus_sum_of_products(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 3))))
+    assert out.tape is None and out.node_id is None
+    assert out.item() == pytest.approx(8 * np.log1p(np.exp(3.0)), rel=1e-15)
 
 
 @given(shape=st.lists(dims, min_size=1, max_size=3), data=st.data(),

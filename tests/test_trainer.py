@@ -538,6 +538,27 @@ def test_checkpoint_bounds_the_input_width_by_its_data(tmp_path):
     assert peak < 10 * 2**20
 
 
+def test_checkpoint_config_sizes_are_bounded_by_the_listing(tmp_path):
+    # a 0.25 MB file whose stored config asks for 1000-wide GIN layers is
+    # refused by its listing before that config's model exists; building
+    # the model first once peaked at 118 MB
+    path = tmp_path / "ck.bin"
+    checkpoint_save(path, init_model(RunConfig(seed=9), 8))
+    header, arrays = read_checkpoint_parts(path.read_bytes())
+    header["config"]["gin_hidden"] = 1000
+    write_checkpoint_parts(path, header, arrays)
+    got, want = ["p/gin.0.b1", [32]], ["p/gin.0.b1", [1000]]
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError,
+                           match=re.escape(f"array {got!r} where the stored config has {want!r}")):
+            checkpoint_load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * path.stat().st_size
+
+
 @given(cut=st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
 def test_every_truncation_raises_checkpoint_error(tmp_path_factory, cut):
     path = tmp_path_factory.mktemp("trunc") / "ck.bin"
