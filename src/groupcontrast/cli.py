@@ -73,10 +73,10 @@ def _cmd_gen_data(args) -> int:
 def _cmd_train(args) -> int:
     cfg = load_config(RunConfig, args.config, args.override)
     dataset = load_dataset(args.data)
+    state, history = train(cfg, dataset)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.txt").write_text(format_config(cfg), encoding="utf-8")
-    state, history = train(cfg, dataset)
     checkpoint_save(out / "checkpoint.bin", state)
     write_history(out / "history.csv", history)
     final = history[-1].total if history else float("nan")

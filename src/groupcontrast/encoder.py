@@ -106,14 +106,6 @@ def head_layout(node_dim: int, out_dim: int) -> Layout:
                    ("head.w2", (out_dim, out_dim), "glorot")]
 
 
-def init_projection_head(
-    rng: np.random.Generator,
-    node_dim: int,
-    out_dim: int,
-) -> dict[str, np.ndarray]:
-    return draw_params(rng, head_layout(node_dim, out_dim))
-
-
 def readout_projection(
     node_embeddings: Tensor,
     batch: Batch,

@@ -194,22 +194,29 @@ def combine_terms(pos: Tensor, neg: Tensor, inter: Tensor, weight: float) -> tup
     return total, breakdown
 
 
-def total_loss_nonparam(
-    u_groups: Sequence[Tensor],
-    r_groups: Sequence[Tensor],
-    weight: float,
-) -> tuple[Tensor, LossBreakdown]:
-    pos, neg = js_terms(u_groups, r_groups)
-    inter = interspace_penalty_nonparam(u_groups) if weight > 0 else Tensor(0.0)
-    return combine_terms(pos, neg, inter, weight)
+def total_loss(pos: Tensor, neg: Tensor, u_groups: Sequence[Tensor], weight: float,
+               var_params: Mapping | None = None) -> tuple[Tensor, LossBreakdown, Tensor | None]:
+    """The step objective pos + neg + weight * inter, its breakdown, and the
+    variational nets' loss (None when they take no step). The one place that
+    picks the inter-space term: none below 2 groups or at weight 0, the
+    parameterized CLUB penalty when ``var_params`` holds the nets, else the
+    non-parameterized penalty. Each of the two losses holds the other's
+    inputs constant, so one backward pass over their sum serves both."""
+    inter, var_loss = Tensor(0.0), None
+    if len(u_groups) >= 2 and weight > 0:
+        if var_params:
+            inter = club_param_penalty(u_groups, var_params)
+            var_loss = varnet_likelihood_loss(u_groups, var_params)
+        else:
+            inter = interspace_penalty_nonparam(u_groups)
+    return (*combine_terms(pos, neg, inter, weight), var_loss)
 
 
-def total_loss_param(
-    u_groups: Sequence[Tensor],
-    r_groups: Sequence[Tensor],
-    weight: float,
-    var_params: Mapping,
-) -> tuple[Tensor, LossBreakdown]:
-    pos, neg = js_terms(u_groups, r_groups)
-    inter = club_param_penalty(u_groups, var_params) if weight > 0 else Tensor(0.0)
-    return combine_terms(pos, neg, inter, weight)
+def total_loss_nonparam(u_groups: Sequence[Tensor], r_groups: Sequence[Tensor],
+                        weight: float) -> tuple[Tensor, LossBreakdown]:
+    return total_loss(*js_terms(u_groups, r_groups), u_groups, weight)[:2]
+
+
+def total_loss_param(u_groups: Sequence[Tensor], r_groups: Sequence[Tensor], weight: float,
+                     var_params: Mapping) -> tuple[Tensor, LossBreakdown]:
+    return total_loss(*js_terms(u_groups, r_groups), u_groups, weight, var_params)[:2]

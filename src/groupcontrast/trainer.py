@@ -135,21 +135,16 @@ def node_view_representations(state: ModelState, batch: Batch) -> list[np.ndarra
     return duplicate_rep(_node_view(state.params, nodes).values, state.config.num_groups)
 
 
-def _adam_update(params, opt: AdamState, tape: Tape, leaves: dict[str, Tensor], loss: Tensor):
-    """Backpropagate `loss` to the leaves of `params` and take one Adam step."""
-    grads = backward(tape, loss)
-    return adam_step(params, {name: grads[leaf.node_id] for name, leaf in leaves.items()}, opt)
-
-
 def _step(state: ModelState, graphs: list[Graph], epoch: int, step: int) -> obj.LossBreakdown:
     """One training step of any pipeline. GroupIG contrasts the groups of the
     batch with its node view; GroupCL and the baseline contrast two augmented
-    views. A view of two or more groups adds the inter-space penalty and,
-    with the parameterized estimator, one adversarial step on the
-    variational nets with the encoder held constant."""
+    views. ``obj.total_loss`` picks the inter-space term; when it trains the
+    variational nets, their loss shares the step's tape and its one backward
+    pass, and they take their Adam step after the model's."""
     cfg = state.config
     tape = Tape()
     leaves = {name: tape.leaf(v) for name, v in state.params.items()}
+    var_leaves = {name: tape.leaf(v) for name, v in state.var_params.items()}
     batch = batch_graphs(graphs)
     if cfg.pipeline == "groupig":
         u, nodes = embed_view(cfg, leaves, batch)
@@ -161,22 +156,14 @@ def _step(state: ModelState, graphs: list[Graph], epoch: int, step: int) -> obj.
         u, _ = embed_view(cfg, leaves, sample_view(batch, policy, rng), "u")
         r, _ = embed_view(cfg, leaves, sample_view(batch, policy, rng), "r")
         pos, neg = obj.js_terms(u, r)
-    penalized = len(u) >= 2 and cfg.diversity_weight > 0
-    param = penalized and cfg.estimator == "param"
-    if not penalized:
-        inter = Tensor(0.0)
-    elif param:
-        inter = obj.club_param_penalty(u, state.var_params)
-    else:
-        inter = obj.interspace_penalty_nonparam(u)
-    loss, breakdown = obj.combine_terms(pos, neg, inter, cfg.diversity_weight)
-    state.params, state.opt = _adam_update(state.params, state.opt, tape, leaves, loss)
-    if param:
-        tape = Tape()
-        leaves = {name: tape.leaf(v) for name, v in state.var_params.items()}
-        loss = obj.varnet_likelihood_loss(u, leaves)
-        state.var_params, state.var_opt = _adam_update(
-            state.var_params, state.var_opt, tape, leaves, loss)
+    loss, breakdown, var_loss = obj.total_loss(pos, neg, u, cfg.diversity_weight, var_leaves)
+    grads = backward(tape, loss if var_loss is None else T.add(loss, var_loss))
+    state.params, state.opt = adam_step(
+        state.params, {name: grads[leaf.node_id] for name, leaf in leaves.items()}, state.opt)
+    if var_loss is not None:
+        state.var_params, state.var_opt = adam_step(
+            state.var_params, {name: grads[leaf.node_id] for name, leaf in var_leaves.items()},
+            state.var_opt)
     return breakdown
 
 
@@ -333,9 +320,14 @@ def _read_config(entries) -> RunConfig:
 
 
 def _read_adam(entry, what: str, opt: AdamState) -> AdamState:
-    _require(isinstance(entry, dict) and type(entry.get("step")) is int and entry["step"] >= 0
-             and type(entry.get("lr")) is float and entry["lr"] > 0, f"bad {what} header")
-    return dataclasses.replace(opt, lr=entry["lr"], step=entry["step"])
+    """The Adam state at the header's step; its lr, the stored config's
+    learning_rate, must be the header's."""
+    _require(isinstance(entry, dict) and type(entry.get("step")) is int and entry["step"] >= 0,
+             f"bad {what} header")
+    lr = entry.get("lr")
+    _require(type(lr) is type(opt.lr) and lr == opt.lr,
+             f"{what} lr {lr!r} is not the config's learning_rate {opt.lr!r}")
+    return dataclasses.replace(opt, step=entry["step"])
 
 
 def checkpoint_load(path) -> ModelState:

@@ -202,6 +202,7 @@ def test_overflowing_step_names_epoch_and_step(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: NumericError: epoch 0 step ")
     assert err.count("\n") == 1
+    assert not (tmp_path / "x").exists()
 
 
 def test_missing_data_file_exits_nonzero(tmp_path, capsys):
@@ -381,4 +382,4 @@ def test_model_too_large_to_allocate_prints_one_line(tmp_path, capsys, monkeypat
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(message) and err.count("\n") == 1
-    assert not (tmp_path / "eval").exists()
+    assert not (tmp_path / "big").exists() and not (tmp_path / "eval").exists()

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from groupcontrast import tensor as T
-from groupcontrast.encoder import (encode_nodes, init_gin_params,
-                                   init_projection_head, readout_projection)
+from groupcontrast.encoder import (draw_params, encode_nodes, head_layout,
+                                   init_gin_params, readout_projection)
 from groupcontrast.graphs import Graph, batch_graphs
 from groupcontrast.objectives import js_terms_nodewise
 from groupcontrast.representor import forward_groups, init_representor_params
@@ -86,7 +86,7 @@ def model_params(seed):
     rng = stream_rng(seed, "init")
     params = init_gin_params(rng, D, HIDDEN, LAYERS)
     params.update(init_representor_params(rng, HIDDEN, KEY, GROUP, P))
-    params.update(init_projection_head(rng, HIDDEN, 6))
+    params.update(draw_params(rng, head_layout(HIDDEN, 6)))
     # trained-looking biases: with the zero init a node whose hidden ReLUs
     # all switch off has zero embedding, and a 1-node graph's group norm is 0
     for name in params:

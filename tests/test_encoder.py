@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from groupcontrast import tensor as T
-from groupcontrast.encoder import (encode_nodes, gin_layer, glorot_uniform,
-                                   init_gin_params, init_projection_head,
-                                   readout_projection)
+from groupcontrast.encoder import (draw_params, encode_nodes, gin_layer, glorot_uniform,
+                                   head_layout, init_gin_params, readout_projection)
 from groupcontrast.gradcheck import finite_difference_check
 from groupcontrast.graphs import Graph, batch_graphs, generate_planted_motif_dataset
 from groupcontrast.seeding import stream_rng
@@ -119,19 +118,19 @@ def test_readout_projection_shapes_and_lift():
     g2 = random_graph(3, 4, seed=9)
     batch = batch_graphs([g1, g2])
     rng = stream_rng(8, "init")
-    head = init_projection_head(rng, 4, 10)
+    head = draw_params(rng, head_layout(4, 10))
     assert "head.lift" in head
     params = {k: Tensor(v) for k, v in head.items()}
     out = readout_projection(Tensor(batch.features), batch, params)
     assert out.shape == (2, 10)
-    same = init_projection_head(rng, 10, 10)
+    same = draw_params(rng, head_layout(10, 10))
     assert "head.lift" not in same
 
 
 def test_readout_is_sum_pooling():
     g = random_graph(4, 3, seed=10)
     batch = batch_graphs([g])
-    head = init_projection_head(stream_rng(9, "init"), 3, 6)
+    head = draw_params(stream_rng(9, "init"), head_layout(3, 6))
     params = {k: Tensor(v) for k, v in head.items()}
     out = readout_projection(Tensor(batch.features), batch, params).values
     pooled = batch.features.sum(axis=0, keepdims=True) @ head["head.lift"]

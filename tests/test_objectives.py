@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from groupcontrast.objectives import (LossBreakdown, club_param_penalty,
                                       combine_terms, init_varnet_params,
                                       interspace_penalty_nonparam, js_mi_loss,
                                       js_terms, js_terms_nodewise,
-                                      total_loss_nonparam, total_loss_param,
-                                      varnet_likelihood_loss)
+                                      total_loss, total_loss_nonparam,
+                                      total_loss_param, varnet_likelihood_loss)
 from groupcontrast.seeding import stream_rng
 from groupcontrast.tensor import ContractError, RowSum, Tape, Tensor, backward
 
@@ -349,6 +350,39 @@ def test_total_losses_run_and_sum():
     total_p, bd_p = total_loss_param(u, r, 0.5, var_params)
     assert np.isfinite(total_p.item())
     assert bd_p.intra_positive == pytest.approx(bd.intra_positive, abs=1e-12)
+
+
+@pytest.mark.parametrize("total_fn", ["nonparam", "param"])
+def test_total_losses_at_one_group_have_no_inter_term(total_fn):
+    # one group has no pair to penalize: inter is 0, with neither the
+    # non-parameterized penalty's warning nor the CLUB's error
+    u, r = random_groups(36, 4, 1, 5), random_groups(37, 4, 1, 5)
+    var_params = init_varnet_params(stream_rng(36, "init"), 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        total, bd = (total_loss_nonparam(u, r, 0.5) if total_fn == "nonparam"
+                     else total_loss_param(u, r, 0.5, var_params))
+    pos, neg = js_terms(u, r)
+    assert bd.inter_penalty == 0.0
+    assert total.item() == T.add(pos, neg).item()
+
+
+@pytest.mark.parametrize("p, weight", [(1, 0.5), (3, 0.0), (3, 0.5)])
+@pytest.mark.parametrize("nets", [None, {}, "varnets"])
+def test_total_loss_picks_the_inter_space_term(p, weight, nets):
+    u, r = random_groups(38, 4, p, 5), random_groups(39, 4, p, 5)
+    var_params = init_varnet_params(stream_rng(38, "init"), 5) if nets else nets
+    loss, bd, var_loss = total_loss(*js_terms(u, r), u, weight, var_params)
+    if p < 2 or weight == 0:
+        want_inter, want_var_loss = 0.0, None
+    elif var_params:
+        want_inter = club_param_penalty(u, var_params).item()
+        want_var_loss = varnet_likelihood_loss(u, var_params).item()
+    else:
+        want_inter, want_var_loss = interspace_penalty_nonparam(u).item(), None
+    assert bd.inter_penalty == want_inter and bd.weight == weight
+    assert (var_loss if var_loss is None else var_loss.item()) == want_var_loss
+    assert loss.item() == bd.total
 
 
 def test_club_derivation_constant():

@@ -146,6 +146,45 @@ def test_steps_leave_no_cyclic_tapes(overrides):
     assert alive == 0
 
 
+@pytest.mark.parametrize("estimator", ESTIMATORS)
+@pytest.mark.parametrize("pipeline", PIPELINES)
+def test_step_records_one_tape_and_runs_one_backward(monkeypatch, pipeline, estimator):
+    # the variational nets' loss shares the step's tape and backward pass
+    tapes, passes = [], []
+
+    class Counted(Tape):
+        def __init__(self):
+            tapes.append(self)
+            super().__init__()
+
+    def backward(tape, loss):
+        passes.append(tape)
+        return original(tape, loss)
+
+    original = trainer.backward
+    monkeypatch.setattr(trainer, "Tape", Counted)
+    monkeypatch.setattr(trainer, "backward", backward)
+    state = init_model(RunConfig(pipeline=pipeline, estimator=estimator, seed=0, batch_size=16),
+                       DATASET.feature_dim)
+    trainer._step(state, list(DATASET.graphs[:16]), 0, 0)
+    assert len(tapes) == 1 and passes == tapes
+    assert state.opt.step == 1
+    assert state.var_opt is None or state.var_opt.step == 1
+
+
+@pytest.mark.parametrize("overrides", [dict(num_groups=1), dict(diversity_weight=0.0)])
+def test_param_estimator_without_inter_term_leaves_varnets_untouched(overrides):
+    # no inter-space term means no CLUB penalty, so the nets take no step
+    cfg = RunConfig(estimator="param", seed=2, epochs=1, batch_size=16, **overrides)
+    initial = init_model(cfg, DATASET.feature_dim)
+    state, history = train(cfg, DATASET)
+    assert state.opt.step == len(history) > 0
+    assert state.var_opt.step == 0
+    assert state.var_params.keys() == initial.var_params.keys()
+    for name, arr in initial.var_params.items():
+        assert state.var_params[name].tobytes() == arr.tobytes()
+
+
 @pytest.mark.parametrize("pipeline, views", [("groupcl", 2), ("groupig", 1),
                                              ("graphcl-baseline", 2)])
 def test_step_builds_each_plan_of_a_view_once(monkeypatch, pipeline, views):
@@ -276,15 +315,14 @@ def run_configs(draw):
         learnable_eps=draw(st.booleans()))
 
 
-_adam_headers = st.tuples(st.integers(0, 2**53), st.floats(1e-12, 1e3))
-
-
 @given(config=run_configs(), feature_dim=st.integers(1, 5), epoch=st.integers(0, 2**53),
-       adam=_adam_headers, var_adam=_adam_headers, seed=st.integers(0, 2**16))
+       adam_step=st.integers(0, 2**53), var_adam_step=st.integers(0, 2**53),
+       seed=st.integers(0, 2**16))
 def test_checkpoint_round_trip_is_bit_exact(tmp_path_factory, config, feature_dim, epoch,
-                                            adam, var_adam, seed):
+                                            adam_step, var_adam_step, seed):
     # every array holds random finite bit patterns (negative zeros, subnormals,
-    # extremes); arrays, config, epoch and both Adam headers come back exact
+    # extremes); arrays, config, epoch and both Adam headers come back exact,
+    # each Adam lr being the config's learning_rate
     rng = np.random.default_rng(seed)
     state = init_model(config, feature_dim)
     tables = [state.params, state.opt.m, state.opt.v, state.var_params]
@@ -295,9 +333,9 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path_factory, config, feature_di
             bits = rng.integers(0, 2**64, size=arr.shape, dtype=np.uint64).view(np.float64)
             table[name] = np.where(np.isfinite(bits), bits, -0.0)
     state.epoch = epoch
-    state.opt = dataclasses.replace(state.opt, step=adam[0], lr=adam[1])
+    state.opt = dataclasses.replace(state.opt, step=adam_step)
     if state.var_opt is not None:
-        state.var_opt = dataclasses.replace(state.var_opt, step=var_adam[0], lr=var_adam[1])
+        state.var_opt = dataclasses.replace(state.var_opt, step=var_adam_step)
     path = tmp_path_factory.mktemp("ck") / "ck.bin"
     checkpoint_save(path, state)
     back = checkpoint_load(path)
@@ -312,7 +350,7 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path_factory, config, feature_di
             assert got[name].shape == want[name].shape
             assert got[name].tobytes() == want[name].tobytes()
     for got, want in pairs:
-        assert (got.step, got.lr) == (want.step, want.lr)
+        assert (got.step, got.lr) == (want.step, config.learning_rate)
 
 
 def read_checkpoint_parts(raw):
@@ -356,6 +394,9 @@ CORRUPTIONS = {
     "no var_adam": lambda h, a: h.pop("var_adam"),
     "negative epoch": lambda h, a: h.update(epoch=-1),
     "string adam step": lambda h, a: h["adam"].update(step="3"),
+    "infinite adam lr": lambda h, a: h["adam"].update(lr=math.inf),
+    "adam lr not the config's": lambda h, a: h["adam"].update(lr=0.5),
+    "no adam lr": lambda h, a: h["adam"].pop("lr"),
     "unknown config key": lambda h, a: h["config"].update(learning_rte=0.01),
     "rejected config value": lambda h, a: h["config"].update(num_groups=0),
     "string config value": lambda h, a: h["config"].update(num_groups="4"),
@@ -421,6 +462,28 @@ def test_checkpoint_corruption_detected(tmp_path):
         except CheckpointError:
             pass
     assert loaded == []
+
+
+@pytest.mark.parametrize("which, lr", [("adam", math.inf), ("adam", 0.5), ("var_adam", 0.5),
+                                       ("var_adam", 1)])
+def test_checkpoint_adam_lr_must_be_the_configs_learning_rate(tmp_path, which, lr):
+    # an lr of Infinity once loaded and died on the first resumed step, and
+    # one of 0.5 under learning_rate=0.001 silently trained at 0.5
+    path = tmp_path / "ck.bin"
+    checkpoint_save(path, init_model(RunConfig(seed=9, estimator="param"), 8))
+    header, arrays = read_checkpoint_parts(path.read_bytes())
+    header[which]["lr"] = lr
+    write_checkpoint_parts(path, header, arrays)
+    with pytest.raises(CheckpointError, match=f"{which} lr {lr!r} is not the config's "
+                                              "learning_rate 0.001"):
+        checkpoint_load(path)
+
+
+def test_checkpoint_of_an_integer_learning_rate_loads(tmp_path):
+    # an int passes for the float field, and the header repeats it as an int
+    path = tmp_path / "ck.bin"
+    checkpoint_save(path, init_model(RunConfig(seed=9, learning_rate=1), 8))
+    assert checkpoint_load(path).opt.lr == 1
 
 
 def test_checkpoint_of_unknown_version_rejected(tmp_path):
