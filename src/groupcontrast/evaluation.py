@@ -35,14 +35,18 @@ class ProbeResult:
     selected_regularization: float
 
 
+def _check_input_width(state: ModelState, feature_dim: int) -> None:
+    expected = input_width(state.config, {k: v.shape for k, v in state.params.items()})
+    if feature_dim != expected:
+        raise ContractError(
+            f"dataset feature dim {feature_dim} does not match model input width {expected}")
+
+
 def extract_embeddings(state: ModelState, dataset: Dataset) -> EmbeddingTable:
     """Deterministic forward pass without augmentation; per graph the view's
     group vectors (the baseline's one projection) are concatenated in group
     order."""
-    expected = input_width(state.config, {k: v.shape for k, v in state.params.items()})
-    if dataset.feature_dim != expected:
-        raise ContractError(
-            f"dataset feature dim {dataset.feature_dim} does not match model input width {expected}")
+    _check_input_width(state, dataset.feature_dim)
     groups, _ = embed_view(state.config, state.params, batch_graphs(list(dataset.graphs)))
     embeddings = np.concatenate([g.values for g in groups], axis=1)
     return EmbeddingTable(
@@ -196,6 +200,7 @@ def export_attention(state: ModelState, graph: Graph) -> np.ndarray:
     weights over the nodes."""
     if "rep.wk" not in state.params:
         raise ContractError("model has no representor")
+    _check_input_width(state, graph.feature_dim)
     batch = batch_graphs([graph])
     nodes = encode_nodes(batch, state.params, state.config.gin_layers)
     _, att = forward_groups(batch, nodes, state.params, scale_scores=state.config.scale_scores)

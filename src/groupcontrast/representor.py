@@ -52,20 +52,19 @@ def attention(
 def group_embed(h: Tensor, a: Tensor, batch: Batch, wv: Tensor) -> list[Tensor]:
     """Attention-weighted sums of value rows per graph, one tensor per group.
 
-    The value projection is linear, so it is applied after pooling: node n's
-    weighted embeddings form an (N, p, node_dim) block, ``a[n, k] * h[n]``;
-    one index-add over the nodes' graphs turns it into a (B, p, node_dim)
-    block, and one matmul by ``wv`` projects all B * p pooled rows to the
-    group width d. No (N, d) value block is built. Each group vector is
-    L2-normalized, so discriminator scores are bounded. The result is held
-    flat as (B, p * d) with the groups in order and handed on as p (B, d)
-    column slices.
+    The value projection is linear, so it is applied after pooling: one
+    ``pool_outer`` over the nodes' graphs sums node n's weighted embeddings
+    ``a[n, k] * h[n]`` into a (B, p, node_dim) block, building no
+    (N, p, node_dim) block in either pass, and one matmul by ``wv`` projects
+    all B * p pooled rows to the group width d. No (N, d) value block is
+    built. Each group vector is L2-normalized, so discriminator scores are
+    bounded. The result is held flat as (B, p * d) with the groups in order
+    and handed on as p (B, d) column slices.
     """
-    n, p = a.shape
+    p = a.shape[1]
     width, d = wv.shape
     b = batch.num_graphs
-    weighted = T.mul(T.reshape(a, (n, p, 1)), T.reshape(h, (n, 1, width)))
-    pooled = T.reshape(T.index_add(weighted, batch.by_graph), (b * p, width))
+    pooled = T.reshape(T.pool_outer(a, h, batch.by_graph), (b * p, width))
     unit = T.reshape(T.row_l2_normalize(T.matmul(pooled, wv)), (b, p * d))
     return [T.slice_cols(unit, k * d, (k + 1) * d) for k in range(p)]
 

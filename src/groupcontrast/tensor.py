@@ -264,8 +264,9 @@ def tsum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     return _result("sum", a.values.sum(axis=axis, keepdims=keepdims), [(a, vjp)])
 
 
-# the row chunks of softplus_sum_of_products hold at most this many bytes of
-# scores per buffer: 64 rows of 1792 partners, the groupig-param benchmark's
+# the byte budget of one row-chunk buffer in the fused ops:
+# softplus_sum_of_products' score buffers and pool_outer's gathered gradient
+# rows. It is 64 rows of 1792 partners, the groupig-param benchmark's score
 # block, where larger chunks cost more minor page faults per step
 _CHUNK_BYTES = 64 * 1792 * 8
 
@@ -487,6 +488,57 @@ def index_add(x: Tensor, plan: RowSum) -> Tensor:
     if index.shape != x.shape[:1]:
         raise DimensionError(f"index-add: {index.size} indices for input shape {x.shape}")
     return _result("index-add", plan.sum(x.values), [(x, lambda g: g[index])])
+
+
+def pool_outer(a: Tensor, h: Tensor, plan: RowSum) -> Tensor:
+    """(plan.n, p, width) block whose row i sums the outer products
+    ``a[j] ⊗ h[j]`` of the rows j in bucket i: ``index_add(mul(a as (m, p, 1),
+    h as (m, 1, width)), plan)`` bit for bit, without the (m, p, width) block.
+
+    The forward forms each slot's products inside the plan's slot loop and
+    adds them as ``RowSum.sum`` adds the gathered block. Each vjp walks row
+    chunks within ``_CHUNK_BYTES``: it gathers the chunk's gradient rows
+    ``g[index]``, multiplies them in place and sums over the other input's
+    axis, the products and reductions of the ``mul`` vjps.
+    """
+    a, h = _as_tensor(a), _as_tensor(h)
+    index = plan.index
+    if a.values.ndim != 2 or h.values.ndim != 2 or a.shape[0] != h.shape[0] \
+            or index.shape != a.shape[:1]:
+        raise DimensionError(f"pool-outer: plan over {index.size} rows for shapes "
+                             f"{a.shape} and {h.shape}")
+    av, hv = a.values, h.values
+    out = np.zeros((plan.n, av.shape[1], hv.shape[1]))
+    # an overflowing product is left to the output's finiteness check
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo, hi in plan._slots:
+            rows = plan.order[lo:hi]
+            out[:hi - lo] += av[rows][:, :, None] * hv[rows][:, None, :]
+    return _result("pool-outer", out[plan._unrank], [
+        (a, lambda g: _pooled_grad(g, index, hv[:, None, :], 2, np.empty_like(av))),
+        (h, lambda g: _pooled_grad(g, index, av[:, :, None], 1, np.empty_like(hv))),
+    ])
+
+
+def _pooled_grad(g: np.ndarray, index: np.ndarray, other: np.ndarray, axis: int,
+                 out: np.ndarray) -> np.ndarray:
+    """``(g[index] * other).sum(axis)`` into out, one row chunk of
+    ``g[index]`` at a time."""
+    m = len(index)
+    rows = max(1, min(m, _CHUNK_BYTES // max(1, 8 * g.shape[1] * g.shape[2])))
+    buf = np.empty((rows, *g.shape[1:]))
+    for lo in range(0, m, rows):
+        # RowSum checked the indices: mode "raise" would gather into a
+        # temporary and copy it to buf
+        gc = np.take(g, index[lo:lo + rows], axis=0, out=buf[:min(rows, m - lo)], mode="clip")
+        gc *= other[lo:lo + rows]
+        # a length-1 axis is the mul vjp's unbroadcast case, which does not
+        # sum: a sum would turn -0.0 into 0.0
+        if gc.shape[axis] == 1:
+            out[lo:lo + rows] = gc.squeeze(axis)
+        else:
+            gc.sum(axis=axis, out=out[lo:lo + rows])
+    return out
 
 
 def neighbour_sum(x: Tensor, by_dst: RowSum, src: np.ndarray) -> Tensor:

@@ -232,6 +232,23 @@ def test_export_attn_rejects_bad_graph_id(tmp_path, capsys):
     assert not (tmp_path / "attn").exists()
 
 
+@pytest.mark.parametrize("command", ["eval", "export-attn"])
+def test_feature_width_mismatch_names_both_widths(tmp_path, capsys, command):
+    # export-attn once failed inside the first matmul:
+    # "DimensionError: matmul: incompatible shapes (14, 6) @ (8, 32)"
+    wide = tmp_path / "wide.jsonl"
+    save_dataset(wide, generate_planted_motif_dataset(7, 24, 10, 8))
+    run = run_train(tmp_path, wide, "run")
+    capsys.readouterr()
+    argv = [command, "--checkpoint", str(run / "checkpoint.bin"),
+            "--data", str(write_small_dataset(tmp_path)), "--out", str(tmp_path / "out")]
+    rc = main(argv + (["--graph-ids", "0"] if command == "export-attn" else []))
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: ContractError: dataset feature dim 6 does not match model input width 8\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("case", ["huge-label", "unlabeled"])
 def test_eval_whose_probe_fails_writes_nothing(tmp_path, capsys, case):
     # the huge label once escaped as an OverflowError traceback; the

@@ -148,8 +148,11 @@ def test_spec_dimension_example():
 def test_forward_groups_allocation_budget():
     # one forward and backward at the default benchmark's shape (128 graphs
     # of 14 nodes, width 32, key_dim 100, 4 groups of width 40): scoring
-    # through wk @ q and pooling before the value projection build no
-    # (N, key_dim) key or (N, d) value block, or their gradients
+    # through wk @ q, pooling before the value projection and pooling with
+    # pool_outer build no (N, key_dim) key, (N, d) value or (N, p, width)
+    # weighted block, or their gradients. This reads 1.52 blocks, 0.64 of
+    # them the pooling vjp's chunk buffer; pooling as mul then index_add
+    # read 3.30, and one (N, p, width) block is 1.28
     b, nodes_per_graph, width, key_dim, p, d = 128, 14, 32, 100, 4, 40
     n = b * nodes_per_graph
     block = n * key_dim * 8
@@ -174,4 +177,4 @@ def test_forward_groups_allocation_budget():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak < 4.0 * block, f"peak {peak / block:.2f} blocks"
+    assert peak < 2.0 * block, f"peak {peak / block:.2f} blocks"

@@ -606,6 +606,85 @@ def test_softplus_sum_of_products_without_a_tape_is_a_constant():
     assert out.item() == pytest.approx(8 * np.log1p(np.exp(3.0)), rel=1e-15)
 
 
+# -- the fused attention pooling -------------------------------------------------
+
+def _pool_composed(a, h, plan):
+    """pool_outer as the representor built it before: one (m, p, width) block."""
+    (m, p), width = a.shape, h.shape[1]
+    return T.index_add(T.mul(T.reshape(a, (m, p, 1)), T.reshape(h, (m, 1, width))), plan)
+
+
+def _pool_run(op, av, hv, gv, plan):
+    """op's value and the gradients of <op(a, h), gv> for a and h; the
+    gradient reaching op is gv, bit for bit."""
+    tape = Tape()
+    a, h = tape.leaf(av), tape.leaf(hv)
+    out = op(a, h, plan)
+    grads = backward(tape, T.tsum(T.mul(out, Tensor(gv))))
+    return out.values, grads[a.node_id], grads[h.node_id]
+
+
+def _spread(rng, shape):
+    """Magnitudes 1e-8 to 1e8 apart and signed zeros, so any change of
+    product, summation order or zero sign shows in the bits."""
+    x = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+    return np.where(rng.random(shape) < 0.25, np.copysign(0.0, x), x)
+
+
+@given(index=st.lists(st.integers(0, 3), max_size=12), p=st.integers(1, 9),
+       width=st.integers(1, 9), rows=st.integers(1, 3), seed=st.integers(0, 2**16))
+@example(index=[0, 1], p=2, width=3, rows=3, seed=0)            # m below the chunk
+@example(index=[0, 0, 1], p=2, width=3, rows=3, seed=1)         # m at the chunk
+@example(index=[2, 0, 2, 1, 2, 2, 3], p=3, width=2, rows=3, seed=2)  # above, not a multiple
+@example(index=[1, 0, 1, 1, 0, 3], p=2, width=2, rows=2, seed=3)     # a multiple
+@example(index=[0, 2, 2], p=1, width=4, rows=1, seed=4)         # one group: no sum for h
+@example(index=[0, 2, 2], p=4, width=1, rows=1, seed=5)         # width 1: no sum for a
+def test_pool_outer_is_byte_equal_to_composed_pooling(index, p, width, rows, seed):
+    # buckets of unequal size, single-row and empty buckets, chunks of 1-3
+    # rows; p and width up to 9 reach numpy's 8-way pairwise summation
+    rng = np.random.default_rng(seed)
+    plan = T.RowSum(index, 4)
+    av, hv = _spread(rng, (len(index), p)), _spread(rng, (len(index), width))
+    gv = _spread(rng, (4, p, width))
+    with mock.patch.object(T, "_CHUNK_BYTES", 8 * p * width * rows):
+        got = _pool_run(T.pool_outer, av, hv, gv, plan)
+    want = _pool_run(_pool_composed, av, hv, gv, plan)
+    for x, y in zip(got, want, strict=True):
+        assert x.shape == y.shape and _bits(x).tobytes() == _bits(y).tobytes()
+
+
+def test_pool_outer_gradcheck_across_chunks():
+    rng = np.random.default_rng(6)
+    plan = T.RowSum([1, 0, 1, 2, 1], 3)
+    w = rng.standard_normal((3, 2, 3))
+    with mock.patch.object(T, "_CHUNK_BYTES", 8 * 2 * 3 * 2):    # chunks of 2, 2 and 1 rows
+        err = _gradcheck(lambda a, h: T.tsum(T.mul(T.pool_outer(a, h, plan), Tensor(w))),
+                         a=rng.standard_normal((5, 2)), h=rng.standard_normal((5, 3)))
+    assert err <= 1e-6
+
+
+@pytest.mark.parametrize("a, h", [
+    ([[1e200]], [[1e200]]),                    # a product of +inf
+    ([[1e200], [1e200]], [[1e200], [-1e200]]), # inf - inf in one bucket: nan
+    ([[1e308], [1e308]], [[1.0], [1.0]]),      # finite products whose sum overflows
+])
+def test_pool_outer_overflow_names_the_op(a, h):
+    # pyproject turns a RuntimeWarning into an error, so none escapes
+    with pytest.raises(NumericError, match="pool-outer: non-finite output"):
+        T.pool_outer(Tensor(a), Tensor(h), T.RowSum([0] * len(a), 1))
+
+
+@pytest.mark.parametrize("a_shape, h_shape", [
+    ((3, 2), (3, 4)),       # three rows, a plan over two
+    ((2, 2), (3, 4)),       # a and h disagree
+    ((2,), (2, 4)),         # a is not a matrix
+    ((2, 2), (2, 4, 1)),    # nor is h
+])
+def test_pool_outer_rejects_rows_that_do_not_match_the_plan(a_shape, h_shape):
+    with pytest.raises(DimensionError, match="pool-outer: plan over 2 rows"):
+        T.pool_outer(Tensor(np.ones(a_shape)), Tensor(np.ones(h_shape)), T.RowSum([0, 1], 2))
+
+
 @given(shape=st.lists(dims, min_size=1, max_size=3), data=st.data(),
        mean=st.booleans(), keepdims=st.booleans())
 def test_sum_and_mean_leaf_gradients_are_owned_and_writable(shape, data, mean, keepdims):
