@@ -73,9 +73,7 @@ def gin_layer(
     (src, v) of the batch); no eps is eps = 0."""
     neigh = T.neighbour_sum(h, batch.by_dst, batch.edge_index[0])
     self_term = h if eps is None else T.add(h, T.mul(h, eps))
-    z = T.add(self_term, neigh)
-    hidden = T.relu(T.add(T.matmul(z, w1), b1))
-    return T.add(T.matmul(hidden, w2), b2)
+    return T.mlp(T.add(self_term, neigh), w1, b1, w2, b2)
 
 
 def encode_nodes(

@@ -136,8 +136,7 @@ def init_varnet_params(rng: np.random.Generator, dim: int) -> dict[str, np.ndarr
 
 
 def _varnet_forward(x: Tensor, params: Mapping, net: str) -> Tensor:
-    hidden = T.relu(T.add(T.matmul(x, params[f"var.{net}.w1"]), params[f"var.{net}.b1"]))
-    return T.add(T.matmul(hidden, params[f"var.{net}.w2"]), params[f"var.{net}.b2"])
+    return T.mlp(x, *(params[f"var.{net}.{name}"] for name in ("w1", "b1", "w2", "b2")))
 
 
 def _club_expression(u_groups: Sequence[Tensor], var_params: Mapping) -> Tensor:

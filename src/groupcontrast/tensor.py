@@ -212,6 +212,84 @@ def relu(a: Tensor) -> Tensor:
     return _result("relu", a.values * mask, [(a, lambda g: g * mask)])
 
 
+def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """``add(matmul(relu(add(matmul(x, w1), b1)), w2), b2)`` as one op, bit
+    for bit, for x (n, d), weights (d, h) and (h, k) and biases (h,) and (k,).
+
+    Each step is the ufunc of the composed chain, in place where the chain
+    would allocate; the ReLU multiplies by the ``pre > 0`` mask, as ``relu``
+    does, so a -0.0 keeps its sign. The op keeps x, not the (n, h) hidden
+    block: the first tracked vjp of a backward pass recomputes the
+    pre-activation, the mask and the hidden block, at the cost of one
+    x @ w1, and takes every tracked input's gradient with the expression of
+    the composed vjp. The rest hand theirs out, and the last one leaves
+    nothing behind. A non-finite hidden block raises, as the composed
+    matmul, add or relu would.
+    """
+    x, w1, b1, w2, b2 = (_as_tensor(t) for t in (x, w1, b1, w2, b2))
+    xv, w1v, b1v, w2v, b2v = x.values, w1.values, b1.values, w2.values, b2.values
+    if xv.ndim != 2 or w1v.ndim != 2 or w2v.ndim != 2 or xv.shape[1] != w1v.shape[0] \
+            or b1v.shape != w1v.shape[1:] or w2v.shape[0] != w1v.shape[1] \
+            or b2v.shape != w2v.shape[1:]:
+        raise DimensionError(f"mlp: shapes x {x.shape}, w1 {w1.shape}, b1 {b1.shape}, "
+                             f"w2 {w2.shape}, b2 {b2.shape} do not chain")
+    # a non-finite block raises below, so numpy's warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        hidden, _ = _mlp_hidden(xv, w1v, b1v)
+        if not np.isfinite(hidden.max(initial=0.0)):
+            raise NumericError("mlp: non-finite hidden block")
+        out = hidden @ w2v
+        out += b2v
+    del hidden
+    # the inputs in the order the composed chain's backward reaches them
+    inputs = {"b2": b2, "w2": w2, "b1": b1, "x": x, "w1": w1}
+    tracked = {name for name, t in inputs.items() if t.tape is not None}
+    # backward runs an entry's vjps one after another with one gradient:
+    # the first fills this, and each takes its own out
+    pending: dict[str, np.ndarray] = {}
+
+    def vjp(name):
+        def take(g):
+            if not pending:
+                pending.update(_mlp_grads(g, xv, w1v, b1v, w2v, tracked))
+            return pending.pop(name)
+        return take
+
+    return _result("mlp", out, [(t, vjp(name)) for name, t in inputs.items()])
+
+
+def _mlp_hidden(xv: np.ndarray, w1v: np.ndarray, b1v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``relu(x @ w1 + b1)`` and its ``pre > 0`` mask, through one block."""
+    hidden = xv @ w1v
+    hidden += b1v
+    mask = hidden > 0
+    hidden *= mask
+    return hidden, mask
+
+
+def _mlp_grads(g: np.ndarray, xv: np.ndarray, w1v: np.ndarray, b1v: np.ndarray,
+               w2v: np.ndarray, tracked: set[str]) -> dict[str, np.ndarray]:
+    """The gradients of the tracked mlp inputs for the output gradient g,
+    each by the expression of the composed chain's vjp."""
+    hidden, mask = _mlp_hidden(xv, w1v, b1v)
+    grads = {}
+    if "b2" in tracked:
+        grads["b2"] = g.sum(axis=0)
+    if "w2" in tracked:
+        grads["w2"] = np.swapaxes(hidden, -1, -2) @ g
+    del hidden
+    if tracked & {"b1", "x", "w1"}:
+        gp = g @ np.swapaxes(w2v, -1, -2)
+        gp *= mask
+        if "b1" in tracked:
+            grads["b1"] = gp.sum(axis=0)
+        if "x" in tracked:
+            grads["x"] = gp @ np.swapaxes(w1v, -1, -2)
+        if "w1" in tracked:
+            grads["w1"] = np.swapaxes(xv, -1, -2) @ gp
+    return grads
+
+
 def softplus(a: Tensor) -> Tensor:
     """Overflow-safe ``max(x, 0) + log1p(exp(-|x|))``; the vjp multiplies by
     the logistic ``0.5 * (1 + tanh(x / 2))``.
@@ -387,7 +465,14 @@ def row_l2_normalize(a: Tensor) -> Tensor:
     if a.values.ndim != 2:
         raise DimensionError(f"row-L2-normalize: expected matrix, got shape {a.shape}")
     x = a.values
-    norms = np.sqrt((x * x).sum(axis=1, keepdims=True))
+    # the vjp divides by the cubed norm: a row whose cube overflows (a norm
+    # from about 5.6e102) would lose its projection term, and one whose
+    # square overflows would come out as zeros
+    with np.errstate(over="ignore"):
+        norms = np.sqrt((x * x).sum(axis=1, keepdims=True))
+        bad = np.flatnonzero(~np.isfinite(norms**3))
+    if bad.size:
+        raise NumericError(f"row-L2-normalize: row {bad[0]} has a norm whose cube is not finite")
     # a row of near-zero norm has no direction: dividing it by inf maps it,
     # and its gradient, to zero
     norms[norms < 1e-12] = np.inf

@@ -165,3 +165,33 @@ def test_encode_nodes_allocation_budget():
     finally:
         tracemalloc.stop()
     assert peak < 15 * block, f"peak {peak / block:.2f} node blocks"
+
+
+def test_encode_nodes_keeps_no_hidden_block():
+    # one forward and backward of three GIN layers at the groupcl-default
+    # benchmark's batch (128 graphs of 14 nodes, width 32), plans built
+    # beforehand: each layer's mlp keeps its input, not its (N, 32) hidden
+    # block, and releases the block it recomputes within its own backward
+    # entry. This reads 6.54 node blocks; an mlp that stores its hidden
+    # block and mask reads 9.85, the composed matmul/add/relu chain 9.79,
+    # and one whose recompute outlives its entry 12.27
+    ds = generate_planted_motif_dataset(1, 128, 14, 8)
+    params = init_gin_params(stream_rng(1, "init"), 8, 32, 3)
+    w = np.random.default_rng(1).standard_normal((128 * 14, 32))
+    block = w.nbytes
+    batch = batch_graphs(list(ds.graphs))
+
+    def forward_backward():
+        tape = Tape()
+        leaves = {name: tape.leaf(v) for name, v in params.items()}
+        backward(tape, T.tsum(T.mul(encode_nodes(batch, leaves, 3), Tensor(w))))
+
+    forward_backward()          # the plans and first-call set-up stay out
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        forward_backward()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 7.5 * block, f"peak {peak / block:.2f} node blocks"

@@ -397,6 +397,26 @@ def test_export_attention_matches_forward(trained):
     assert weights.tobytes() == att.values.tobytes()
 
 
+_FORWARDS = {"embed": lambda state: extract_embeddings(state, DATASET),
+             "attention": lambda state: export_attention(state, DATASET.graphs[0])}
+
+
+@pytest.mark.parametrize("forward", sorted(_FORWARDS))
+@pytest.mark.parametrize("factor, message", [
+    (1e308, "mlp: non-finite hidden block"),
+    # the groups come out finite with norms past 1e154, which row-L2-normalize
+    # once returned as rows of zeros
+    (1e300, "row-L2-normalize: row 0 has a norm whose cube is not finite"),
+])
+def test_overflow_in_an_evaluation_forward_names_the_op(forward, factor, message):
+    # a default model with gin.0.w1 scaled up; pyproject turns a
+    # RuntimeWarning into an error, so none escapes
+    state = init_model(RunConfig(), DATASET.feature_dim)
+    state.params["gin.0.w1"] = state.params["gin.0.w1"] * factor
+    with pytest.raises(NumericError, match=f"^{message}$"):
+        _FORWARDS[forward](state)
+
+
 def test_count_head_params_paper_values():
     counts = count_head_params(4, 160, 100, 160)
     assert counts["groupcl_head"] == 22800

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import weakref
 from unittest import mock
 
@@ -194,6 +195,37 @@ def test_row_l2_normalize_unit_norms_and_zero_row():
     assert grad_z[kept].tobytes() == grad_x[kept].tobytes()
 
 
+@pytest.mark.parametrize("scale", [
+    1e120,      # the square is finite, its cube is not: the vjp lost its projection term
+    1e160,      # the square overflows: the row came out as zeros
+])
+def test_row_l2_normalize_refuses_a_row_whose_cubed_norm_overflows(scale):
+    # pyproject turns a RuntimeWarning into an error, so none escapes
+    x = np.array([[3.0, 4.0], [3.0 * scale, 4.0 * scale]])
+    with pytest.raises(NumericError, match="row-L2-normalize: row 1 has a norm whose cube"):
+        T.row_l2_normalize(Tensor(x))
+
+
+def test_row_l2_normalize_is_exact_just_below_the_cube_threshold():
+    # scaling a row by 2**338 (norm 2.8e102, cube 2.2e307) scales no
+    # rounding: the value keeps its bits and the gradient is divided by the
+    # scale, bit for bit; at g = (1, 0) it is (0.128, -0.096) / scale
+    scale = 2.0 ** 338
+    g = np.array([[1.0, 0.0]])
+
+    def value_and_grad(row):
+        tape = Tape()
+        leaf = tape.leaf(np.array([row]))
+        y = T.row_l2_normalize(leaf)
+        return y.values, backward(tape, T.tsum(T.mul(y, Tensor(g))))[leaf.node_id]
+
+    out, grad = value_and_grad([3.0, 4.0])
+    out_s, grad_s = value_and_grad([3.0 * scale, 4.0 * scale])
+    assert out_s.tobytes() == out.tobytes()
+    assert (grad_s * scale).tobytes() == grad.tobytes()
+    np.testing.assert_allclose(grad[0], [0.128, -0.096], rtol=1e-15)
+
+
 def test_backward_requires_scalar_loss():
     tape = Tape()
     a = tape.leaf(np.ones((2, 2)))
@@ -250,6 +282,10 @@ _MATRIX, _VECTOR = Tensor(np.ones((2, 3))), Tensor(np.ones(3))
      "neighbour-sum: plan over 2 rows and 3 / 2 edges"),
     (lambda: T.softplus_sum_of_products(_MATRIX, Tensor(np.ones((2, 2)))),
      r"softplus-sum-of-products: shapes \(2, 3\) and \(2, 2\) are not"),
+    (lambda: T.mlp(_MATRIX, Tensor(np.ones((2, 2))), _VECTOR, _MATRIX, _VECTOR),
+     r"mlp: shapes x \(2, 3\), w1 \(2, 2\), b1 \(3,\), w2 \(2, 3\), b2 \(3,\) do not chain"),
+    (lambda: T.mlp(_MATRIX, Tensor(np.ones((3, 2))), _VECTOR, _MATRIX, _VECTOR),
+     r"mlp: shapes .* b1 \(3,\), w2 \(2, 3\)"),
 ])
 def test_op_rejects_bad_shapes(op, message):
     with pytest.raises(DimensionError, match=message):
@@ -704,3 +740,95 @@ def test_sum_and_mean_leaf_gradients_are_owned_and_writable(shape, data, mean, k
     assert np.all(ga == expected) and np.all(gb == expected)
     ga += 1.0
     assert np.all(gb == expected)
+
+
+# -- the fused ReLU perceptron ----------------------------------------------------
+
+_MLP_INPUTS = ("x", "w1", "b1", "w2", "b2")
+
+
+def _mlp_composed(x, w1, b1, w2, b2):
+    """mlp as GIN layers and the variational nets built it before."""
+    return T.add(T.matmul(T.relu(T.add(T.matmul(x, w1), b1)), w2), b2)
+
+
+def _mlp_run(op, arrays, gv, tracked):
+    """op's value and the gradients of <op(...), gv> for the tracked inputs;
+    the gradient reaching op is gv, bit for bit."""
+    tape = Tape()
+    ins = {k: tape.leaf(v) if k in tracked else Tensor(v) for k, v in arrays.items()}
+    out = op(*(ins[k] for k in _MLP_INPUTS))
+    grads = backward(tape, T.tsum(T.mul(out, Tensor(gv))))
+    return [out.values] + [grads[ins[k].node_id] for k in _MLP_INPUTS if k in tracked]
+
+
+def _small_integers(rng, shape):
+    """Entries in {-2, -1, -0.0, 0.0, 1, 2}: sums cancel to exact zeros of
+    either sign, so pre-activations land on the ReLU's kink."""
+    return rng.choice([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0], shape)
+
+
+@given(n=st.integers(0, 6), d=st.integers(1, 9), h=st.integers(1, 9), k=st.integers(1, 9),
+       integers=st.booleans(), seed=st.integers(0, 2**16))
+@example(n=5, d=3, h=4, k=2, integers=True, seed=0)
+@example(n=0, d=2, h=3, k=2, integers=False, seed=1)    # no rows
+def test_mlp_is_byte_equal_to_the_composed_chain(n, d, h, k, integers, seed):
+    # signed zeros and magnitudes 1e-8..1e8 apart, or small integers whose
+    # sums hit exact zeros; every subset of the inputs is tracked in turn,
+    # so each vjp also runs without the others
+    rng = np.random.default_rng(seed)
+    draw = _small_integers if integers else _spread
+    arrays = {"x": draw(rng, (n, d)), "w1": draw(rng, (d, h)), "b1": draw(rng, (h,)),
+              "w2": draw(rng, (h, k)), "b2": draw(rng, (k,))}
+    gv = draw(rng, (n, k))
+    for size in range(len(_MLP_INPUTS) + 1):
+        for tracked in itertools.combinations(_MLP_INPUTS, size):
+            got = _mlp_run(T.mlp, arrays, gv, tracked)
+            want = _mlp_run(_mlp_composed, arrays, gv, tracked)
+            for x, y in zip(got, want, strict=True):
+                assert x.shape == y.shape and _bits(x).tobytes() == _bits(y).tobytes()
+
+
+def test_mlp_integer_example_reaches_the_kink_and_both_zero_signs():
+    # the integer example above puts pre-activations exactly on 0, and its
+    # hidden block holds 0.0 and, from negative pre-activations, -0.0
+    rng = np.random.default_rng(0)
+    x, w1, b1 = (_small_integers(rng, shape) for shape in ((5, 3), (3, 4), (4,)))
+    pre = x @ w1 + b1
+    hidden = pre * (pre > 0)
+    assert np.any(pre == 0.0)
+    assert np.any(_bits(hidden) == _bits(0.0)) and np.any(_bits(hidden) == _bits(-0.0))
+
+
+def test_mlp_gradcheck():
+    rng = np.random.default_rng(8)
+    w = rng.standard_normal((4, 2))
+    err = _gradcheck(lambda x, w1, b1, w2, b2: T.tsum(T.mul(T.mlp(x, w1, b1, w2, b2), Tensor(w))),
+                     x=rng.standard_normal((4, 3)), w1=rng.standard_normal((3, 5)),
+                     b1=rng.standard_normal(5), w2=rng.standard_normal((5, 2)),
+                     b2=rng.standard_normal(2))
+    assert err <= 1e-6
+
+
+def test_mlp_backward_twice_gives_the_same_gradients():
+    # each backward pass recomputes the hidden block; none reads the last one's
+    rng = np.random.default_rng(9)
+    tape = Tape()
+    ins = [tape.leaf(rng.standard_normal(s)) for s in ((4, 3), (3, 5), (5,), (5, 2), (2,))]
+    loss = T.tsum(T.square(T.mlp(*ins)))
+    first, second = backward(tape, loss), backward(tape, loss)
+    for t in ins:
+        assert first[t.node_id].tobytes() == second[t.node_id].tobytes()
+
+
+@pytest.mark.parametrize("x, w1, b1, w2, message", [
+    ([[1e200]], [[1e200]], [0.0], [[1.0]], "hidden block"),               # +inf
+    ([[1e200]], [[-1e200]], [0.0], [[1.0]], "hidden block"),              # -inf: nan after the mask
+    ([[1e200, 1e200]], [[1e200], [-1e200]], [0.0], [[1.0]], "hidden block"),  # inf - inf
+    ([[1e308]], [[1.0]], [1e308], [[1.0]], "hidden block"),               # the bias overflows it
+    ([[1e200]], [[1.0]], [0.0], [[1e200]], "output"),                     # the second product
+])
+def test_mlp_overflow_names_the_op(x, w1, b1, w2, message):
+    # pyproject turns a RuntimeWarning into an error, so none escapes
+    with pytest.raises(NumericError, match=f"mlp: non-finite {message}"):
+        T.mlp(Tensor(x), Tensor(w1), Tensor(b1), Tensor(w2), Tensor([0.0]))

@@ -17,7 +17,7 @@ from groupcontrast.augment import AUGMENTATION_KINDS
 from groupcontrast.config import ESTIMATORS, PIPELINES, RunConfig
 from groupcontrast.graphs import (Dataset, Graph, batch_graphs,
                                   generate_planted_motif_dataset)
-from groupcontrast.tensor import RowSum, Tape
+from groupcontrast.tensor import NumericError, RowSum, Tape
 from groupcontrast.trainer import (CheckpointError, HISTORY_HEADER, ModelState,
                                    TrainingError, checkpoint_load,
                                    checkpoint_save, init_model,
@@ -127,6 +127,26 @@ def test_resume_refuses_a_changed_config(field, value):
     with pytest.raises(TrainingError, match=f"{field}={value!r}"):
         train(changed, DATASET, state=state)
     assert state.epoch == 1
+
+
+@pytest.mark.parametrize("overrides, params, name", [
+    (dict(), "params", "gin.1.w1"),
+    (dict(estimator="param"), "var_params", "var.mu.w1"),
+    (dict(estimator="param"), "var_params", "var.lv.w1"),
+    (dict(pipeline="groupig", estimator="param"), "var_params", "var.mu.w1"),
+])
+def test_overflow_in_a_relu_perceptron_names_the_op_and_the_step(overrides, params, name):
+    # a GIN layer or a variational net whose hidden block overflows: with
+    # every first-layer weight 1e308 and bias the largest float, any input
+    # row of positive sum reaches inf. A RuntimeWarning would fail the test
+    # under pyproject's filter
+    cfg = RunConfig(**FAST, **overrides)
+    state = init_model(cfg, DATASET.feature_dim)
+    arrays = getattr(state, params)
+    arrays[name] = np.full_like(arrays[name], 1e308)
+    arrays[name[:-2] + "b1"] = np.full_like(arrays[name[:-2] + "b1"], np.finfo(float).max)
+    with pytest.raises(NumericError, match=r"^epoch 0 step 0: mlp: non-finite hidden block$"):
+        train(cfg, DATASET, state)
 
 
 @pytest.mark.parametrize("overrides", [
