@@ -4,6 +4,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+import warnings
 from pathlib import Path
 
 from .config import ConfigError, DataConfig, RunConfig, _convert, format_config, load_config
@@ -226,11 +227,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    shown = warnings.showwarning  # one-line warnings, like errors; filters stay as they are
+    warnings.showwarning = lambda message, *_, **__: print(f"warning: {message}", file=sys.stderr)
     try:
         return args.fn(args)
     except _KNOWN_ERRORS as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    finally:
+        warnings.showwarning = shown
 
 
 if __name__ == "__main__":

@@ -123,10 +123,23 @@ def interspace_penalty_nonparam(u_groups: Sequence[Tensor]) -> Tensor:
     return T.smul(total, 1.0 / (p * (p - 1) // 2 * b))
 
 
+_VARNET = "var."  # the variational nets' parameters are named "var.<net>.<name>"
+
+
+def varnet_params(params: Mapping) -> dict:
+    """The entries of a parameter table that belong to the variational nets."""
+    return {name: v for name, v in params.items() if name.startswith(_VARNET)}
+
+
+def has_interspace_term(num_groups: int, weight: float) -> bool:
+    """Whether a step's objective has an inter-space term: 2+ groups, weight > 0."""
+    return num_groups >= 2 and weight > 0
+
+
 def varnet_layout(dim: int) -> Layout:
     """Two two-layer MLPs (dim -> dim) producing the conditional mean and the
     per-dimension log-variance."""
-    return [(f"var.{net}.{name}", shape, init) for net in ("mu", "lv")
+    return [(f"{_VARNET}{net}.{name}", shape, init) for net in ("mu", "lv")
             for name, shape, init in (("w1", (dim, dim), "glorot"), ("b1", (dim,), "zeros"),
                                       ("w2", (dim, dim), "glorot"), ("b2", (dim,), "zeros"))]
 
@@ -136,7 +149,7 @@ def init_varnet_params(rng: np.random.Generator, dim: int) -> dict[str, np.ndarr
 
 
 def _varnet_forward(x: Tensor, params: Mapping, net: str) -> Tensor:
-    return T.mlp(x, *(params[f"var.{net}.{name}"] for name in ("w1", "b1", "w2", "b2")))
+    return T.mlp(x, *(params[f"{_VARNET}{net}.{name}"] for name in ("w1", "b1", "w2", "b2")))
 
 
 def _club_expression(u_groups: Sequence[Tensor], var_params: Mapping) -> Tensor:
@@ -196,13 +209,13 @@ def combine_terms(pos: Tensor, neg: Tensor, inter: Tensor, weight: float) -> tup
 def total_loss(pos: Tensor, neg: Tensor, u_groups: Sequence[Tensor], weight: float,
                var_params: Mapping | None = None) -> tuple[Tensor, LossBreakdown, Tensor | None]:
     """The step objective pos + neg + weight * inter, its breakdown, and the
-    variational nets' loss (None when they take no step). The one place that
+    variational nets' loss (None when they have none). The one place that
     picks the inter-space term: none below 2 groups or at weight 0, the
     parameterized CLUB penalty when ``var_params`` holds the nets, else the
     non-parameterized penalty. Each of the two losses holds the other's
     inputs constant, so one backward pass over their sum serves both."""
     inter, var_loss = Tensor(0.0), None
-    if len(u_groups) >= 2 and weight > 0:
+    if has_interspace_term(len(u_groups), weight):
         if var_params:
             inter = club_param_penalty(u_groups, var_params)
             var_loss = varnet_likelihood_loss(u_groups, var_params)

@@ -9,7 +9,7 @@ import json
 import math
 import struct
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -52,8 +52,6 @@ class ModelState:
     config: RunConfig
     params: dict[str, np.ndarray]
     opt: AdamState
-    var_params: dict[str, np.ndarray] = field(default_factory=dict)
-    var_opt: AdamState | None = None
     epoch: int = 0
 
 
@@ -64,10 +62,9 @@ def _view_r_name(name: str) -> str:
     return f"{module}_r.{rest}"
 
 
-def param_layout(config: RunConfig, feature_dim: int) -> tuple[Layout, Layout]:
-    """The layouts of the model's parameters and of the variational nets
-    (empty unless the estimator is param), in the order init_model draws
-    them. No array is built."""
+def param_layout(config: RunConfig, feature_dim: int) -> Layout:
+    """The layout of every trainable parameter in init_model's draw order,
+    the variational nets (estimator=param) last. No array is built."""
     # encode_nodes output width; equals the input width when L = 0
     node_dim = config.gin_hidden if config.gin_layers > 0 else feature_dim
     baseline = config.pipeline == "graphcl-baseline"
@@ -83,23 +80,15 @@ def param_layout(config: RunConfig, feature_dim: int) -> tuple[Layout, Layout]:
         # linear map from node embeddings to the group width before
         # node-level discrimination
         layout.append(("nodemap.w", (node_dim, config.group_dim), "glorot"))
-    param = config.estimator == "param" and not baseline
-    return layout, obj.varnet_layout(config.group_dim) if param else []
+    if config.estimator == "param" and not baseline:
+        layout += obj.varnet_layout(config.group_dim)
+    return layout
 
 
 def init_model(config: RunConfig, feature_dim: int) -> ModelState:
     rng = stream_rng(config.seed, "init")
-    layout, var_layout = param_layout(config, feature_dim)
-    params = draw_params(rng, layout)
-    var_params = draw_params(rng, var_layout)
-    return ModelState(
-        config=config,
-        params=params,
-        opt=init_adam(params, config.learning_rate),
-        var_params=var_params,
-        var_opt=init_adam(var_params, config.learning_rate) if var_layout else None,
-        epoch=0,
-    )
+    params = draw_params(rng, param_layout(config, feature_dim))
+    return ModelState(config=config, params=params, opt=init_adam(params, config.learning_rate))
 
 
 def embed_view(
@@ -140,11 +129,10 @@ def _step(state: ModelState, graphs: list[Graph], epoch: int, step: int) -> obj.
     batch with its node view; GroupCL and the baseline contrast two augmented
     views. ``obj.total_loss`` picks the inter-space term; when it trains the
     variational nets, their loss shares the step's tape and its one backward
-    pass, and they take their Adam step after the model's."""
+    pass, and they update with the model in its one Adam step."""
     cfg = state.config
     tape = Tape()
     leaves = {name: tape.leaf(v) for name, v in state.params.items()}
-    var_leaves = {name: tape.leaf(v) for name, v in state.var_params.items()}
     batch = batch_graphs(graphs)
     if cfg.pipeline == "groupig":
         u, nodes = embed_view(cfg, leaves, batch)
@@ -156,14 +144,12 @@ def _step(state: ModelState, graphs: list[Graph], epoch: int, step: int) -> obj.
         u, _ = embed_view(cfg, leaves, sample_view(batch, policy, rng), "u")
         r, _ = embed_view(cfg, leaves, sample_view(batch, policy, rng), "r")
         pos, neg = obj.js_terms(u, r)
-    loss, breakdown, var_loss = obj.total_loss(pos, neg, u, cfg.diversity_weight, var_leaves)
+    loss, breakdown, var_loss = obj.total_loss(pos, neg, u, cfg.diversity_weight,
+                                               obj.varnet_params(leaves))
     grads = backward(tape, loss if var_loss is None else T.add(loss, var_loss))
+    # nets without a loss get zero gradients: Adam leaves them as they are
     state.params, state.opt = adam_step(
         state.params, {name: grads[leaf.node_id] for name, leaf in leaves.items()}, state.opt)
-    if var_loss is not None:
-        state.var_params, state.var_opt = adam_step(
-            state.var_params, {name: grads[leaf.node_id] for name, leaf in var_leaves.items()},
-            state.var_opt)
     return breakdown
 
 
@@ -253,39 +239,30 @@ def _digest(raw: bytes) -> bytes:
     return h.hexdigest().encode("ascii")
 
 
-def _listing(shapes: Mapping[str, Sequence[int]],
-             var_shapes: Mapping[str, Sequence[int]]) -> list[list]:
-    """The header's array listing, [key, shape] in file order: each
-    parameter under "p/" and its name, then its Adam moments under "m/" and
-    "v/"; the variational nets' arrays follow, each key led by a "v"."""
-    return [[f"{pre}{kind}/{name}", list(shape)]
-            for pre, table in (("", shapes), ("v", var_shapes))
-            for name, shape in sorted(table.items()) for kind in "pmv"]
+def _listing(names: Mapping[str, object]) -> list[tuple[str, str, str]]:
+    """Each array's header key, kind and parameter name, in file order: a parameter
+    under "p/", then its Adam moments under "m/" and "v/"; the nets last, keys led by "v"."""
+    nets = obj.varnet_params(names)
+    return [(f"{'v' * (name in nets)}{kind}/{name}", kind, name)
+            for name in sorted(names, key=lambda name: (name in nets, name)) for kind in "pmv"]
 
 
 def _array_table(state: ModelState) -> list[tuple[str, np.ndarray]]:
     """The state's arrays under their listing keys, in file order."""
     arrays = {"p": state.params, "m": state.opt.m, "v": state.opt.v}
-    if state.var_opt is not None:
-        arrays.update(vp=state.var_params, vm=state.var_opt.m, vv=state.var_opt.v)
-    shapes = ({name: a.shape for name, a in p.items()} for p in (state.params, state.var_params))
-    table = []
-    for key, _ in _listing(*shapes):
-        kind, _, name = key.partition("/")
-        table.append((key, arrays[kind][name]))
-    return table
+    return [(key, arrays[kind][name]) for key, kind, name in _listing(state.params)]
 
 
 def checkpoint_save(path, state: ModelState) -> None:
     table = _array_table(state)
+    adam = {"step": state.opt.step, "lr": state.opt.lr}
     header = {
         "sha256": "0" * 64,
         "version": 2,
         "config": dataclasses.asdict(state.config),
         "epoch": state.epoch,
-        "adam": {"step": state.opt.step, "lr": state.opt.lr},
-        "var_adam": ({"step": state.var_opt.step, "lr": state.var_opt.lr}
-                     if state.var_opt is not None else None),
+        "adam": adam,
+        "var_adam": adam if obj.varnet_params(state.params) else None,
         "arrays": [[key, list(arr.shape)] for key, arr in table],
     }
     blob = json.dumps(header, separators=(",", ":")).encode("utf-8")
@@ -372,8 +349,8 @@ def checkpoint_load(path) -> ModelState:
     _require(8 * width <= total, f"input width {width} exceeds the file's data")
     # the listing is checked against the stored config's layout before any
     # array exists, so it also bounds the config's own sizes by the file's
-    layouts = param_layout(config, width)
-    expected = _listing(*({name: shape for name, shape, _ in lay} for lay in layouts))
+    shapes = {name: list(shape) for name, shape, _ in param_layout(config, width)}
+    expected = [[key, shapes[name]] for key, _, name in _listing(shapes)]
     for got, want in itertools.zip_longest(listing, expected):
         _require(got == want, f"array {got!r} where the stored config has {want!r}")
     try:
@@ -384,9 +361,13 @@ def checkpoint_load(path) -> ModelState:
         arr[...] = np.frombuffer(raw, dtype="<f8", count=arr.size, offset=offset).reshape(arr.shape)
         _require(bool(np.all(np.isfinite(arr))), f"non-finite values in {key!r}")
         offset += 8 * arr.size
-    _require((header["var_adam"] is None) == (state.var_opt is None), "bad var_adam header")
+    nets = bool(obj.varnet_params(state.params))
+    _require((header["var_adam"] is None) != nets, "bad var_adam header")
     state.opt = _read_adam(header["adam"], "adam", state.opt)
-    if state.var_opt is not None:
-        state.var_opt = _read_adam(header["var_adam"], "var_adam", state.var_opt)
+    if nets:
+        # var_adam once held the nets' own step: the model's, or 0 if they never trained
+        step = _read_adam(header["var_adam"], "var_adam", state.opt).step
+        _require(step == state.opt.step or step == 0 and not obj.has_interspace_term(
+            config.num_groups, config.diversity_weight), f"var_adam step {step} is not adam's")
     state.epoch = header["epoch"]
     return state

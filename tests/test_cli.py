@@ -1,6 +1,7 @@
 import json
 import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -203,6 +204,22 @@ def test_overflowing_step_names_epoch_and_step(tmp_path, capsys):
     assert err.startswith("error: NumericError: epoch 0 step ")
     assert err.count("\n") == 1
     assert not (tmp_path / "x").exists()
+
+
+def test_skipped_batch_warning_prints_one_line(tmp_path, capsys):
+    # 22 graphs in batches of 3 leave a 1-graph batch 7 each epoch; the
+    # warning prints as one line, not as Python's file:line and source form
+    data, out = tmp_path / "d.jsonl", tmp_path / "r"
+    assert main(["gen-data", "--out", str(data), "num_graphs=22"]) == 0
+    capsys.readouterr()
+    shown = warnings.showwarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")
+        assert main(["train", "--data", str(data), "--out", str(out),
+                     "epochs=2", "batch_size=3"]) == 0
+        assert warnings.showwarning is shown
+    assert capsys.readouterr().err == "".join(
+        f"warning: epoch {e}: skipping batch 7 with <2 graphs\n" for e in range(2))
 
 
 def test_missing_data_file_exits_nonzero(tmp_path, capsys):

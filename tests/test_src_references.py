@@ -1,4 +1,5 @@
-"""No `src/` definition exists only to serve its own unit test."""
+"""No `src/` definition exists only to serve its own unit test, and no
+`src/` import goes unread."""
 import ast
 from pathlib import Path
 
@@ -30,4 +31,33 @@ def test_every_top_level_definition_is_used_by_src_or_the_gate():
               if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in gate
               and not any(node.name in names for other, names in zip(statements, reads)
                           if other is not node)]
+    assert unused == []
+
+
+def exported_names(body: list[ast.stmt]) -> set[str]:
+    """The names a module's ``__all__`` lists."""
+    for node in body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def test_every_import_of_src_is_read():
+    # an import counts as read when another top-level statement of its
+    # module reads the name it binds, or when the module's __all__ lists it
+    unused = []
+    for path in sorted((ROOT / "src" / "groupcontrast").glob("*.py")):
+        body = ast.parse(path.read_text(encoding="utf-8")).body
+        reads = [referenced_names(node) for node in body]
+        exported = exported_names(body)
+        for node in body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                    isinstance(node, ast.ImportFrom) and node.module == "__future__"):
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.partition(".")[0]
+                if bound not in exported and not any(
+                        bound in names for other, names in zip(body, reads) if other is not node):
+                    unused.append(f"{path.name}: {bound}")
     assert unused == []

@@ -17,6 +17,7 @@ from groupcontrast.augment import AUGMENTATION_KINDS
 from groupcontrast.config import ESTIMATORS, PIPELINES, RunConfig
 from groupcontrast.graphs import (Dataset, Graph, batch_graphs,
                                   generate_planted_motif_dataset)
+from groupcontrast.objectives import varnet_layout, varnet_params
 from groupcontrast.tensor import NumericError, RowSum, Tape
 from groupcontrast.trainer import (CheckpointError, HISTORY_HEADER, ModelState,
                                    TrainingError, checkpoint_load,
@@ -86,10 +87,18 @@ def test_single_group_no_penalty_runs():
 
 
 def test_param_estimator_trains_varnets():
+    # the nets sit last in the one parameter table and move with the model
+    # on every step
     cfg = RunConfig(estimator="param", seed=2, **FAST)
+    initial = init_model(cfg, DATASET.feature_dim)
     state, history = train(cfg, DATASET)
-    assert state.var_params
-    assert state.var_opt.step == len(history)
+    names = [name for name, _, _ in varnet_layout(cfg.group_dim)]
+    assert list(state.params)[-len(names):] == names
+    assert list(varnet_params(state.params)) == names
+    assert state.opt.step == len(history)
+    for name in names:
+        assert not np.array_equal(state.params[name], initial.params[name])
+        assert state.opt.v[name].any()
     assert all(np.isfinite(r.total) for r in history)
 
 
@@ -139,10 +148,11 @@ def test_overflow_in_a_relu_perceptron_names_the_op_and_the_step(overrides, para
     # a GIN layer or a variational net whose hidden block overflows: with
     # every first-layer weight 1e308 and bias the largest float, any input
     # row of positive sum reaches inf. A RuntimeWarning would fail the test
-    # under pyproject's filter
+    # under pyproject's filter. The nets' weights sit in the one table too
     cfg = RunConfig(**FAST, **overrides)
     state = init_model(cfg, DATASET.feature_dim)
-    arrays = getattr(state, params)
+    arrays = state.params
+    assert (name in varnet_params(arrays)) == (params == "var_params")
     arrays[name] = np.full_like(arrays[name], 1e308)
     arrays[name[:-2] + "b1"] = np.full_like(arrays[name[:-2] + "b1"], np.finfo(float).max)
     with pytest.raises(NumericError, match=r"^epoch 0 step 0: mlp: non-finite hidden block$"):
@@ -169,8 +179,9 @@ def test_steps_leave_no_cyclic_tapes(overrides):
 @pytest.mark.parametrize("estimator", ESTIMATORS)
 @pytest.mark.parametrize("pipeline", PIPELINES)
 def test_step_records_one_tape_and_runs_one_backward(monkeypatch, pipeline, estimator):
-    # the variational nets' loss shares the step's tape and backward pass
-    tapes, passes = [], []
+    # the variational nets' loss shares the step's tape and backward pass,
+    # and one Adam update serves the model and the nets
+    tapes, passes, updates = [], [], []
 
     class Counted(Tape):
         def __init__(self):
@@ -181,28 +192,37 @@ def test_step_records_one_tape_and_runs_one_backward(monkeypatch, pipeline, esti
         passes.append(tape)
         return original(tape, loss)
 
-    original = trainer.backward
+    def adam_step(params, grads, opt):
+        updates.append(params)
+        return original_adam(params, grads, opt)
+
+    original, original_adam = trainer.backward, trainer.adam_step
     monkeypatch.setattr(trainer, "Tape", Counted)
     monkeypatch.setattr(trainer, "backward", backward)
+    monkeypatch.setattr(trainer, "adam_step", adam_step)
     state = init_model(RunConfig(pipeline=pipeline, estimator=estimator, seed=0, batch_size=16),
                        DATASET.feature_dim)
+    params = state.params
     trainer._step(state, list(DATASET.graphs[:16]), 0, 0)
     assert len(tapes) == 1 and passes == tapes
+    assert len(updates) == 1 and updates[0] is params
     assert state.opt.step == 1
-    assert state.var_opt is None or state.var_opt.step == 1
 
 
 @pytest.mark.parametrize("overrides", [dict(num_groups=1), dict(diversity_weight=0.0)])
 def test_param_estimator_without_inter_term_leaves_varnets_untouched(overrides):
-    # no inter-space term means no CLUB penalty, so the nets take no step
+    # no inter-space term means no CLUB penalty: the nets get zero
+    # gradients, and the shared Adam update leaves them and their moments
+    # as init_model made them
     cfg = RunConfig(estimator="param", seed=2, epochs=1, batch_size=16, **overrides)
     initial = init_model(cfg, DATASET.feature_dim)
     state, history = train(cfg, DATASET)
     assert state.opt.step == len(history) > 0
-    assert state.var_opt.step == 0
-    assert state.var_params.keys() == initial.var_params.keys()
-    for name, arr in initial.var_params.items():
-        assert state.var_params[name].tobytes() == arr.tobytes()
+    nets = varnet_params(initial.params)
+    assert nets.keys() == varnet_params(state.params).keys() != set()
+    for name, arr in nets.items():
+        assert state.params[name].tobytes() == arr.tobytes()
+        assert not state.opt.m[name].any() and not state.opt.v[name].any()
 
 
 @pytest.mark.parametrize("pipeline, views", [("groupcl", 2), ("groupig", 1),
@@ -290,12 +310,12 @@ def test_checkpoint_roundtrip_exact(tmp_path):
     back = checkpoint_load(path)
     assert back.config == cfg
     assert back.epoch == state.epoch
+    assert back.params.keys() == state.params.keys()
+    assert varnet_params(back.params)
     for k in state.params:
         assert np.array_equal(back.params[k], state.params[k])
         assert np.array_equal(back.opt.m[k], state.opt.m[k])
         assert np.array_equal(back.opt.v[k], state.opt.v[k])
-    for k in state.var_params:
-        assert np.array_equal(back.var_params[k], state.var_params[k])
     assert back.opt.step == state.opt.step
 
 
@@ -336,41 +356,34 @@ def run_configs(draw):
 
 
 @given(config=run_configs(), feature_dim=st.integers(1, 5), epoch=st.integers(0, 2**53),
-       adam_step=st.integers(0, 2**53), var_adam_step=st.integers(0, 2**53),
-       seed=st.integers(0, 2**16))
+       adam_step=st.integers(0, 2**53), seed=st.integers(0, 2**16))
 def test_checkpoint_round_trip_is_bit_exact(tmp_path_factory, config, feature_dim, epoch,
-                                            adam_step, var_adam_step, seed):
+                                            adam_step, seed):
     # every array holds random finite bit patterns (negative zeros, subnormals,
-    # extremes); arrays, config, epoch and both Adam headers come back exact,
-    # each Adam lr being the config's learning_rate
+    # extremes); arrays, config, epoch and the Adam state come back exact, its
+    # lr being the config's learning_rate. The nets' var_adam header, written
+    # only when the config has them, repeats adam
     rng = np.random.default_rng(seed)
     state = init_model(config, feature_dim)
-    tables = [state.params, state.opt.m, state.opt.v, state.var_params]
-    if state.var_opt is not None:
-        tables += [state.var_opt.m, state.var_opt.v]
+    tables = [state.params, state.opt.m, state.opt.v]
     for table in tables:
         for name, arr in table.items():
             bits = rng.integers(0, 2**64, size=arr.shape, dtype=np.uint64).view(np.float64)
             table[name] = np.where(np.isfinite(bits), bits, -0.0)
     state.epoch = epoch
     state.opt = dataclasses.replace(state.opt, step=adam_step)
-    if state.var_opt is not None:
-        state.var_opt = dataclasses.replace(state.var_opt, step=var_adam_step)
     path = tmp_path_factory.mktemp("ck") / "ck.bin"
     checkpoint_save(path, state)
+    header, _ = read_checkpoint_parts(path.read_bytes())
+    assert header["var_adam"] == (header["adam"] if varnet_params(state.params) else None)
     back = checkpoint_load(path)
     assert back.config == config and back.epoch == epoch
-    pairs = [(back.opt, state.opt)] + ([(back.var_opt, state.var_opt)]
-                                       if state.var_opt is not None else [])
-    assert (back.var_opt is None) == (state.var_opt is None)
-    for got, want in [(back.params, state.params), (back.var_params, state.var_params),
-                      *((g.m, w.m) for g, w in pairs), *((g.v, w.v) for g, w in pairs)]:
+    for got, want in zip([back.params, back.opt.m, back.opt.v], tables):
         assert got.keys() == want.keys()
         for name in want:
             assert got[name].shape == want[name].shape
             assert got[name].tobytes() == want[name].tobytes()
-    for got, want in pairs:
-        assert (got.step, got.lr) == (want.step, config.learning_rate)
+    assert (back.opt.step, back.opt.lr) == (adam_step, config.learning_rate)
 
 
 def read_checkpoint_parts(raw):
@@ -435,6 +448,9 @@ CORRUPTIONS = {
     "unknown prefix": lambda h, a: a.update({"q/rep.q": np.zeros(2)}),
     "no varnets": lambda h, a: [a.pop(k) for k in list(a) if k.startswith("v") and "/var." in k],
     "var_adam for nonparam": lambda h, a: h["config"].update(estimator="nonparam"),
+    "var_adam step neither 0 nor adam's": lambda h, a: h["var_adam"].update(
+        step=h["adam"]["step"] + 1),
+    "var_adam step 0 with an inter-space term": lambda h, a: h["var_adam"].update(step=0),
     "non-finite value": lambda h, a: a.update({"p/rep.q": np.full_like(a["p/rep.q"], np.nan)}),
     "reordered listing": lambda h, a: a.update({"p/rep.q": a.pop("p/rep.q")}),
 }
@@ -497,6 +513,27 @@ def test_checkpoint_adam_lr_must_be_the_configs_learning_rate(tmp_path, which, l
     with pytest.raises(CheckpointError, match=f"{which} lr {lr!r} is not the config's "
                                               "learning_rate 0.001"):
         checkpoint_load(path)
+
+
+def test_checkpoint_whose_nets_never_stepped_resumes_exactly(tmp_path):
+    # when the nets kept an Adam state of their own, a config with no
+    # inter-space term (one group here) saved their step as 0; such a file
+    # loads into the one shared state and resumes the uninterrupted run
+    full_cfg = RunConfig(estimator="param", num_groups=1, seed=8, epochs=4, batch_size=16)
+    _, full_hist = train(full_cfg, DATASET)
+    half_state, first_half = train(dataclasses.replace(full_cfg, epochs=2), DATASET)
+    path = tmp_path / "ck.bin"
+    checkpoint_save(path, half_state)
+    header, arrays = read_checkpoint_parts(path.read_bytes())
+    assert header["var_adam"] == header["adam"] and header["adam"]["step"] > 0
+    write_checkpoint_parts(path, dict(header, var_adam=dict(header["adam"], step=0)), arrays)
+    resumed = checkpoint_load(path)
+    assert resumed.opt.step == half_state.opt.step
+    _, second_half = train(full_cfg, DATASET, state=resumed)
+    full, joined = tmp_path / "full.csv", tmp_path / "joined.csv"
+    write_history(full, full_hist)
+    write_history(joined, first_half + second_half)
+    assert joined.read_bytes() == full.read_bytes()
 
 
 def test_checkpoint_of_an_integer_learning_rate_loads(tmp_path):
