@@ -2,12 +2,12 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 import warnings
 from pathlib import Path
 
-from .config import ConfigError, DataConfig, RunConfig, _convert, format_config, load_config
+from .config import (ConfigError, DataConfig, RunConfig, _convert, format_config, load_config,
+                     load_grid, parse_pairs)
 from .evaluation import (count_head_params, export_attention, extract_embeddings,
                          linear_probe, mean_offdiag_abs_cosine, query_cosine_matrix)
 from .graphs import GraphError, generate_planted_motif_dataset, load_dataset, save_dataset
@@ -16,14 +16,15 @@ from .trainer import (CheckpointError, TrainingError, checkpoint_load,
                       checkpoint_save, train, write_history)
 
 # ValueError covers ConfigError, DatasetFormatError, GraphError, ContractError, DimensionError;
-# MemoryError covers a model too large to allocate
-_KNOWN_ERRORS = (ValueError, OSError, MemoryError, NumericError, TrainingError, CheckpointError)
+# MemoryError covers a model too large to allocate; Warning covers one raised under -W error
+_KNOWN_ERRORS = (ValueError, OSError, MemoryError, NumericError, TrainingError, CheckpointError,
+                 Warning)
 
 
 def _parse_list(option: str, text: str, kind) -> list:
     """The items of a comma-separated option, each converted as a config
     value is; a bad item or an empty list raises ConfigError naming it."""
-    items = [_convert(option, item, kind) for item in text.split(",") if item.strip()]
+    items = [_convert(option, item.strip(), kind) for item in text.split(",") if item.strip()]
     if not items:
         raise ConfigError(f"{option}: no values in {text!r}")
     return items
@@ -139,26 +140,18 @@ def _cmd_count_params(args) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    p_values = _parse_list("--p-grid", args.p_grid, int)
-    lam_values = _parse_list("--lambda-grid", args.lambda_grid, float)
-    base = load_config(RunConfig, args.config, args.override)
-    # every config of the grid is built, and so checked, before the data is
-    # read and the first run trains
-    grid = [dataclasses.replace(base, num_groups=p, diversity_weight=lam)
-            for p in p_values for lam in lam_values]
+def _cmd_study(args) -> int:
+    axes = {key: _parse_list(key, text, str) for key, text in parse_pairs(args.grid).items()}
+    grid = load_grid(RunConfig, args.config, args.override, axes)  # checked before any run trains
     dataset = load_dataset(args.data)
     rows = []
-    for cfg in grid:
+    for i, cfg in enumerate(grid):
         state, history = train(cfg, dataset)
-        table = extract_embeddings(state, dataset)
-        probe = linear_probe(table, split_seed=cfg.seed)
+        probe = linear_probe(extract_embeddings(state, dataset), split_seed=cfg.seed)
         final = history[-1].total if history else float("nan")
-        rows.append((cfg.num_groups, cfg.diversity_weight, final, probe.test_accuracy))
-        print(f"p={cfg.num_groups} lambda={cfg.diversity_weight}: "
-              f"test accuracy {probe.test_accuracy:.4f}")
-    _write_rows(Path(args.out) / "sweep.csv",
-                ["p", "lambda", "final_loss", "test_accuracy"], rows)
+        rows.append((*(getattr(cfg, key) for key in axes), final, probe.test_accuracy))
+        print(f"point {i + 1}/{len(grid)}: test accuracy {probe.test_accuracy:.4f}")
+    _write_rows(Path(args.out) / "study.csv", [*axes, "final_loss", "test_accuracy"], rows)
     return 0
 
 
@@ -211,15 +204,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d-o", type=int, default=160)
     p.set_defaults(fn=_cmd_count_params)
 
-    p = sub.add_parser("sweep", help="grid over group count and diversity weight")
+    p = sub.add_parser("study", help="train and probe every point of a config grid")
     p.add_argument("--config")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--p-grid", default="1,2,4,5",
-                   help="group counts; each must divide embed_dim")
-    p.add_argument("--lambda-grid", default="0.0,0.1,0.3,0.5,0.7,0.9")
+    p.add_argument("--grid", action="append", default=[], metavar="key=v1,v2")
     add_overrides(p)
-    p.set_defaults(fn=_cmd_sweep)
+    p.set_defaults(fn=_cmd_study)
 
     return parser
 

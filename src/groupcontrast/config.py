@@ -4,6 +4,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from itertools import product
 
 from .augment import AugmentationPolicy
 from .graphs import GraphError
@@ -156,10 +157,18 @@ def build_config(cls, entries: dict[str, str]):
     return cls(**{name: _convert(name, raw, kinds[name]) for name, raw in entries.items()})
 
 
-def load_config(cls, path=None, overrides: list[str] | None = None):
+def load_grid(cls, path, overrides: list[str], axes: dict[str, list[str]]) -> list:
+    """The config of each point of the axes' product, the last axis varying fastest."""
     entries = read_config_file(path) if path else {}
-    entries.update(parse_pairs(overrides or []))
-    return build_config(cls, entries)
+    entries.update(parse_pairs(overrides))
+    both = sorted(set(entries) & set(axes))
+    if both:
+        raise ConfigError(f"keys both fixed and grid axes: {both}")
+    return [build_config(cls, {**entries, **dict(zip(axes, p))}) for p in product(*axes.values())]
+
+
+def load_config(cls, path=None, overrides: list[str] | None = None):
+    return load_grid(cls, path, overrides or [], {})[0]
 
 
 def format_config(cfg) -> str:

@@ -1,14 +1,16 @@
+import argparse
 import json
 import re
+import shlex
 import struct
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from groupcontrast import cli, trainer
 from groupcontrast.cli import build_parser, main
-from groupcontrast.config import RunConfig
 from groupcontrast.evaluation import export_attention, extract_embeddings, linear_probe
 from groupcontrast.graphs import generate_planted_motif_dataset, load_dataset, save_dataset
 from groupcontrast.trainer import checkpoint_load
@@ -194,8 +196,8 @@ def test_negative_seed_exits_before_writing(tmp_path, capsys):
 
 
 def test_overflowing_step_names_epoch_and_step(tmp_path, capsys):
-    # one line on stderr: no numpy RuntimeWarning (which the suite's
-    # warning filter would also turn into an error escaping the CLI)
+    # one line on stderr naming the step: no numpy RuntimeWarning (which the
+    # suite's warning filter would turn into an error: RuntimeWarning line)
     data = write_small_dataset(tmp_path)
     rc = main(["train", "--data", str(data), "--out", str(tmp_path / "x")]
               + FAST_TRAIN + ["learning_rate=1e305"])
@@ -220,6 +222,40 @@ def test_skipped_batch_warning_prints_one_line(tmp_path, capsys):
         assert warnings.showwarning is shown
     assert capsys.readouterr().err == "".join(
         f"warning: epoch {e}: skipping batch 7 with <2 graphs\n" for e in range(2))
+
+
+def test_warning_raised_as_error_prints_one_line(tmp_path, capsys):
+    # under -W error the skipped-batch warning once escaped as a traceback
+    data, out = tmp_path / "d.jsonl", tmp_path / "r"
+    assert main(["gen-data", "--out", str(data), "num_graphs=22"]) == 0
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["train", "--data", str(data), "--out", str(out),
+                     "epochs=2", "batch_size=3"]) == 1
+    assert capsys.readouterr().err == (
+        "error: UserWarning: epoch 0: skipping batch 7 with <2 graphs\n")
+    assert not out.exists()
+
+
+def test_readme_cli_examples_parse():
+    # every example of the README's CLI block parses, and every command has
+    # one, so a removed option or command cannot linger in the docs
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    parser = build_parser()
+    commands = set()
+    for line in block.replace("\\\n", " ").splitlines():
+        words = shlex.split(line, comments=True)
+        if not words:
+            continue
+        assert words[0] == "groupcontrast", line
+        try:
+            commands.add(parser.parse_args(words[1:]).command)
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {line}")
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert commands == set(sub.choices)
 
 
 def test_missing_data_file_exits_nonzero(tmp_path, capsys):
@@ -321,22 +357,66 @@ def test_eval_rejects_checkpoint_header_without_epoch(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_sweep_writes_grid(tmp_path):
+STUDY_TRAIN = ["epochs=1", "batch_size=20", "embed_dim=40", "key_dim=16", "gin_hidden=12"]
+
+
+def test_study_writes_grid(tmp_path):
     data = write_small_dataset(tmp_path, num_graphs=40)
-    out = tmp_path / "sweep"
-    rc = main(["sweep", "--data", str(data), "--out", str(out),
-               "--p-grid", "1,4", "--lambda-grid", "0.5",
-               "epochs=1", "batch_size=20", "embed_dim=40", "key_dim=16",
-               "gin_hidden=12"])
+    out = tmp_path / "study"
+    rc = main(["study", "--data", str(data), "--out", str(out),
+               "--grid", "num_groups=1,4", "--grid", "diversity_weight=0.0,0.5"] + STUDY_TRAIN)
     assert rc == 0
-    rows = (out / "sweep.csv").read_text().splitlines()
-    assert rows[0] == "p,lambda,final_loss,test_accuracy"
-    assert len(rows) == 3
-    assert rows[1].startswith("1,0.5,")
-    assert rows[2].startswith("4,0.5,")
+    rows = (out / "study.csv").read_text().splitlines()
+    assert rows[0] == "num_groups,diversity_weight,final_loss,test_accuracy"
+    # the axes in command-line order, the last varying fastest
+    assert [row.rsplit(",", 2)[0] for row in rows[1:]] == ["1,0.0", "1,0.5", "4,0.0", "4,0.5"]
 
 
-def test_sweep_checks_every_grid_point_before_training(tmp_path, capsys, monkeypatch):
+def _last_total(run) -> str:
+    return (run / "history.csv").read_text().splitlines()[-1].rsplit(",", 1)[1]
+
+
+def _probe_test_accuracy(out) -> str:
+    lines = (out / "probe.txt").read_text().splitlines()
+    return next(line.partition("=")[2] for line in lines if line.startswith("test_accuracy="))
+
+
+def test_study_seed_axis_matches_single_runs(tmp_path):
+    # each row holds the final total of history.csv and the probe.txt test
+    # accuracy of train + eval at that point; with no axis, the fixed config
+    # once. On this corpus the probe's split seed moves the test accuracy.
+    data = tmp_path / "data.jsonl"
+    save_dataset(data, generate_planted_motif_dataset(7, 60, 14, 8))
+    assert main(["study", "--data", str(data), "--out", str(tmp_path / "study"),
+                 "--grid", "seed=0,1,2"] + STUDY_TRAIN) == 0
+    assert main(["study", "--data", str(data), "--out", str(tmp_path / "one"),
+                 "seed=1"] + STUDY_TRAIN) == 0
+    expected = ["seed,final_loss,test_accuracy"]
+    for seed in range(3):
+        run = tmp_path / f"run{seed}"
+        assert main(["train", "--data", str(data), "--out", str(run),
+                     f"seed={seed}"] + STUDY_TRAIN) == 0
+        assert main(["eval", "--checkpoint", str(run / "checkpoint.bin"), "--data", str(data),
+                     "--out", str(tmp_path / f"eval{seed}")]) == 0
+        expected.append(f"{seed},{_last_total(run)},"
+                        f"{_probe_test_accuracy(tmp_path / f'eval{seed}')}")
+    assert (tmp_path / "study" / "study.csv").read_text().splitlines() == expected
+    assert (tmp_path / "one" / "study.csv").read_text().splitlines() == [
+        "final_loss,test_accuracy", expected[2].partition(",")[2]]
+
+
+def test_study_strips_axis_items(tmp_path):
+    # a string field's items are stripped, as an override's value is
+    data = write_small_dataset(tmp_path)
+    out = tmp_path / "study"
+    assert main(["study", "--data", str(data), "--out", str(out),
+                 "--grid", "estimator=nonparam, param", "epochs=0"] + FAST_TRAIN[2:]) == 0
+    rows = (out / "study.csv").read_text().splitlines()
+    assert [row.split(",", 2)[:2] for row in rows] == [
+        ["estimator", "final_loss"], ["nonparam", "nan"], ["param", "nan"]]
+
+
+def test_study_checks_every_grid_point_before_training(tmp_path, capsys, monkeypatch):
     # p=3 does not divide embed_dim=40; the runs for p=1 and p=2 once
     # trained before the grid failed and nothing was written
     data = write_small_dataset(tmp_path)
@@ -347,17 +427,50 @@ def test_sweep_checks_every_grid_point_before_training(tmp_path, capsys, monkeyp
         return trainer.train(config, dataset, state)
 
     monkeypatch.setattr(cli, "train", train)
-    out = tmp_path / "sweep"
-    assert main(["sweep", "--data", str(data), "--out", str(out), "--p-grid", "1,2,3",
-                 "--lambda-grid", "0.5"] + FAST_TRAIN[:2] + ["embed_dim=40"]) == 1
+    out = tmp_path / "study"
+    assert main(["study", "--data", str(data), "--out", str(out), "--grid", "num_groups=1,2,3",
+                 "--grid", "diversity_weight=0.5"] + FAST_TRAIN[:2] + ["embed_dim=40"]) == 1
     assert capsys.readouterr().err == (
         "error: ConfigError: embed_dim 40 not divisible by num_groups 3\n")
     assert calls == [] and not out.exists()
 
 
-def test_sweep_default_group_counts_divide_default_embed_dim():
-    default = build_parser().parse_args(["sweep", "--data", "d", "--out", "o"]).p_grid
-    assert all(RunConfig().embed_dim % int(p) == 0 for p in default.split(","))
+@pytest.mark.parametrize("argv, message", [
+    (["--grid", "num_grups=1,2"], "unknown config keys: ['num_grups']"),
+    (["--grid", "seed=0,1", "--grid", "seed=2"], "duplicate key 'seed'"),
+    (["--grid", "num_groups=1,2", "num_groups=2"],
+     "keys both fixed and grid axes: ['num_groups']"),
+    (["--grid", "epochs=1,2", "--config", "CONFIG"], "keys both fixed and grid axes: ['epochs']"),
+])
+def test_study_refuses_bad_axis_before_training(tmp_path, capsys, monkeypatch, argv, message):
+    data = write_small_dataset(tmp_path)
+    config = tmp_path / "run.cfg"
+    config.write_text("epochs=2\n")
+    monkeypatch.setattr(cli, "train", lambda *args: pytest.fail("a run trained"))
+    out = tmp_path / "study"
+    argv = [str(config) if arg == "CONFIG" else arg for arg in argv]
+    assert main(["study", "--data", str(data), "--out", str(out)] + argv) == 1
+    assert capsys.readouterr().err == f"error: ConfigError: {message}\n"
+    assert not out.exists()
+
+
+def test_study_failing_point_leaves_no_out(tmp_path, capsys, monkeypatch):
+    # the first point trains; the second overflows, and the command writes nothing
+    data = write_small_dataset(tmp_path)
+    calls = []
+
+    def train(config, dataset, state=None):
+        calls.append(config.learning_rate)
+        return trainer.train(config, dataset, state)
+
+    monkeypatch.setattr(cli, "train", train)
+    out = tmp_path / "study"
+    assert main(["study", "--data", str(data), "--out", str(out),
+                 "--grid", "learning_rate=0.001,1e305"] + FAST_TRAIN) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: NumericError: epoch 0 step ") and err.count("\n") == 1
+    assert err.endswith(": mlp: non-finite output\n")
+    assert calls == [0.001, 1e305] and not out.exists()
 
 
 def test_train_epochs_zero_writes_initial_checkpoint(tmp_path):
@@ -372,10 +485,8 @@ def test_train_epochs_zero_writes_initial_checkpoint(tmp_path):
 @pytest.mark.parametrize("option, value, message", [
     ("--graph-ids", "1.5", "invalid value for '--graph-ids': .*'1.5'"),
     ("--graph-ids", ",", "--graph-ids: no values in ','"),
-    ("--p-grid", "2,x", "invalid value for '--p-grid': .*'x'"),
-    ("--p-grid", "", "--p-grid: no values in ''"),
-    ("--lambda-grid", "0.5,y", "invalid value for '--lambda-grid': .*'y'"),
-    ("--lambda-grid", " , ", "--lambda-grid: no values in ' , '"),
+    ("--grid", "num_groups=2,x", "invalid value for 'num_groups': .*'x'"),
+    ("--grid", "diversity_weight= , ", "diversity_weight: no values in ','"),
 ])
 def test_list_option_names_option_and_item(tmp_path, capsys, option, value, message):
     # a bad item once escaped as a bare int()/float() ValueError, and an
@@ -386,7 +497,7 @@ def test_list_option_names_option_and_item(tmp_path, capsys, option, value, mess
         run = run_train(tmp_path, data, "run")
         argv = ["export-attn", "--checkpoint", str(run / "checkpoint.bin")]
     else:
-        argv = ["sweep"] + FAST_TRAIN
+        argv = ["study"] + FAST_TRAIN[:2]
     capsys.readouterr()
     assert main(argv + ["--data", str(data), "--out", str(out), option, value]) == 1
     err = capsys.readouterr().err
