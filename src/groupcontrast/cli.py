@@ -177,25 +177,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     add_overrides(p)
-    p.set_defaults(fn=_cmd_train)
+    p.set_defaults(fn=_cmd_train, out_dir=True)
 
     p = sub.add_parser("eval", help="extract embeddings and run the linear probe")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_eval)
+    p.set_defaults(fn=_cmd_eval, out_dir=True)
 
     p = sub.add_parser("analyze", help="write the query cosine-similarity matrix")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_analyze)
+    p.set_defaults(fn=_cmd_analyze, out_dir=True)
 
     p = sub.add_parser("export-attn", help="export per-node attention weights")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--graph-ids", required=True, help="comma-separated graph indices")
-    p.set_defaults(fn=_cmd_export_attn)
+    p.set_defaults(fn=_cmd_export_attn, out_dir=True)
 
     p = sub.add_parser("count-params", help="compare post-encoder head parameter counts")
     p.add_argument("--p", type=int, default=4)
@@ -210,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--grid", action="append", default=[], metavar="key=v1,v2")
     add_overrides(p)
-    p.set_defaults(fn=_cmd_study)
+    p.set_defaults(fn=_cmd_study, out_dir=True)
 
     return parser
 
@@ -221,6 +221,11 @@ def main(argv=None) -> int:
     shown = warnings.showwarning  # one-line warnings, like errors; filters stay as they are
     warnings.showwarning = lambda message, *_, **__: print(f"warning: {message}", file=sys.stderr)
     try:
+        if getattr(args, "out_dir", False):  # refuse a file at or above --out before any read
+            out = Path(args.out).absolute()
+            found = next(p for p in (out, *out.parents) if p.exists())
+            if not found.is_dir():
+                raise NotADirectoryError(f"--out {args.out}: {found} is not a directory")
         return args.fn(args)
     except _KNOWN_ERRORS as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

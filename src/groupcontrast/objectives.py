@@ -66,9 +66,10 @@ def js_terms(u_groups: Sequence[Tensor], r_groups: Sequence[Tensor]) -> tuple[Te
     with the same graph's group k in view r, negatives with every other
     graph's group k in view r.
 
-    Entry [k, i, j] of the (p, B, B) score block scores graph i's group k in
-    view u against graph j's group k in view r; the positives, its
-    diagonals, are taken as the (B, p) row dot products.
+    Score [k, i, j] pairs graph i's group k in view u with graph j's group
+    k in view r. One fused op sums the softplus over every such score, so no
+    (p, B, B) block is built; the positives, its diagonals, are taken as the
+    (B, p) row dot products.
     """
     u, r = _stack(u_groups), _stack(r_groups)
     if u.shape != r.shape:
@@ -76,8 +77,8 @@ def js_terms(u_groups: Sequence[Tensor], r_groups: Sequence[Tensor]) -> tuple[Te
     b = u.shape[0]
     if b < 2:
         raise ContractError("JS loss needs a batch of at least 2 graphs for negatives")
-    scores = T.matmul(T.transpose(u, (1, 0, 2)), T.transpose(r, (1, 2, 0)))
-    return _js_halves(T.tsum(T.softplus(scores)), T.tsum(T.mul(u, r), axis=2), b - 1)
+    all_sum = T.softplus_sum_of_products(T.transpose(u, (1, 0, 2)), T.transpose(r, (1, 0, 2)))
+    return _js_halves(all_sum, T.tsum(T.mul(u, r), axis=2), b - 1)
 
 
 def js_mi_loss(u_groups: Sequence[Tensor], r_groups: Sequence[Tensor]) -> Tensor:

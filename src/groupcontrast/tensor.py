@@ -7,6 +7,7 @@ gradient.
 """
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -292,26 +293,11 @@ def _mlp_grads(g: np.ndarray, xv: np.ndarray, w1v: np.ndarray, b1v: np.ndarray,
 
 def softplus(a: Tensor) -> Tensor:
     """Overflow-safe ``max(x, 0) + log1p(exp(-|x|))``; the vjp multiplies by
-    the logistic ``0.5 * (1 + tanh(x / 2))``.
-
-    Both are computed in place through one scratch block, which then holds
-    the logistic for the vjp: on a large score block every fresh temporary
-    costs page faults, not arithmetic. Each step is the ufunc the plain
-    expressions apply, to the same operands (addition and multiplication
-    commute exactly), so every value keeps its bits.
-    """
+    the logistic ``0.5 * (1 + tanh(x / 2))``."""
     a = _as_tensor(a)
     x = a.values
-    s = np.abs(x)
-    np.negative(s, out=s)
-    np.exp(s, out=s)
-    np.log1p(s, out=s)
-    out = np.maximum(x, 0.0)
-    out += s
-    sig = np.multiply(x, 0.5, out=s)
-    np.tanh(sig, out=sig)
-    np.add(sig, 1.0, out=sig)
-    np.multiply(sig, 0.5, out=sig)
+    out = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+    sig = 0.5 * (np.tanh(0.5 * x) + 1.0)
     return _result("softplus", out, [(a, lambda g: g * sig)])
 
 
@@ -343,31 +329,35 @@ def tsum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
 
 
 # the byte budget of one row-chunk buffer in the fused ops:
-# softplus_sum_of_products' score buffers and pool_outer's gathered gradient
-# rows. It is 64 rows of 1792 partners, the groupig-param benchmark's score
-# block, where larger chunks cost more minor page faults per step
+# softplus_sum_of_products' score buffers, whose chunk row spans every
+# leading slice, and pool_outer's gathered gradient rows. It is 64 rows of
+# 1792 partners, the groupig-param benchmark's score block, where larger
+# chunks cost more minor page faults per step
 _CHUNK_BYTES = 64 * 1792 * 8
 
 
 def softplus_sum_of_products(a: Tensor, b: Tensor) -> Tensor:
-    """``tsum(softplus(matmul(a, transpose(b))))`` for matrices a (m, d) and
-    b (n, d), without building the (m, n) score block.
+    """``tsum(softplus(matmul(a, swapaxes(b, -1, -2))))`` for blocks a
+    (..., m, d) and b (..., n, d) with equal leading axes, without building
+    the (..., m, n) score block.
 
-    Row chunks of a pass through three reused buffers. Each chunk's scores s
-    give ``e = exp(-|s|)`` once; the softplus is ``max(s, 0) + log1p(e)``
-    and its logistic ``exp(min(s, 0)) / (1 + e)``. The output is a scalar,
-    so the vjps are ``g * (σ @ b)`` and ``g * (σᵀ @ a)``: for the inputs on
-    a tape, both products are taken in the chunk loop, while the chunk is
-    in cache. A non-finite score raises, as the product's own check would.
+    Row chunks of a, each row taken across every leading slice, pass
+    through three reused buffers. Each chunk's scores s give
+    ``e = exp(-|s|)`` once; the softplus is ``max(s, 0) + log1p(e)`` and
+    its logistic ``exp(min(s, 0)) / (1 + e)``. The output is a scalar, so
+    the vjps are ``g * (σ @ b)`` and ``g * (σᵀ @ a)``: for the inputs on a
+    tape, both products are taken in the chunk loop, while the chunk is in
+    cache. A non-finite score raises, as the product's own check would.
     """
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.values.ndim != 2 or b.values.ndim != 2 or a.shape[1] != b.shape[1]:
+    if a.values.ndim < 2 or a.values.ndim != b.values.ndim \
+            or a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-1]:
         raise DimensionError(f"softplus-sum-of-products: shapes {a.shape} and {b.shape} "
-                             "are not (m, d) and (n, d)")
+                             "are not (..., m, d) and (..., n, d)")
     av, bv = a.values, b.values
-    m, n = len(av), len(bv)
-    rows = max(1, min(m, _CHUNK_BYTES // (8 * max(n, 1))))
-    s, e, t = (np.empty((rows, n)) for _ in range(3))
+    lead, (m, n) = av.shape[:-2], (av.shape[-2], bv.shape[-2])
+    rows = max(1, min(m, _CHUNK_BYTES // (8 * max(n * math.prod(lead), 1))))
+    s, e, t = (np.empty((*lead, rows, n)) for _ in range(3))
     grads = a.tape is not None or b.tape is not None
     if grads:
         ga, gb, gb_chunk = np.empty_like(av), np.zeros_like(bv), np.empty_like(bv)
@@ -376,9 +366,10 @@ def softplus_sum_of_products(a: Tensor, b: Tensor) -> Tensor:
     # the output's finiteness check
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, m, rows):
-            ac = av[lo:lo + rows]
-            sc, ec, tc = s[:len(ac)], e[:len(ac)], t[:len(ac)]
-            np.matmul(ac, bv.T, out=sc)
+            ac = av[..., lo:lo + rows, :]
+            k = ac.shape[-2]
+            sc, ec, tc = s[..., :k, :], e[..., :k, :], t[..., :k, :]
+            np.matmul(ac, np.swapaxes(bv, -1, -2), out=sc)
             np.abs(sc, out=ec)
             if not np.isfinite(ec.max(initial=0.0)):
                 raise NumericError("softplus-sum-of-products: non-finite score")
@@ -394,8 +385,8 @@ def softplus_sum_of_products(a: Tensor, b: Tensor) -> Tensor:
                 np.exp(tc, out=tc)
                 ec += 1.0
                 tc /= ec
-                np.matmul(tc, bv, out=ga[lo:lo + rows])
-                gb += np.matmul(tc.T, ac, out=gb_chunk)
+                np.matmul(tc, bv, out=ga[..., lo:lo + rows, :])
+                gb += np.matmul(np.swapaxes(tc, -1, -2), ac, out=gb_chunk)
     return _result("softplus-sum-of-products", total,
                    [(a, lambda g: g * ga), (b, lambda g: g * gb)])
 
@@ -507,7 +498,7 @@ class RowSum:
     The plan groups the rows once. ``order`` lists them slot-major: slot k
     holds the k-th row, in row order, of every bucket of more than k rows,
     and the buckets are ranked largest first, so slot k fills a prefix of
-    the ranked buckets. ``sum`` adds each slot to its prefix with one
+    the ranked buckets. ``sum_of`` adds each slot to its prefix with one
     in-place add and un-ranks the result. Each bucket thus adds its rows to
     0.0 one at a time in row order, the order of a sequential scatter-add
     (``np.add.at``), so every sum keeps its bits. The slot loop runs as
@@ -546,13 +537,18 @@ class RowSum:
         itself without ``rows``: row j of the block goes to bucket
         ``index[j]``. Each slot gathers its own rows, so the block is never
         built."""
-        take = self.order if rows is None else rows[self.order]
-        out = np.zeros((self.n, *x.shape[1:]))
+        return self.sum_of(lambda j: x.take(j if rows is None else rows[j], axis=0),
+                           x.shape[1:])
+
+    def sum_of(self, block: Callable, shape: tuple[int, ...]) -> np.ndarray:
+        """The (n, *shape) bucket sums of ``block(j)``, the rows that
+        ``block`` forms for each slot's row ids j, in the plan's order."""
+        out = np.zeros((self.n, *shape))
         # overflow to inf is left to the caller's finiteness check: a sum of
-        # finite floats can overflow
+        # finite floats, or a product that block forms, can overflow
         with np.errstate(over="ignore", invalid="ignore"):
             for lo, hi in self._slots:
-                out[:hi - lo] += x.take(take[lo:hi], axis=0)
+                out[:hi - lo] += block(self.order[lo:hi])
         return out[self._unrank]
 
 
@@ -580,9 +576,9 @@ def pool_outer(a: Tensor, h: Tensor, plan: RowSum) -> Tensor:
     ``a[j] ⊗ h[j]`` of the rows j in bucket i: ``index_add(mul(a as (m, p, 1),
     h as (m, 1, width)), plan)`` bit for bit, without the (m, p, width) block.
 
-    The forward forms each slot's products inside the plan's slot loop and
-    adds them as ``RowSum.sum`` adds the gathered block. Each vjp walks row
-    chunks within ``_CHUNK_BYTES``: it gathers the chunk's gradient rows
+    The forward forms each slot's products inside ``RowSum.sum_of``, the
+    slot loop that also adds ``RowSum.sum``'s gathered rows. Each vjp walks
+    row chunks within ``_CHUNK_BYTES``: it gathers the chunk's gradient rows
     ``g[index]``, multiplies them in place and sums over the other input's
     axis, the products and reductions of the ``mul`` vjps.
     """
@@ -593,13 +589,9 @@ def pool_outer(a: Tensor, h: Tensor, plan: RowSum) -> Tensor:
         raise DimensionError(f"pool-outer: plan over {index.size} rows for shapes "
                              f"{a.shape} and {h.shape}")
     av, hv = a.values, h.values
-    out = np.zeros((plan.n, av.shape[1], hv.shape[1]))
-    # an overflowing product is left to the output's finiteness check
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo, hi in plan._slots:
-            rows = plan.order[lo:hi]
-            out[:hi - lo] += av[rows][:, :, None] * hv[rows][:, None, :]
-    return _result("pool-outer", out[plan._unrank], [
+    out = plan.sum_of(lambda j: av[j][:, :, None] * hv[j][:, None, :],
+                      (av.shape[1], hv.shape[1]))
+    return _result("pool-outer", out, [
         (a, lambda g: _pooled_grad(g, index, hv[:, None, :], 2, np.empty_like(av))),
         (h, lambda g: _pooled_grad(g, index, av[:, :, None], 1, np.empty_like(hv))),
     ])

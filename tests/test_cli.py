@@ -473,6 +473,32 @@ def test_study_failing_point_leaves_no_out(tmp_path, capsys, monkeypatch):
     assert calls == [0.001, 1e305] and not out.exists()
 
 
+@pytest.mark.parametrize("below", ["", "sub/dir"])
+@pytest.mark.parametrize("command", ["train", "eval", "analyze", "export-attn", "study"])
+def test_out_below_a_file_exits_before_reading_anything(tmp_path, capsys, monkeypatch,
+                                                        command, below):
+    # train and study once read the data and trained to the end, then
+    # failed with FileExistsError or NotADirectoryError; the checkpoint
+    # does not exist, so reading it would fail with another error
+    data = write_small_dataset(tmp_path)
+    blocker = tmp_path / "file"
+    blocker.write_text("kept\n")
+    monkeypatch.setattr(cli, "train", lambda *args: pytest.fail("a run trained"))
+    out = str(blocker / below) if below else str(blocker)
+    argv = {"train": ["--data", str(data)] + FAST_TRAIN,
+            "study": ["--data", str(data), "--grid", "seed=0,1"] + FAST_TRAIN,
+            "eval": ["--data", str(data)],
+            "analyze": [],
+            "export-attn": ["--data", str(data), "--graph-ids", "0"]}[command]
+    if command in ("eval", "analyze", "export-attn"):
+        argv += ["--checkpoint", str(tmp_path / "missing.bin")]
+    assert main([command, "--out", out] + argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: NotADirectoryError: --out {out}: {blocker} is not a directory\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl", "file"]
+    assert blocker.read_text() == "kept\n"
+
+
 def test_train_epochs_zero_writes_initial_checkpoint(tmp_path):
     data = write_small_dataset(tmp_path)
     out = tmp_path / "zero"

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import math
 import weakref
 from unittest import mock
 
@@ -282,6 +283,10 @@ _MATRIX, _VECTOR = Tensor(np.ones((2, 3))), Tensor(np.ones(3))
      "neighbour-sum: plan over 2 rows and 3 / 2 edges"),
     (lambda: T.softplus_sum_of_products(_MATRIX, Tensor(np.ones((2, 2)))),
      r"softplus-sum-of-products: shapes \(2, 3\) and \(2, 2\) are not"),
+    (lambda: T.softplus_sum_of_products(Tensor(np.ones((2, 2, 3))), Tensor(np.ones((3, 2, 3)))),
+     r"softplus-sum-of-products: shapes \(2, 2, 3\) and \(3, 2, 3\) are not"),
+    (lambda: T.softplus_sum_of_products(_MATRIX, Tensor(np.ones((1, 2, 3)))),
+     r"softplus-sum-of-products: shapes \(2, 3\) and \(1, 2, 3\) are not"),
     (lambda: T.mlp(_MATRIX, Tensor(np.ones((2, 2))), _VECTOR, _MATRIX, _VECTOR),
      r"mlp: shapes x \(2, 3\), w1 \(2, 2\), b1 \(3,\), w2 \(2, 3\), b2 \(3,\) do not chain"),
     (lambda: T.mlp(_MATRIX, Tensor(np.ones((3, 2))), _VECTOR, _MATRIX, _VECTOR),
@@ -541,8 +546,8 @@ def test_neighbour_sum_matches_take_rows_then_index_add(nodes, data, seed):
 
 # -- softplus and the sum vjps: values, bits and gradient ownership ------------
 
-# the plain expressions softplus is defined by; the in-place kernel must
-# reproduce them bit for bit
+# the plain expressions softplus is defined by; its value and stored
+# logistic must reproduce them bit for bit
 def _softplus_reference(x):
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
@@ -582,23 +587,29 @@ def test_softplus_gradcheck_at_large_magnitudes():
 
 # -- the fused softplus sum over a product block --------------------------------
 
-def _chunk_rows(rows, n):
-    """Patch the fused op's chunk to ``rows`` rows of n partners."""
-    return mock.patch.object(T, "_CHUNK_BYTES", 8 * n * rows)
+def _chunk_rows(rows, n, lead=()):
+    """Patch the fused op's chunk to ``rows`` rows of n partners in every
+    leading slice."""
+    return mock.patch.object(T, "_CHUNK_BYTES", 8 * n * math.prod(lead) * rows)
 
 
 @given(rows=st.integers(1, 4), m=st.integers(1, 13), n=st.integers(1, 5), d=dims,
+       lead=hnp.array_shapes(min_dims=0, max_dims=3, max_side=3),
        tracked=st.sampled_from(["a", "b", "ab"]), seed=st.integers(0, 2**16))
-@example(rows=3, m=1, n=4, d=2, tracked="ab", seed=0)   # m = 1, below the chunk
-@example(rows=3, m=3, n=1, d=2, tracked="ab", seed=1)   # n = 1, one full chunk
-@example(rows=3, m=7, n=4, d=3, tracked="ab", seed=2)   # chunks of 3, 3 and 1
-@example(rows=2, m=6, n=3, d=1, tracked="ab", seed=3)   # a multiple of the chunk
-def test_softplus_sum_of_products_matches_dense_reference(rows, m, n, d, tracked, seed):
+@example(rows=3, m=1, n=4, d=2, lead=(), tracked="ab", seed=0)   # m = 1, below the chunk
+@example(rows=3, m=3, n=1, d=2, lead=(), tracked="ab", seed=1)   # n = 1, one full chunk
+@example(rows=3, m=7, n=4, d=3, lead=(), tracked="ab", seed=2)   # chunks of 3, 3 and 1
+@example(rows=2, m=6, n=3, d=1, lead=(), tracked="ab", seed=3)   # a multiple of the chunk
+@example(rows=3, m=2, n=4, d=2, lead=(4,), tracked="ab", seed=4)  # below the chunk, batched
+@example(rows=3, m=7, n=2, d=3, lead=(2, 3), tracked="ab", seed=5)  # across chunks, batched
+@example(rows=2, m=4, n=3, d=2, lead=(3, 1, 2), tracked="ab", seed=6)  # a multiple, 3 axes
+def test_softplus_sum_of_products_matches_dense_reference(rows, m, n, d, lead, tracked, seed):
     # b's entries up to 710 give scores of either sign beyond 710, where
     # exp(|s|) overflows; values and gradients agree within 1e-12 of the
-    # largest entry
+    # largest entry. A chunk row spans every leading slice
     rng = np.random.default_rng(seed)
-    a, b = rng.uniform(-1.0, 1.0, (m, d)), rng.uniform(-710.0, 710.0, (n, d))
+    a, b = rng.uniform(-1.0, 1.0, (*lead, m, d)), rng.uniform(-710.0, 710.0, (*lead, n, d))
+    swap = (*range(len(lead)), len(lead) + 1, len(lead))
 
     def run(fn):
         tape = Tape()
@@ -608,9 +619,10 @@ def test_softplus_sum_of_products_matches_dense_reference(rows, m, n, d, tracked
         grads = backward(tape, out)
         return out.item(), [grads[t.node_id] for t in (x, y) if t.tape is not None]
 
-    with _chunk_rows(rows, n):
+    with _chunk_rows(rows, n, lead):
         value, grads = run(T.softplus_sum_of_products)
-    want_value, want_grads = run(lambda x, y: T.tsum(T.softplus(T.matmul(x, T.transpose(y)))))
+    want_value, want_grads = run(
+        lambda x, y: T.tsum(T.softplus(T.matmul(x, T.transpose(y, swap)))))
     assert value == pytest.approx(want_value, rel=1e-12)
     for got, want in zip(grads, want_grads, strict=True):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * max(1.0, np.abs(want).max()))

@@ -13,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from groupcontrast import graphs, trainer
+from groupcontrast import tensor as T
 from groupcontrast.augment import AUGMENTATION_KINDS
 from groupcontrast.config import ESTIMATORS, PIPELINES, RunConfig
 from groupcontrast.graphs import (Dataset, Graph, batch_graphs,
@@ -207,6 +208,30 @@ def test_step_records_one_tape_and_runs_one_backward(monkeypatch, pipeline, esti
     assert len(tapes) == 1 and passes == tapes
     assert len(updates) == 1 and updates[0] is params
     assert state.opt.step == 1
+
+
+@pytest.mark.parametrize("pipeline", PIPELINES)
+def test_step_sums_all_pair_softplus_in_one_fused_op(monkeypatch, pipeline):
+    # both JS estimators take their all-pairs softplus sum from the fused op,
+    # so no step hands softplus a (p, B, B) score block
+    fused, blocks = [], []
+
+    def softplus_sum_of_products(a, b):
+        fused.append((a.shape, b.shape))
+        return original_fused(a, b)
+
+    def softplus(a):
+        blocks.append(a.values.size)
+        return original_softplus(a)
+
+    original_fused, original_softplus = T.softplus_sum_of_products, T.softplus
+    monkeypatch.setattr(T, "softplus_sum_of_products", softplus_sum_of_products)
+    monkeypatch.setattr(T, "softplus", softplus)
+    config = RunConfig(pipeline=pipeline, seed=0, batch_size=16)
+    state = init_model(config, DATASET.feature_dim)
+    trainer._step(state, list(DATASET.graphs[:16]), 0, 0)
+    p = 1 if pipeline == "graphcl-baseline" else config.num_groups
+    assert len(fused) == 1 and blocks and p * 16 * 16 not in blocks
 
 
 @pytest.mark.parametrize("overrides", [dict(num_groups=1), dict(diversity_weight=0.0)])
