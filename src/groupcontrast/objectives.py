@@ -95,18 +95,16 @@ def js_terms_nodewise(
     """JS terms with node-level partners: positives pair a graph's group
     embedding with its own nodes, negatives with all other graphs' nodes.
     ``by_graph`` buckets the nodes by their graph. One fused op sums the
-    softplus over every group-node score, so no (B*p, N) block is built.
+    softplus over every group-node score, so no (B*p, N) block is built;
+    another takes the (N, p, 1) own-node scores without gathering an
+    (N, p, d) block of each node's groups.
     """
     b = u_groups[0].shape[0]
-    n, d = r_nodes.shape
     if b < 2:
         raise ContractError("node-wise JS loss needs at least 2 graphs")
-    p = len(u_groups)
     u = _stack(u_groups)
-    all_sum = T.softplus_sum_of_products(T.reshape(u, (b * p, d)), r_nodes)
-    u_own = T.reshape(T.take_rows(T.reshape(u, (b, p * d)), by_graph), (n, p, d))
-    own = T.matmul(u_own, T.reshape(r_nodes, (n, d, 1)))   # (N, p, 1)
-    return _js_halves(all_sum, own, b - 1)
+    all_sum = T.softplus_sum_of_products(T.reshape(u, (b * len(u_groups), -1)), r_nodes)
+    return _js_halves(all_sum, T.gathered_dot(u, r_nodes, by_graph), b - 1)
 
 
 def interspace_penalty_nonparam(u_groups: Sequence[Tensor]) -> Tensor:
@@ -158,9 +156,9 @@ def _club_expression(u_groups: Sequence[Tensor], var_params: Mapping) -> Tensor:
     sum_i(-lv_i - (u^(l)_i - mu_i)^2 / exp(lv_i)), where mu and lv are the
     variational nets applied to u^(k).
 
-    The nets run once on all B * p group rows. Entry [g, k, l] of the
-    (B, p, p, d) residual block is u^(l) - mu(u^(k)) for graph g; the
-    diagonal k == l is masked off.
+    The nets run once on all B * p group rows. One fused op sums the
+    weighted squared residuals u^(l) - mu(u^(k)) of every graph and ordered
+    pair k != l without keeping their (B, p, p, d) block.
     """
     p = len(u_groups)
     if p < 2:
@@ -168,12 +166,9 @@ def _club_expression(u_groups: Sequence[Tensor], var_params: Mapping) -> Tensor:
     b, d = u_groups[0].shape
     u = _stack(u_groups)
     rows = T.reshape(u, (b * p, d))
-    mu = T.reshape(_varnet_forward(rows, var_params, "mu"), (b, p, 1, d))
+    mu = T.reshape(_varnet_forward(rows, var_params, "mu"), (b, p, d))
     lv = _varnet_forward(rows, var_params, "lv")
-    inv_var = T.reshape(T.exp(T.neg(lv)), (b, p, 1, d))
-    resid = T.square(T.sub(T.reshape(u, (b, 1, p, d)), mu))
-    off_diag = Tensor((1.0 - np.eye(p))[:, :, None])
-    quad = T.tsum(T.mul(T.mul(resid, inv_var), off_diag))
+    quad = T.pairwise_weighted_sq_dist(u, mu, T.reshape(T.exp(T.neg(lv)), (b, p, d)))
     # every row's -lv enters once per partner group l != k
     total = T.add(T.smul(T.tsum(lv), p - 1), quad)
     return T.smul(total, -1.0 / (p * (p - 1) * b))

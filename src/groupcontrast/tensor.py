@@ -244,19 +244,27 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     del hidden
     # the inputs in the order the composed chain's backward reaches them
     inputs = {"b2": b2, "w2": w2, "b1": b1, "x": x, "w1": w1}
+    return _result("mlp", out, _vjps_of_one_pass(
+        inputs, lambda g, tracked: _mlp_grads(g, xv, w1v, b1v, w2v, tracked)))
+
+
+def _vjps_of_one_pass(inputs: dict[str, Tensor], grads: Callable) -> list[tuple[Tensor, Callable]]:
+    """The (input, vjp) parents of an op whose gradients come from one
+    computation: ``grads(g, tracked)`` returns the gradient of each tracked
+    input's name. Backward runs an entry's vjps one after another with one
+    gradient, so the first of a pass calls grads, and each takes its own
+    out; the last leaves nothing behind."""
     tracked = {name for name, t in inputs.items() if t.tape is not None}
-    # backward runs an entry's vjps one after another with one gradient:
-    # the first fills this, and each takes its own out
     pending: dict[str, np.ndarray] = {}
 
     def vjp(name):
         def take(g):
             if not pending:
-                pending.update(_mlp_grads(g, xv, w1v, b1v, w2v, tracked))
+                pending.update(grads(g, tracked))
             return pending.pop(name)
         return take
 
-    return _result("mlp", out, [(t, vjp(name)) for name, t in inputs.items()])
+    return [(t, vjp(name)) for name, t in inputs.items()]
 
 
 def _mlp_hidden(xv: np.ndarray, w1v: np.ndarray, b1v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -288,6 +296,66 @@ def _mlp_grads(g: np.ndarray, xv: np.ndarray, w1v: np.ndarray, b1v: np.ndarray,
             grads["x"] = gp @ np.swapaxes(w1v, -1, -2)
         if "w1" in tracked:
             grads["w1"] = np.swapaxes(xv, -1, -2) @ gp
+    return grads
+
+
+def pairwise_weighted_sq_dist(u: Tensor, mu: Tensor, w: Tensor) -> Tensor:
+    """The sum over g, k != l and i of ``(u[g, l, i] - mu[g, k, i])² *
+    w[g, k, i]`` for blocks u, mu and w (B, p, d): ``tsum(mul(mul(square(
+    sub(u as (B, 1, p, d), mu as (B, p, 1, d))), w as (B, p, 1, d)), mask))``
+    bit for bit, where the (p, p, 1) mask is 0 on the diagonal k == l and 1
+    off it.
+
+    The forward forms the (B, p, p, d) block in one buffer, each step the
+    ufunc of the composed chain in place, and sums it. The op keeps its
+    three inputs, not the block: the first tracked vjp of a backward pass
+    rebuilds the residuals and takes every tracked input's gradient with
+    the expressions of the tsum, mask, w, square and sub vjps, in that
+    order. The rest hand theirs out. A non-finite block raises through the
+    sum, which a non-finite entry makes non-finite.
+    """
+    u, mu, w = (_as_tensor(t) for t in (u, mu, w))
+    uv, muv, wv = u.values, mu.values, w.values
+    if uv.ndim != 3 or muv.shape != uv.shape or wv.shape != uv.shape:
+        raise DimensionError(f"pairwise-weighted-sq-dist: shapes u {u.shape}, mu {mu.shape} "
+                             f"and w {w.shape} are not one (B, p, d)")
+    mask = (1.0 - np.eye(uv.shape[1]))[:, :, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        block = np.subtract(uv[:, None], muv[:, :, None])
+        np.multiply(block, block, out=block)
+        block *= wv[:, :, None]
+        block *= mask
+        total = block.sum()
+    return _result("pairwise-weighted-sq-dist", total, _vjps_of_one_pass(
+        {"u": u, "mu": mu, "w": w},
+        lambda g, tracked: _sq_dist_grads(g * mask, uv, muv, wv, tracked)))
+
+
+def _sq_dist_grads(g_mask: np.ndarray, uv: np.ndarray, muv: np.ndarray, wv: np.ndarray,
+                   tracked: set[str]) -> dict[str, np.ndarray]:
+    """The gradients of the tracked pairwise_weighted_sq_dist inputs, where
+    g_mask is the (p, p, 1) gradient of each masked entry: the composed
+    chain's block gradients, each its vjp's expression, through at most
+    two (B, p, p, d) blocks."""
+    # the unbroadcast of a length-1 axis does not sum: a sum would turn
+    # -0.0 into 0.0
+    def fold(x, axis):
+        return x.sum(axis=axis) if x.shape[axis] > 1 else x.squeeze(axis)
+
+    grads = {}
+    diff = np.subtract(uv[:, None], muv[:, :, None])
+    if "w" in tracked:
+        resid = diff * diff
+        resid *= g_mask
+        grads["w"] = fold(resid, 2)
+        del resid
+    if tracked & {"u", "mu"}:
+        diff *= 2.0
+        diff *= g_mask * wv[:, :, None]
+        if "u" in tracked:
+            grads["u"] = fold(diff, 1)
+        if "mu" in tracked:
+            grads["mu"] = np.negative(fold(diff, 2))
     return grads
 
 
@@ -330,9 +398,10 @@ def tsum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
 
 # the byte budget of one row-chunk buffer in the fused ops:
 # softplus_sum_of_products' score buffers, whose chunk row spans every
-# leading slice, and pool_outer's gathered gradient rows. It is 64 rows of
-# 1792 partners, the groupig-param benchmark's score block, where larger
-# chunks cost more minor page faults per step
+# leading slice, pool_outer's gathered gradient rows and gathered_dot's
+# gathered blocks. It is 64 rows of 1792 partners, the groupig-param
+# benchmark's score block, where larger chunks cost more minor page faults
+# per step
 _CHUNK_BYTES = 64 * 1792 * 8
 
 
@@ -552,18 +621,9 @@ class RowSum:
         return out[self._unrank]
 
 
-def take_rows(x: Tensor, plan: RowSum) -> Tensor:
-    """Rows ``x[plan.index]``, repeats allowed, for a plan over len(x) rows;
-    the adjoint of ``index_add``."""
-    x = _as_tensor(x)
-    if x.values.ndim == 0 or plan.n != x.shape[0]:
-        raise DimensionError(f"take-rows: plan over {plan.n} rows for input shape {x.shape}")
-    return _result("take-rows", x.values[plan.index], [(x, plan.sum)], moves_only=True)
-
-
 def index_add(x: Tensor, plan: RowSum) -> Tensor:
     """(plan.n, ...) block whose row i sums the rows ``x[j]`` with
-    ``plan.index[j] == i``; the adjoint of ``take_rows``."""
+    ``plan.index[j] == i``; the adjoint of the gather ``x[plan.index]``."""
     x = _as_tensor(x)
     index = plan.index
     if index.shape != x.shape[:1]:
@@ -601,27 +661,72 @@ def _pooled_grad(g: np.ndarray, index: np.ndarray, other: np.ndarray, axis: int,
                  out: np.ndarray) -> np.ndarray:
     """``(g[index] * other).sum(axis)`` into out, one row chunk of
     ``g[index]`` at a time."""
-    m = len(index)
-    rows = max(1, min(m, _CHUNK_BYTES // max(1, 8 * g.shape[1] * g.shape[2])))
-    buf = np.empty((rows, *g.shape[1:]))
-    for lo in range(0, m, rows):
-        # RowSum checked the indices: mode "raise" would gather into a
-        # temporary and copy it to buf
-        gc = np.take(g, index[lo:lo + rows], axis=0, out=buf[:min(rows, m - lo)], mode="clip")
-        gc *= other[lo:lo + rows]
+    for chunk, gc in _gathered_chunks(g, index):
+        gc *= other[chunk]
         # a length-1 axis is the mul vjp's unbroadcast case, which does not
         # sum: a sum would turn -0.0 into 0.0
         if gc.shape[axis] == 1:
-            out[lo:lo + rows] = gc.squeeze(axis)
+            out[chunk] = gc.squeeze(axis)
         else:
-            gc.sum(axis=axis, out=out[lo:lo + rows])
+            gc.sum(axis=axis, out=out[chunk])
     return out
 
 
+def _gathered_chunks(x: np.ndarray, index: np.ndarray):
+    """The row chunks of ``x[index]`` within ``_CHUNK_BYTES``, each with
+    the slice of index it gathers, one after another in one buffer."""
+    m = len(index)
+    rows = max(1, min(m, _CHUNK_BYTES // max(1, 8 * math.prod(x.shape[1:]))))
+    buf = np.empty((rows, *x.shape[1:]))
+    for lo in range(0, m, rows):
+        chunk = slice(lo, min(lo + rows, m))
+        # RowSum checked the indices: mode "raise" would gather into a
+        # temporary and copy it to buf
+        yield chunk, np.take(x, index[chunk], axis=0, out=buf[:chunk.stop - lo], mode="clip")
+
+
+def gathered_dot(u: Tensor, r: Tensor, plan: RowSum) -> Tensor:
+    """(m, p, 1) scores ``u[plan.index[j]] @ r[j]`` of the rows of r (m, d)
+    against the (p, d) blocks of u (plan.n, p, d): ``matmul(u[plan.index],
+    r as (m, d, 1))`` bit for bit, without the (m, p, d) gathered block.
+
+    The forward and the r vjp walk row chunks within ``_CHUNK_BYTES``: each
+    gathers the chunk's blocks of u into one buffer and takes the batched
+    product of the matmul, or of its vjp, into its rows of the result. The
+    u vjp sums the outer products ``g[j] ⊗ r[j]`` of each bucket inside
+    ``RowSum.sum_of``, the slot loop of the gather's vjp.
+    """
+    u, r = _as_tensor(u), _as_tensor(r)
+    uv, rv, index = u.values, r.values, plan.index
+    if uv.ndim != 3 or rv.ndim != 2 or uv.shape[2] != rv.shape[1]:
+        raise DimensionError(f"gathered-dot: shapes u {u.shape} and r {r.shape} are not "
+                             "(n, p, d) and (m, d)")
+    if plan.n != uv.shape[0] or index.shape != rv.shape[:1]:
+        raise DimensionError(f"gathered-dot: plan of {index.size} rows into {plan.n} buckets "
+                             f"for r of {rv.shape[0]} rows and u of {uv.shape[0]}")
+    (m, d), p = rv.shape, uv.shape[1]
+    out = np.empty((m, p, 1))
+    # a non-finite score is left to the output's finiteness check
+    with np.errstate(over="ignore", invalid="ignore"):
+        for chunk, uc in _gathered_chunks(uv, index):
+            np.matmul(uc, rv[chunk, :, None], out=out[chunk])
+
+    def r_grad(g):
+        gr = np.empty((m, d, 1))
+        for chunk, uc in _gathered_chunks(uv, index):
+            np.matmul(np.swapaxes(uc, -1, -2), g[chunk], out=gr[chunk])
+        return gr.reshape(m, d)
+
+    return _result("gathered-dot", out, [
+        (u, lambda g: plan.sum_of(lambda j: g[j] * rv[j][:, None, :], (p, d))),
+        (r, r_grad),
+    ])
+
+
 def neighbour_sum(x: Tensor, by_dst: RowSum, src: np.ndarray) -> Tensor:
-    """``index_add(take_rows(x, RowSum(src, n)), by_dst)`` as one op: row i
-    sums the rows ``x[src[e]]`` over the edges e with ``dst[e] == i``, where
-    dst is the index of the plan. Precondition: the edges are symmetric, each
+    """``index_add(x[src], by_dst)`` as one op: row i sums the rows
+    ``x[src[e]]`` over the edges e with ``dst[e] == i``, where dst is the
+    index of the plan. Precondition: the edges are symmetric, each
     (u, v) also listed as (v, u), as in a `Batch`. The sum is then its own
     adjoint, so the vjp is the same sum of the gradient. Neither direction
     builds an (E, ...) edge block."""

@@ -1,5 +1,7 @@
+import tracemalloc
 import warnings
 
+import pytest
 from hypothesis import settings
 
 # On a failing property test, hypothesis's pytest plugin imports its patch
@@ -21,3 +23,19 @@ with warnings.catch_warnings():
 # on every run
 settings.register_profile("tier1", max_examples=20, deadline=None, derandomize=True)
 settings.load_profile("tier1")
+
+
+@pytest.fixture
+def traced_peak():
+    """A function that runs fn() under tracemalloc and returns the peak of
+    the bytes it held above what was allocated before it. The caller runs
+    any first-call set-up (caches, lazy plans) beforehand."""
+    def peak(fn) -> int:
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fn()
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    return peak

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -138,7 +136,7 @@ def test_readout_is_sum_pooling():
     assert np.allclose(out, ref, atol=1e-12)
 
 
-def test_encode_nodes_allocation_budget():
+def test_encode_nodes_allocation_budget(traced_peak):
     # one forward and backward at the groupcl-large benchmark's batch (64
     # graphs of 40 nodes, 15.5k directed edges, width 32), plans included:
     # the neighbour sums gather each slot's rows straight from the node
@@ -157,17 +155,11 @@ def test_encode_nodes_allocation_budget():
 
     forward_backward(batch_graphs(list(ds.graphs)))     # first-call set-up stays out
     batch = batch_graphs(list(ds.graphs))
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        forward_backward(batch)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: forward_backward(batch))
     assert peak < 15 * block, f"peak {peak / block:.2f} node blocks"
 
 
-def test_encode_nodes_keeps_no_hidden_block():
+def test_encode_nodes_keeps_no_hidden_block(traced_peak):
     # one forward and backward of three GIN layers at the groupcl-default
     # benchmark's batch (128 graphs of 14 nodes, width 32), plans built
     # beforehand: each layer's mlp keeps its input, not its (N, 32) hidden
@@ -187,11 +179,5 @@ def test_encode_nodes_keeps_no_hidden_block():
         backward(tape, T.tsum(T.mul(encode_nodes(batch, leaves, 3), Tensor(w))))
 
     forward_backward()          # the plans and first-call set-up stay out
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        forward_backward()
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(forward_backward)
     assert peak < 7.5 * block, f"peak {peak / block:.2f} node blocks"

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -145,7 +143,7 @@ def test_spec_dimension_example():
     assert concat_groups(groups).shape == (1, 160)
 
 
-def test_forward_groups_allocation_budget():
+def test_forward_groups_allocation_budget(traced_peak):
     # one forward and backward at the default benchmark's shape (128 graphs
     # of 14 nodes, width 32, key_dim 100, 4 groups of width 40): scoring
     # through wk @ q, pooling before the value projection and pooling with
@@ -170,11 +168,5 @@ def test_forward_groups_allocation_budget():
         backward(tape, T.tsum(T.mul(concat_groups(groups), Tensor(weights))))
 
     forward_backward()          # first-call set-up stays out of the count
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        forward_backward()
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(forward_backward)
     assert peak < 2.0 * block, f"peak {peak / block:.2f} blocks"

@@ -268,7 +268,7 @@ def test_backward_skips_op_off_the_loss_path():
     assert np.array_equal(grads[b.node_id], np.zeros((2, 2)))
 
 
-_MATRIX, _VECTOR = Tensor(np.ones((2, 3))), Tensor(np.ones(3))
+_MATRIX, _VECTOR, _BLOCK = Tensor(np.ones((2, 3))), Tensor(np.ones(3)), Tensor(np.ones((2, 2, 3)))
 
 
 @pytest.mark.parametrize("op, message", [
@@ -287,6 +287,18 @@ _MATRIX, _VECTOR = Tensor(np.ones((2, 3))), Tensor(np.ones(3))
      r"softplus-sum-of-products: shapes \(2, 2, 3\) and \(3, 2, 3\) are not"),
     (lambda: T.softplus_sum_of_products(_MATRIX, Tensor(np.ones((1, 2, 3)))),
      r"softplus-sum-of-products: shapes \(2, 3\) and \(1, 2, 3\) are not"),
+    (lambda: T.gathered_dot(_BLOCK, Tensor(np.ones((2, 2))), T.RowSum([0, 1], 2)),
+     r"gathered-dot: shapes u \(2, 2, 3\) and r \(2, 2\) are not \(n, p, d\) and \(m, d\)"),
+    (lambda: T.gathered_dot(_MATRIX, _MATRIX, T.RowSum([0, 1], 2)),
+     r"gathered-dot: shapes u \(2, 3\) and r \(2, 3\) are not"),
+    (lambda: T.gathered_dot(_BLOCK, _MATRIX, T.RowSum([0, 1, 1], 2)),
+     "gathered-dot: plan of 3 rows into 2 buckets for r of 2 rows and u of 2"),
+    (lambda: T.gathered_dot(_BLOCK, _MATRIX, T.RowSum([0, 1], 3)),
+     "gathered-dot: plan of 2 rows into 3 buckets for r of 2 rows and u of 2"),
+    (lambda: T.pairwise_weighted_sq_dist(_MATRIX, _MATRIX, _MATRIX),
+     r"pairwise-weighted-sq-dist: shapes u \(2, 3\), mu \(2, 3\) and w \(2, 3\) are not"),
+    (lambda: T.pairwise_weighted_sq_dist(_BLOCK, _BLOCK, Tensor(np.ones((2, 2, 1)))),
+     r"pairwise-weighted-sq-dist: shapes .* w \(2, 2, 1\) are not one \(B, p, d\)"),
     (lambda: T.mlp(_MATRIX, Tensor(np.ones((2, 2))), _VECTOR, _MATRIX, _VECTOR),
      r"mlp: shapes x \(2, 3\), w1 \(2, 2\), b1 \(3,\), w2 \(2, 3\), b2 \(3,\) do not chain"),
     (lambda: T.mlp(_MATRIX, Tensor(np.ones((3, 2))), _VECTOR, _MATRIX, _VECTOR),
@@ -437,17 +449,16 @@ def test_concat_gradcheck(shape, data, seed):
     assert err <= 1e-6
 
 
-@given(rows=st.integers(1, 5), tail=st.lists(dims, max_size=2), data=st.data(),
-       seed=st.integers(0, 2**16))
-def test_take_rows_gradcheck(rows, tail, data, seed):
-    # repeated and empty index vectors included
-    index = data.draw(st.lists(st.integers(0, rows - 1), max_size=6))
-    plan = T.RowSum(index, rows)
-    x = _array(seed, (rows, *tail))
-    out = T.take_rows(Tensor(x), plan)
-    assert np.array_equal(out.values, x[np.array(index, dtype=int)])
-    w = _array(seed + 1, out.shape)
-    err = _gradcheck(lambda x: T.tsum(T.mul(T.take_rows(x, plan), Tensor(w))), x=x)
+@given(n=st.integers(1, 5), p=dims, d=dims, data=st.data(), seed=st.integers(0, 2**16))
+def test_gathered_dot_gradcheck(n, p, d, data, seed):
+    # repeated and empty index vectors included; x[index] is the gather
+    index = data.draw(st.lists(st.integers(0, n - 1), max_size=6))
+    plan = T.RowSum(index, n)
+    u, r = _array(seed, (n, p, d)), _array(seed + 1, (len(index), d))
+    out = T.gathered_dot(Tensor(u), Tensor(r), plan)
+    assert np.allclose(out.values, u[np.array(index, dtype=int)] @ r[:, :, None], atol=1e-12)
+    w = _array(seed + 2, out.shape)
+    err = _gradcheck(lambda u, r: T.tsum(T.mul(T.gathered_dot(u, r, plan), Tensor(w))), u=u, r=r)
     assert err <= 1e-6
 
 
@@ -466,21 +477,23 @@ def test_index_add_gradcheck(n, tail, data, seed):
     assert err <= 1e-6
 
 
-def test_take_rows_and_index_add_are_adjoint():
-    # <take_rows(x), y> == <x, index_add(y)> for any x, y
+def test_gathered_dot_and_index_add_are_adjoint():
+    # gathered_dot is linear in each input: for any y,
+    # <gathered_dot(u, r), y> == <u, index_add(y ⊗ r)> == <r, u[index]ᵀ y>
     rng = np.random.default_rng(5)
-    plan = T.RowSum([2, 0, 2, 3, 2], 4)
-    x, y = rng.standard_normal((4, 3)), rng.standard_normal((5, 3))
-    lhs = (T.take_rows(Tensor(x), plan).values * y).sum()
-    rhs = (x * T.index_add(Tensor(y), plan).values).sum()
-    assert lhs == pytest.approx(rhs, abs=1e-12)
+    index = np.array([2, 0, 2, 3, 2])
+    plan = T.RowSum(index, 4)
+    u, r = rng.standard_normal((4, 2, 3)), rng.standard_normal((5, 3))
+    y = rng.standard_normal((5, 2, 1))
+    lhs = (T.gathered_dot(Tensor(u), Tensor(r), plan).values * y).sum()
+    by_u = (u * T.index_add(Tensor(y * r[:, None, :]), plan).values).sum()
+    by_r = (r * (np.swapaxes(u[index], 1, 2) @ y)[:, :, 0]).sum()
+    assert lhs == pytest.approx(by_u, abs=1e-12) and lhs == pytest.approx(by_r, abs=1e-12)
 
 
 def test_index_add_rejects_index_length_mismatch():
     with pytest.raises(DimensionError):
         T.index_add(Tensor(np.ones((3, 2))), T.RowSum([0, 1], 4))
-    with pytest.raises(DimensionError, match="take-rows"):
-        T.take_rows(Tensor(np.ones((3, 2))), T.RowSum([0, 1], 4))
 
 
 @pytest.mark.parametrize("index, n, bad", [
@@ -537,7 +550,7 @@ def test_neighbour_sum_matches_take_rows_then_index_add(nodes, data, seed):
     leaf = tape.leaf(x)
     y = T.neighbour_sum(leaf, by_dst, src)
     grad = backward(tape, T.tsum(T.mul(y, Tensor(w))))[leaf.node_id]
-    composed = T.index_add(T.take_rows(Tensor(x), T.RowSum(src, nodes)), by_dst)
+    composed = T.index_add(Tensor(x[src]), by_dst)
     assert y.values.tobytes() == composed.values.tobytes()
     assert grad.tobytes() == T.neighbour_sum(Tensor(w), by_dst, src).values.tobytes()
     err = _gradcheck(lambda x: T.tsum(T.mul(T.neighbour_sum(x, by_dst, src), Tensor(w))), x=x)
@@ -754,6 +767,24 @@ def test_sum_and_mean_leaf_gradients_are_owned_and_writable(shape, data, mean, k
     assert np.all(gb == expected)
 
 
+# -- fused ops that keep state between the vjps of one backward pass --------------
+
+def _assert_each_walk_takes_its_own_gradient(op, arrays):
+    """Walk ``tsum(square(op(...)))`` twice on one tape, with a walk of
+    ``tsum(op(...))`` between them: each walk takes the gradients of its
+    own loss, as a tape of its own does, and reads nothing an earlier walk
+    left behind."""
+    tape, fresh_tape = Tape(), Tape()
+    ins, fresh_ins = [tape.leaf(a) for a in arrays], [fresh_tape.leaf(a) for a in arrays]
+    out = op(*ins)
+    square, plain = T.tsum(T.square(out)), T.tsum(out)
+    first, between, second = (backward(tape, loss) for loss in (square, plain, square))
+    fresh = backward(fresh_tape, T.tsum(op(*fresh_ins)))
+    for t, f in zip(ins, fresh_ins, strict=True):
+        assert first[t.node_id].tobytes() == second[t.node_id].tobytes()
+        assert between[t.node_id].tobytes() == fresh[f.node_id].tobytes()
+
+
 # -- the fused ReLU perceptron ----------------------------------------------------
 
 _MLP_INPUTS = ("x", "w1", "b1", "w2", "b2")
@@ -825,12 +856,8 @@ def test_mlp_gradcheck():
 def test_mlp_backward_twice_gives_the_same_gradients():
     # each backward pass recomputes the hidden block; none reads the last one's
     rng = np.random.default_rng(9)
-    tape = Tape()
-    ins = [tape.leaf(rng.standard_normal(s)) for s in ((4, 3), (3, 5), (5,), (5, 2), (2,))]
-    loss = T.tsum(T.square(T.mlp(*ins)))
-    first, second = backward(tape, loss), backward(tape, loss)
-    for t in ins:
-        assert first[t.node_id].tobytes() == second[t.node_id].tobytes()
+    _assert_each_walk_takes_its_own_gradient(
+        T.mlp, [rng.standard_normal(s) for s in ((4, 3), (3, 5), (5,), (5, 2), (2,))])
 
 
 @pytest.mark.parametrize("x, w1, b1, w2, message", [
@@ -844,3 +871,149 @@ def test_mlp_overflow_names_the_op(x, w1, b1, w2, message):
     # pyproject turns a RuntimeWarning into an error, so none escapes
     with pytest.raises(NumericError, match=f"mlp: non-finite {message}"):
         T.mlp(Tensor(x), Tensor(w1), Tensor(b1), Tensor(w2), Tensor([0.0]))
+
+
+# -- the fused own-node scores ----------------------------------------------------
+
+def _gathered_dot_composed(uv, rv, gv, plan):
+    """gathered_dot's value and gradients for the output gradient gv by the
+    chain it replaced, each step's forward or vjp expression in numpy: the
+    gather ``u[index]``, whose vjp is ``plan.sum``, then the batched matmul
+    with r as (m, d, 1)."""
+    (n, p, d), m = uv.shape, len(rv)
+    gathered = uv.reshape(n, p * d)[plan.index].reshape(m, p, d)
+    r3 = rv.reshape(m, d, 1)
+    gu = plan.sum((gv @ np.swapaxes(r3, -1, -2)).reshape(m, p * d)).reshape(n, p, d)
+    return gathered @ r3, gu, (np.swapaxes(gathered, -1, -2) @ gv).reshape(m, d)
+
+
+@given(index=st.lists(st.integers(0, 3), max_size=12), p=st.integers(1, 9),
+       d=st.integers(1, 9), rows=st.integers(1, 3), tracked=st.sampled_from(["u", "r", "ur"]),
+       seed=st.integers(0, 2**16))
+@example(index=[0, 1], p=2, d=3, rows=3, tracked="ur", seed=0)            # m below the chunk
+@example(index=[0, 0, 1], p=2, d=3, rows=3, tracked="ur", seed=1)         # m at the chunk
+@example(index=[2, 0, 2, 1, 2, 2, 3], p=3, d=2, rows=3, tracked="ur", seed=2)  # above it
+@example(index=[1, 0, 1, 1, 0, 3], p=2, d=2, rows=2, tracked="ur", seed=3)     # a multiple
+@example(index=[0, 2, 2], p=1, d=4, rows=1, tracked="ur", seed=4)         # one group
+@example(index=[], p=2, d=2, rows=1, tracked="ur", seed=5)                # no rows
+def test_gathered_dot_is_byte_equal_to_gather_then_matmul(index, p, d, rows, tracked, seed):
+    # buckets of unequal size, single-row and empty buckets, chunks of 1-3
+    # rows, signed zeros and magnitudes 1e-8..1e8 apart; p and d up to 9
+    # reach numpy's 8-way pairwise summation
+    rng = np.random.default_rng(seed)
+    plan = T.RowSum(index, 4)
+    uv, rv = _spread(rng, (4, p, d)), _spread(rng, (len(index), d))
+    gv = _spread(rng, (len(index), p, 1))
+    tape = Tape()
+    u = tape.leaf(uv) if "u" in tracked else Tensor(uv)
+    r = tape.leaf(rv) if "r" in tracked else Tensor(rv)
+    with mock.patch.object(T, "_CHUNK_BYTES", 8 * p * d * rows):
+        out = T.gathered_dot(u, r, plan)
+        grads = backward(tape, T.tsum(T.mul(out, Tensor(gv))))
+    got = [out.values] + [grads[t.node_id] for t in (u, r) if t.tape is not None]
+    want_out, want_u, want_r = _gathered_dot_composed(uv, rv, gv, plan)
+    want = [want_out] + [g for name, g in (("u", want_u), ("r", want_r)) if name in tracked]
+    for x, y in zip(got, want, strict=True):
+        assert x.shape == y.shape and _bits(x).tobytes() == _bits(y).tobytes()
+
+
+def test_gathered_dot_backward_twice_gives_the_same_gradients():
+    rng = np.random.default_rng(10)
+    plan = T.RowSum([2, 0, 2, 1, 2], 3)
+    _assert_each_walk_takes_its_own_gradient(lambda u, r: T.gathered_dot(u, r, plan),
+                                             [rng.standard_normal((3, 2, 4)),
+                                              rng.standard_normal((5, 4))])
+
+
+@pytest.mark.parametrize("u, r", [
+    ([[[1e200]]], [[1e200]]),                      # a product of +inf
+    ([[[1e200, 1e200]]], [[1e200, -1e200]]),       # inf - inf in one score: nan
+    ([[[1e308, 1e308]]], [[1.0, 1.0]]),            # finite products whose sum overflows
+])
+def test_gathered_dot_overflow_names_the_op(u, r):
+    # pyproject turns a RuntimeWarning into an error, so none escapes
+    with pytest.raises(NumericError, match="gathered-dot: non-finite output"):
+        T.gathered_dot(Tensor(u), Tensor(r), T.RowSum([0], 1))
+
+
+# -- the fused CLUB quadratic term ------------------------------------------------
+
+_SQ_DIST_INPUTS = ("u", "mu", "w")
+
+
+def _sq_dist_composed(u, mu, w):
+    """pairwise_weighted_sq_dist as the CLUB expression built it before."""
+    b, p, d = u.shape
+    resid = T.square(T.sub(T.reshape(u, (b, 1, p, d)), T.reshape(mu, (b, p, 1, d))))
+    weighted = T.mul(resid, T.reshape(w, (b, p, 1, d)))
+    return T.tsum(T.mul(weighted, Tensor((1.0 - np.eye(p))[:, :, None])))
+
+
+def _sq_dist_run(op, arrays, gv, tracked):
+    """op's value and the gradients of ``op(...) * gv`` for the tracked
+    inputs; the gradient reaching op is gv, bit for bit."""
+    tape = Tape()
+    ins = {k: tape.leaf(v) if k in tracked else Tensor(v) for k, v in arrays.items()}
+    out = op(*(ins[k] for k in _SQ_DIST_INPUTS))
+    grads = backward(tape, T.mul(out, Tensor(gv)))
+    return [out.values] + [grads[ins[k].node_id] for k in _SQ_DIST_INPUTS if k in tracked]
+
+
+@given(b=st.integers(1, 3), p=st.integers(1, 9), d=st.integers(1, 4),
+       g=st.sampled_from([1.0, -1.0, 0.0, -0.0]) | st.floats(-1e8, 1e8),
+       seed=st.integers(0, 2**16))
+@example(b=2, p=1, d=3, g=-1.0, seed=0)     # one group: every entry masked
+@example(b=1, p=3, d=1, g=-0.0, seed=1)     # a -0.0 gradient
+@example(b=2, p=9, d=2, g=0.5, seed=2)      # 9 groups: an 8-way pairwise sum
+def test_pairwise_weighted_sq_dist_is_byte_equal_to_the_composed_chain(b, p, d, g, seed):
+    # signed zeros and magnitudes 1e-8..1e8 apart; every subset of the
+    # inputs is tracked in turn, so each vjp also runs without the others
+    rng = np.random.default_rng(seed)
+    arrays = {name: _spread(rng, (b, p, d)) for name in _SQ_DIST_INPUTS}
+    for size in range(len(_SQ_DIST_INPUTS) + 1):
+        for tracked in itertools.combinations(_SQ_DIST_INPUTS, size):
+            got = _sq_dist_run(T.pairwise_weighted_sq_dist, arrays, g, tracked)
+            want = _sq_dist_run(_sq_dist_composed, arrays, g, tracked)
+            for x, y in zip(got, want, strict=True):
+                assert x.shape == y.shape and _bits(x).tobytes() == _bits(y).tobytes()
+
+
+def test_pairwise_weighted_sq_dist_one_group_example_keeps_negative_zeros():
+    # at one group every entry is masked: each gradient is a zero of the
+    # sign the composed vjps give it, and the example above reaches -0.0
+    rng = np.random.default_rng(0)
+    arrays = {name: _spread(rng, (2, 1, 3)) for name in _SQ_DIST_INPUTS}
+    grads = _sq_dist_run(T.pairwise_weighted_sq_dist, arrays, -1.0, _SQ_DIST_INPUTS)[1:]
+    assert all(np.all(g == 0.0) for g in grads)
+    assert any(np.any(_bits(g) == _bits(-0.0)) for g in grads)
+
+
+def test_pairwise_weighted_sq_dist_matches_its_definition_and_gradcheck():
+    rng = np.random.default_rng(11)
+    u, mu, w = (rng.standard_normal((2, 3, 4)) for _ in range(3))
+    want = sum((u[g, j] - mu[g, k]) ** 2 @ w[g, k]
+               for g in range(2) for k in range(3) for j in range(3) if j != k)
+    got = T.pairwise_weighted_sq_dist(Tensor(u), Tensor(mu), Tensor(w)).item()
+    assert got == pytest.approx(want, rel=1e-12)
+    assert _gradcheck(T.pairwise_weighted_sq_dist, u=u, mu=mu, w=w) <= 1e-6
+
+
+def test_pairwise_weighted_sq_dist_backward_twice_gives_the_same_gradients():
+    # each backward pass rebuilds the residuals; none reads the last one's
+    rng = np.random.default_rng(12)
+    _assert_each_walk_takes_its_own_gradient(T.pairwise_weighted_sq_dist,
+                                             [rng.standard_normal((2, 3, 4)) for _ in range(3)])
+
+
+@pytest.mark.parametrize("u, mu, w", [
+    ([[[1e308], [0.0]]], [[[-1e308], [0.0]]], [[[1.0], [1.0]]]),   # a residual of inf
+    ([[[1e200], [0.0]]], [[[0.0], [0.0]]], [[[1.0], [1.0]]]),      # its square overflows
+    ([[[1e100], [0.0]]], [[[0.0], [0.0]]], [[[1.0], [1e300]]]),    # the weighting overflows
+    ([[[1e200], [-1e200]]], [[[-1e200], [1e200]]], [[[1.0], [1.0]]]),  # the masked diagonal only
+    ([[[1e154, 1e154], [0.0, 0.0]]], [[[0.0, 0.0], [0.0, 0.0]]],
+     [[[1.0, 1.0], [1.0, 1.0]]]),                                  # two entries of 1e308
+])
+def test_pairwise_weighted_sq_dist_overflow_names_the_op(u, mu, w):
+    # pyproject turns a RuntimeWarning into an error, so none escapes
+    with pytest.raises(NumericError, match="pairwise-weighted-sq-dist: non-finite output"):
+        T.pairwise_weighted_sq_dist(Tensor(u), Tensor(mu), Tensor(w))

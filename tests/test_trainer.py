@@ -234,6 +234,24 @@ def test_step_sums_all_pair_softplus_in_one_fused_op(monkeypatch, pipeline):
     assert len(fused) == 1 and blocks and p * 16 * 16 not in blocks
 
 
+def test_groupig_param_step_keeps_no_gathered_or_residual_block(traced_peak):
+    # one GroupIG step with the variational nets at the groupig-param
+    # benchmark's batch (128 graphs of 14 nodes, 4 groups of width 40),
+    # traced after a first step: forward, both losses, backward and the
+    # Adam update. The own-node scores gather no (N, p, d) block and the
+    # CLUB term keeps no (B, p, p, d) residual block, so the step peaks at
+    # 3.61 blocks of (N, p, d). It reads 4.81 with the gathered block, 4.61
+    # with the kept residual blocks and 5.82 with both
+    ds = generate_planted_motif_dataset(1, 128, 14, 8)
+    config = RunConfig(pipeline="groupig", estimator="param")
+    state = init_model(config, ds.feature_dim)
+    graphs = list(ds.graphs)
+    block = 128 * 14 * config.embed_dim * 8      # (N, p, d), where p * d is embed_dim
+    trainer._step(state, graphs, 0, 0)      # first-call set-up stays out of the count
+    peak = traced_peak(lambda: trainer._step(state, graphs, 0, 1))
+    assert peak < 4.25 * block, f"peak {peak / block:.2f} blocks"
+
+
 @pytest.mark.parametrize("overrides", [dict(num_groups=1), dict(diversity_weight=0.0)])
 def test_param_estimator_without_inter_term_leaves_varnets_untouched(overrides):
     # no inter-space term means no CLUB penalty: the nets get zero
