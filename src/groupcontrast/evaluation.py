@@ -46,6 +46,9 @@ def extract_embeddings(state: ModelState, dataset: Dataset) -> EmbeddingTable:
     """Deterministic forward pass without augmentation; per graph the view's
     group vectors (the baseline's one projection) are concatenated in group
     order."""
+    if len(dataset) == 0:
+        # an empty file's dataset has feature dim 0: say so before the width
+        raise ContractError("dataset is empty")
     _check_input_width(state, dataset.feature_dim)
     groups, _ = embed_view(state.config, state.params, batch_graphs(list(dataset.graphs)))
     embeddings = np.concatenate([g.values for g in groups], axis=1)

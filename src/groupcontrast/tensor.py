@@ -2,8 +2,9 @@
 
 A ``Tape`` records every primitive applied to differentiable tensors during
 one forward pass; ``backward`` replays it once in reverse to produce
-gradients for all leaves. Tensors without a tape are constants and carry no
-gradient.
+gradients for all leaves, dropping each entry, and the forward arrays its
+vjps hold, as soon as they have run. Tensors without a tape are constants
+and carry no gradient.
 """
 from __future__ import annotations
 
@@ -26,12 +27,15 @@ class ContractError(ValueError):
 
 
 class Tape:
-    """Single-writer record of one forward computation."""
+    """Single-writer record of one forward computation, walked once.
+    ``len`` counts the recorded entries, also after the walk has dropped
+    them."""
 
     def __init__(self):
-        self._entries: list[tuple[int, list[tuple[int, Callable]]]] = []
+        self._entries: list[tuple[int, list[tuple[int, Callable]]]] | None = []
         self._leaf_shapes: dict[int, tuple[int, ...]] = {}
         self._next = 0
+        self._recorded = 0
 
     def _new_id(self) -> int:
         i = self._next
@@ -45,10 +49,13 @@ class Tape:
         return t
 
     def _record(self, out_id: int, parents: list[tuple[int, Callable]]):
+        if self._entries is None:
+            raise ContractError("tape: already walked by backward")
         self._entries.append((out_id, parents))
+        self._recorded += 1
 
     def __len__(self):
-        return len(self._entries)
+        return self._recorded
 
 
 class Tensor:
@@ -251,17 +258,17 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
 def _vjps_of_one_pass(inputs: dict[str, Tensor], grads: Callable) -> list[tuple[Tensor, Callable]]:
     """The (input, vjp) parents of an op whose gradients come from one
     computation: ``grads(g, tracked)`` returns the gradient of each tracked
-    input's name. Backward runs an entry's vjps one after another with one
-    gradient, so the first of a pass calls grads, and each takes its own
-    out; the last leaves nothing behind."""
+    input's name. Backward runs an entry's vjps once, one after another with
+    one gradient, so the first calls grads and each takes its own; dropping
+    the entry frees the rest."""
     tracked = {name for name, t in inputs.items() if t.tape is not None}
-    pending: dict[str, np.ndarray] = {}
+    computed: dict[str, np.ndarray] = {}
 
     def vjp(name):
         def take(g):
-            if not pending:
-                pending.update(grads(g, tracked))
-            return pending.pop(name)
+            if not computed:
+                computed.update(grads(g, tracked))
+            return computed[name]
         return take
 
     return [(t, vjp(name)) for name, t in inputs.items()]
@@ -747,10 +754,16 @@ def backward(tape: Tape, loss: Tensor) -> dict[int, np.ndarray]:
         raise ContractError(f"backward: loss must be scalar, got shape {loss.shape}")
     if loss.tape is not None and loss.tape is not tape:
         raise ContractError("backward: loss was not produced by this tape")
+    entries, tape._entries = tape._entries, None
+    if entries is None:
+        raise ContractError("backward: tape already walked")
     grads: dict[int, np.ndarray] = {}
     if loss.node_id is not None:
         grads[loss.node_id] = np.ones_like(loss.values)
-    for out_id, parents in reversed(tape._entries):
+    # each entry leaves the list before its vjps run, so the forward arrays
+    # they hold go when the next entry replaces it
+    while entries:
+        out_id, parents = entries.pop()
         g = grads.pop(out_id, None)
         if g is None:
             continue

@@ -138,11 +138,14 @@ def _step(state: ModelState, graphs: list[Graph], epoch: int, step: int) -> obj.
         u, nodes = embed_view(cfg, leaves, batch)
         pos, neg = obj.js_terms_nodewise(u, _node_view(leaves, nodes), batch.by_graph)
     else:
-        # both views come from the step's own stream, u's drawn before r's
+        # both views come from the step's own stream, u's drawn before r's.
+        # The step keeps neither the batch nor a view: the tape alone holds
+        # what backward needs, so the walk frees view r's arrays before u's
         policy = AugmentationPolicy(kinds=cfg.aug_kind_list, ratio=cfg.aug_ratio)
         rng = stream_rng(cfg.seed, "augment", epoch, step)
-        u, _ = embed_view(cfg, leaves, sample_view(batch, policy, rng), "u")
-        r, _ = embed_view(cfg, leaves, sample_view(batch, policy, rng), "r")
+        views = [sample_view(batch, policy, rng) for _ in range(2)]
+        del batch
+        u, r = (embed_view(cfg, leaves, views.pop(0), name)[0] for name in ("u", "r"))
         pos, neg = obj.js_terms(u, r)
     loss, breakdown, var_loss = obj.total_loss(pos, neg, u, cfg.diversity_weight,
                                                obj.varnet_params(leaves))

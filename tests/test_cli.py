@@ -302,6 +302,21 @@ def test_feature_width_mismatch_names_both_widths(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+def test_eval_on_an_empty_file_names_the_empty_dataset(tmp_path, capsys):
+    # it once failed on the width check instead, an empty file's dataset
+    # having feature dim 0: "dataset feature dim 0 does not match model
+    # input width 6"
+    run = run_train(tmp_path, write_small_dataset(tmp_path), "run")
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    capsys.readouterr()
+    rc = main(["eval", "--checkpoint", str(run / "checkpoint.bin"),
+               "--data", str(empty), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: ContractError: dataset is empty\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("case", ["huge-label", "unlabeled"])
 def test_eval_whose_probe_fails_writes_nothing(tmp_path, capsys, case):
     # the huge label once escaped as an OverflowError traceback; the

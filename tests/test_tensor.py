@@ -268,6 +268,30 @@ def test_backward_skips_op_off_the_loss_path():
     assert np.array_equal(grads[b.node_id], np.zeros((2, 2)))
 
 
+def test_backward_walks_a_tape_once_and_keeps_its_entry_count():
+    # the walk drops each entry once its vjps have run, the fused ops' with
+    # them: a second walk has nothing to walk, and the tape takes no new
+    # entry, but len still counts what the forward pass recorded
+    rng = np.random.default_rng(9)
+    tape = Tape()
+    x, w1, b1, w2, b2 = (tape.leaf(rng.standard_normal(s))
+                         for s in ((5, 3), (3, 4), (4,), (4, 6), (6,)))
+    h = T.mlp(x, w1, b1, w2, b2)                                  # (5, 6)
+    u = T.reshape(T.slice_cols(h, 0, 4), (5, 2, 2))
+    scores = T.gathered_dot(u, T.slice_cols(h, 4, 6), T.RowSum([2, 0, 2, 1, 4], 5))
+    dist = T.pairwise_weighted_sq_dist(u, T.square(u), T.relu(u))
+    loss = T.add(T.tsum(scores), dist)
+    recorded = len(tape)
+    assert recorded == 10
+    backward(tape, loss)
+    assert len(tape) == recorded
+    with pytest.raises(ContractError, match="backward: tape already walked"):
+        backward(tape, loss)
+    with pytest.raises(ContractError, match="tape: already walked by backward"):
+        T.relu(x)
+    assert len(tape) == recorded
+
+
 _MATRIX, _VECTOR, _BLOCK = Tensor(np.ones((2, 3))), Tensor(np.ones(3)), Tensor(np.ones((2, 2, 3)))
 
 
@@ -767,24 +791,6 @@ def test_sum_and_mean_leaf_gradients_are_owned_and_writable(shape, data, mean, k
     assert np.all(gb == expected)
 
 
-# -- fused ops that keep state between the vjps of one backward pass --------------
-
-def _assert_each_walk_takes_its_own_gradient(op, arrays):
-    """Walk ``tsum(square(op(...)))`` twice on one tape, with a walk of
-    ``tsum(op(...))`` between them: each walk takes the gradients of its
-    own loss, as a tape of its own does, and reads nothing an earlier walk
-    left behind."""
-    tape, fresh_tape = Tape(), Tape()
-    ins, fresh_ins = [tape.leaf(a) for a in arrays], [fresh_tape.leaf(a) for a in arrays]
-    out = op(*ins)
-    square, plain = T.tsum(T.square(out)), T.tsum(out)
-    first, between, second = (backward(tape, loss) for loss in (square, plain, square))
-    fresh = backward(fresh_tape, T.tsum(op(*fresh_ins)))
-    for t, f in zip(ins, fresh_ins, strict=True):
-        assert first[t.node_id].tobytes() == second[t.node_id].tobytes()
-        assert between[t.node_id].tobytes() == fresh[f.node_id].tobytes()
-
-
 # -- the fused ReLU perceptron ----------------------------------------------------
 
 _MLP_INPUTS = ("x", "w1", "b1", "w2", "b2")
@@ -853,13 +859,6 @@ def test_mlp_gradcheck():
     assert err <= 1e-6
 
 
-def test_mlp_backward_twice_gives_the_same_gradients():
-    # each backward pass recomputes the hidden block; none reads the last one's
-    rng = np.random.default_rng(9)
-    _assert_each_walk_takes_its_own_gradient(
-        T.mlp, [rng.standard_normal(s) for s in ((4, 3), (3, 5), (5,), (5, 2), (2,))])
-
-
 @pytest.mark.parametrize("x, w1, b1, w2, message", [
     ([[1e200]], [[1e200]], [0.0], [[1.0]], "hidden block"),               # +inf
     ([[1e200]], [[-1e200]], [0.0], [[1.0]], "hidden block"),              # -inf: nan after the mask
@@ -915,14 +914,6 @@ def test_gathered_dot_is_byte_equal_to_gather_then_matmul(index, p, d, rows, tra
     want = [want_out] + [g for name, g in (("u", want_u), ("r", want_r)) if name in tracked]
     for x, y in zip(got, want, strict=True):
         assert x.shape == y.shape and _bits(x).tobytes() == _bits(y).tobytes()
-
-
-def test_gathered_dot_backward_twice_gives_the_same_gradients():
-    rng = np.random.default_rng(10)
-    plan = T.RowSum([2, 0, 2, 1, 2], 3)
-    _assert_each_walk_takes_its_own_gradient(lambda u, r: T.gathered_dot(u, r, plan),
-                                             [rng.standard_normal((3, 2, 4)),
-                                              rng.standard_normal((5, 4))])
 
 
 @pytest.mark.parametrize("u, r", [
@@ -996,13 +987,6 @@ def test_pairwise_weighted_sq_dist_matches_its_definition_and_gradcheck():
     got = T.pairwise_weighted_sq_dist(Tensor(u), Tensor(mu), Tensor(w)).item()
     assert got == pytest.approx(want, rel=1e-12)
     assert _gradcheck(T.pairwise_weighted_sq_dist, u=u, mu=mu, w=w) <= 1e-6
-
-
-def test_pairwise_weighted_sq_dist_backward_twice_gives_the_same_gradients():
-    # each backward pass rebuilds the residuals; none reads the last one's
-    rng = np.random.default_rng(12)
-    _assert_each_walk_takes_its_own_gradient(T.pairwise_weighted_sq_dist,
-                                             [rng.standard_normal((2, 3, 4)) for _ in range(3)])
 
 
 @pytest.mark.parametrize("u, mu, w", [
