@@ -117,6 +117,9 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_export_attn(args) -> int:
     ids = _parse_list("--graph-ids", args.graph_ids, int)
+    for i, gid in enumerate(ids):  # a repeated id would write its graph's rows twice
+        if gid in ids[:i]:
+            raise ConfigError(f"--graph-ids: duplicate id {gid}")
     state = checkpoint_load(args.checkpoint)
     dataset = load_dataset(args.data)
     rows = []

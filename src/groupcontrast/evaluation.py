@@ -11,7 +11,7 @@ from .graphs import Dataset, Graph, batch_graphs
 from .optim import adam_step, init_adam
 from .representor import forward_groups
 from .seeding import stream_rng
-from .tensor import ContractError, NumericError
+from .tensor import ContractError, NumericError, _keep_heap
 from .trainer import ModelState, embed_view, input_width
 
 
@@ -46,6 +46,7 @@ def extract_embeddings(state: ModelState, dataset: Dataset) -> EmbeddingTable:
     """Deterministic forward pass without augmentation; per graph the view's
     group vectors (the baseline's one projection) are concatenated in group
     order."""
+    _keep_heap()
     if len(dataset) == 0:
         # an empty file's dataset has feature dim 0: say so before the width
         raise ContractError("dataset is empty")

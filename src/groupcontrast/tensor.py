@@ -8,7 +8,10 @@ and carry no gradient.
 """
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import os
 from typing import Callable
 
 import numpy as np
@@ -407,9 +410,34 @@ def tsum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
 # softplus_sum_of_products' score buffers, whose chunk row spans every
 # leading slice, pool_outer's gathered gradient rows and gathered_dot's
 # gathered blocks. It is 64 rows of 1792 partners, the groupig-param
-# benchmark's score block, where larger chunks cost more minor page faults
-# per step
+# benchmark's score block. The value stays because it fixes the order in
+# which the fused ops sum their chunks: another size moves GroupIG's bits
 _CHUNK_BYTES = 64 * 1792 * 8
+
+# glibc's mallopt parameters (malloc.h) and the heap policy set with them:
+# a 32 MiB mmap threshold, glibc's largest, serves a step's multi-MB
+# temporaries from the heap instead of fresh mmaps, and a 256 MiB trim
+# threshold keeps the heap top that backward frees between steps; the
+# process keeps that memory until it exits. Training steps faulted in
+# 425-2057 fresh pages each under glibc's dynamic defaults and 0 under this
+# policy on the three benchmark workloads; the trim threshold alone left
+# about 1900 on groupcl-large
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+@functools.cache
+def _keep_heap() -> None:
+    """Set the heap policy above, once per process, where the C library is
+    glibc; elsewhere, or where mallopt cannot be found, do nothing."""
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc"):
+            return
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, ValueError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 256 << 20)
 
 
 def softplus_sum_of_products(a: Tensor, b: Tensor) -> Tensor:

@@ -169,6 +169,7 @@ def train(
     """Run (or resume) training; the trajectory is fully determined by
     (seed, config, dataset). A resumed ``state`` must carry ``config`` up to
     ``epochs``, because its steps read the state's config."""
+    T._keep_heap()
     if len(dataset) == 0:
         raise TrainingError("dataset is empty")
     if state is None:

@@ -285,6 +285,21 @@ def test_export_attn_rejects_bad_graph_id(tmp_path, capsys):
     assert not (tmp_path / "attn").exists()
 
 
+def test_export_attn_refuses_a_repeated_graph_id(tmp_path, capsys, monkeypatch):
+    # "0,0" once wrote every row of graph 0 twice and reported 2 graphs
+    data = write_small_dataset(tmp_path)
+    run = run_train(tmp_path, data, "run")
+    capsys.readouterr()
+    loads = []
+    monkeypatch.setattr(cli, "checkpoint_load",
+                        lambda path: loads.append(path) or checkpoint_load(path))
+    rc = main(["export-attn", "--checkpoint", str(run / "checkpoint.bin"),
+               "--data", str(data), "--out", str(tmp_path / "attn"), "--graph-ids", "0,1,0"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: ConfigError: --graph-ids: duplicate id 0\n"
+    assert loads == [] and not (tmp_path / "attn").exists()
+
+
 @pytest.mark.parametrize("command", ["eval", "export-attn"])
 def test_feature_width_mismatch_names_both_widths(tmp_path, capsys, command):
     # export-attn once failed inside the first matmul:

@@ -3,8 +3,14 @@ import gc
 import hashlib
 import json
 import math
+import os
+import platform
 import re
+import statistics
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -266,6 +272,63 @@ def test_groupcl_step_frees_each_view_as_backward_passes_it(traced_peak):
     trainer._step(state, graphs, 0, 0)      # first-call set-up stays out of the count
     peak = traced_peak(lambda: trainer._step(state, graphs, 0, 1))
     assert peak < 11.0 * block, f"peak {peak / block:.2f} blocks"
+
+
+# trains GroupCL at the groupcl-large benchmark's shape (64 graphs of 40
+# nodes a step) and prints the minor page faults of each step
+_FAULTS_PER_STEP = """
+import json, resource
+from groupcontrast import trainer
+from groupcontrast.config import RunConfig
+from groupcontrast.graphs import generate_planted_motif_dataset
+
+faults, step = [], trainer._STEP_FNS["groupcl"]
+def counted(*args):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    out = step(*args)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    return out
+trainer._STEP_FNS["groupcl"] = counted
+trainer.train(RunConfig(pipeline="groupcl", batch_size=64, epochs=8),
+              generate_planted_motif_dataset(1, 192, 40, 8))
+print(json.dumps(faults))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap policy is glibc's")
+def test_steps_fault_in_no_fresh_pages_after_warmup():
+    # a fresh process, so no other test's heap history counts. With glibc's
+    # default thresholds the multi-MB step temporaries were fresh mmaps, and
+    # the heap top that backward frees was trimmed: about 1200-2100 faults
+    # a step. Under the heap policy a step reuses the pages it already holds
+    src = str(Path(trainer.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", _FAULTS_PER_STEP], env=env, check=True,
+                         capture_output=True, text=True, timeout=300).stdout
+    faults = json.loads(out)
+    assert len(faults) == 24
+    assert statistics.median(faults[6:]) < 100, faults
+
+
+def test_train_runs_where_mallopt_cannot_be_found(monkeypatch):
+    # the policy only places allocations: without it a run gives the same
+    # history, and a failed lookup is not an error
+    config = RunConfig(**FAST)
+    _, expected = train(config, DATASET)
+    lookups = []
+
+    def no_libc(name):
+        lookups.append(name)
+        raise OSError("no C library")
+
+    monkeypatch.setattr(T.ctypes, "CDLL", no_libc)
+    T._keep_heap.cache_clear()
+    try:
+        _, history = train(config, DATASET)
+    finally:
+        T._keep_heap.cache_clear()
+    assert history == expected
+    assert lookups == ([None] if platform.libc_ver()[0] == "glibc" else [])
 
 
 @pytest.mark.parametrize("overrides", [dict(num_groups=1), dict(diversity_weight=0.0)])
