@@ -18,9 +18,12 @@ class AugmentationPolicy:
     def __post_init__(self):
         if not self.kinds:
             raise GraphError("augmentation policy needs at least one kind")
-        for k in self.kinds:
+        for i, k in enumerate(self.kinds):
             if k not in AUGMENTATION_KINDS:
                 raise GraphError(f"unknown augmentation kind {k!r}")
+            # each graph draws one kind uniformly: a repeat would weight it
+            if k in self.kinds[:i]:
+                raise GraphError(f"repeated augmentation kind {k!r}")
         if not (0.0 <= self.ratio < 1.0):
             raise GraphError(f"augmentation ratio must lie in [0, 1), got {self.ratio}")
 

@@ -406,12 +406,11 @@ def tsum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     return _result("sum", a.values.sum(axis=axis, keepdims=keepdims), [(a, vjp)])
 
 
-# the byte budget of one row-chunk buffer in the fused ops:
-# softplus_sum_of_products' score buffers, whose chunk row spans every
-# leading slice, pool_outer's gathered gradient rows and gathered_dot's
-# gathered blocks. It is 64 rows of 1792 partners, the groupig-param
-# benchmark's score block. The value stays because it fixes the order in
-# which the fused ops sum their chunks: another size moves GroupIG's bits
+# the byte budget of each of softplus_sum_of_products' three score
+# buffers, whose chunk row spans every leading slice. It is 64 rows of 1792
+# partners, the groupig-param benchmark's score block. The value stays
+# because it fixes the order in which the op sums its chunks: another size
+# moves GroupIG's bits
 _CHUNK_BYTES = 64 * 1792 * 8
 
 # glibc's mallopt parameters (malloc.h) and the heap policy set with them:
@@ -595,6 +594,14 @@ def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
     return _result("slice-cols", a.values[:, start:stop].copy(), [(a, vjp)], moves_only=True)
 
 
+def _grouped(index: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows grouped by bucket, each bucket's in row order, by a stable
+    sort, and the (n,) bucket sizes. numpy sorts a 16-bit key by radix,
+    over ten times faster than a wider one."""
+    grouped = np.argsort(index.astype(np.uint16) if n <= 1 << 16 else index, kind="stable")
+    return grouped, np.bincount(index, minlength=n)
+
+
 class RowSum:
     """Plan for summing the rows of an (m, ...) block into n rows: row i of
     the sum adds the rows j with ``index[j] == i``, the bucket of i.
@@ -602,14 +609,16 @@ class RowSum:
     The plan groups the rows once. ``order`` lists them slot-major: slot k
     holds the k-th row, in row order, of every bucket of more than k rows,
     and the buckets are ranked largest first, so slot k fills a prefix of
-    the ranked buckets. ``sum_of`` adds each slot to its prefix with one
+    the ranked buckets. ``sum`` adds each slot to its prefix with one
     in-place add and un-ranks the result. Each bucket thus adds its rows to
     0.0 one at a time in row order, the order of a sequential scatter-add
     (``np.add.at``), so every sum keeps its bits. The slot loop runs as
-    often as the largest bucket has rows.
+    often as the largest bucket has rows. ``size_classes`` lists the
+    buckets by size instead, for the ops that take one batched product per
+    size.
     """
 
-    __slots__ = ("index", "n", "order", "_slots", "_unrank")
+    __slots__ = ("index", "n", "order", "_slots", "_unrank", "_classes")
 
     def __init__(self, index, n: int):
         index = np.asarray(index, dtype=np.intp)
@@ -618,10 +627,7 @@ class RowSum:
         if index.size and (index.min() < 0 or index.max() >= n):
             bad = np.flatnonzero((index < 0) | (index >= n))[0]
             raise DimensionError(f"row-sum: index {index[bad]} at row {bad} outside [0, {n})")
-        # a stable sort groups the rows by bucket in row order; numpy sorts
-        # a 16-bit key by radix, over ten times faster than a wider one
-        grouped = np.argsort(index.astype(np.uint16) if n <= 1 << 16 else index, kind="stable")
-        counts = np.bincount(index, minlength=n)
+        grouped, counts = _grouped(index, n)
         # buckets of equal size may rank in any order
         ranked = np.argsort(-counts)
         unrank = np.empty(n, dtype=np.intp)
@@ -635,25 +641,41 @@ class RowSum:
         order[offsets[slot] + unrank[bucket]] = grouped
         self.index, self.n, self.order, self._unrank = index, n, order, unrank
         self._slots = list(zip(offsets[:-1].tolist(), offsets[1:].tolist()))
+        self._classes = None
 
     def sum(self, x: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
         """The (n, ...) bucket sums of the block ``x[rows]``, or of ``x``
         itself without ``rows``: row j of the block goes to bucket
         ``index[j]``. Each slot gathers its own rows, so the block is never
         built."""
-        return self.sum_of(lambda j: x.take(j if rows is None else rows[j], axis=0),
-                           x.shape[1:])
-
-    def sum_of(self, block: Callable, shape: tuple[int, ...]) -> np.ndarray:
-        """The (n, *shape) bucket sums of ``block(j)``, the rows that
-        ``block`` forms for each slot's row ids j, in the plan's order."""
-        out = np.zeros((self.n, *shape))
+        out = np.zeros((self.n, *x.shape[1:]))
         # overflow to inf is left to the caller's finiteness check: a sum of
-        # finite floats, or a product that block forms, can overflow
+        # finite floats can overflow
         with np.errstate(over="ignore", invalid="ignore"):
             for lo, hi in self._slots:
-                out[:hi - lo] += block(self.order[lo:hi])
+                j = self.order[lo:hi]
+                out[:hi - lo] += x.take(j if rows is None else rows[j], axis=0)
         return out[self._unrank]
+
+    def size_classes(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The non-empty buckets by size s, smallest first: one pair per
+        size of the (k,) ids of its k buckets and the (k, s) ids of their
+        rows, each bucket's in row order. Built on first use, from a
+        second grouping: a plan does not keep the first, which an edge plan
+        would hold for nothing."""
+        if self._classes is None:
+            grouped, counts = _grouped(self.index, self.n)
+            starts = np.cumsum(counts) - counts
+            # np.bincount, not np.unique, lists the sizes: the first
+            # np.unique call imports numpy.ma, 1.6 MB of resident memory
+            per_size = np.bincount(counts)
+            ends = np.cumsum(per_size)
+            by_size = np.argsort(counts, kind="stable")
+            self._classes = []
+            for s in np.flatnonzero(per_size[1:]) + 1:
+                ids = by_size[ends[s] - per_size[s]:ends[s]]
+                self._classes.append((ids, grouped[starts[ids, None] + np.arange(s)]))
+        return self._classes
 
 
 def index_add(x: Tensor, plan: RowSum) -> Tensor:
@@ -669,13 +691,12 @@ def index_add(x: Tensor, plan: RowSum) -> Tensor:
 def pool_outer(a: Tensor, h: Tensor, plan: RowSum) -> Tensor:
     """(plan.n, p, width) block whose row i sums the outer products
     ``a[j] ⊗ h[j]`` of the rows j in bucket i: ``index_add(mul(a as (m, p, 1),
-    h as (m, 1, width)), plan)`` bit for bit, without the (m, p, width) block.
+    h as (m, 1, width)), plan)`` within rounding, without the
+    (m, p, width) block.
 
-    The forward forms each slot's products inside ``RowSum.sum_of``, the
-    slot loop that also adds ``RowSum.sum``'s gathered rows. Each vjp walks
-    row chunks within ``_CHUNK_BYTES``: it gathers the chunk's gradient rows
-    ``g[index]``, multiplies them in place and sums over the other input's
-    axis, the products and reductions of the ``mul`` vjps.
+    Each size class of the plan is one batched product over its gathered
+    rows: the forward is ``aᵀ h`` per bucket, the vjps ``h gᵀ`` and ``a g``.
+    BLAS sums a bucket's products in its own order, not row by row.
     """
     a, h = _as_tensor(a), _as_tensor(h)
     index = plan.index
@@ -684,52 +705,35 @@ def pool_outer(a: Tensor, h: Tensor, plan: RowSum) -> Tensor:
         raise DimensionError(f"pool-outer: plan over {index.size} rows for shapes "
                              f"{a.shape} and {h.shape}")
     av, hv = a.values, h.values
-    out = plan.sum_of(lambda j: av[j][:, :, None] * hv[j][:, None, :],
-                      (av.shape[1], hv.shape[1]))
+    out = _per_size(plan, np.zeros((plan.n, av.shape[1], hv.shape[1])), False,
+                    lambda ids, rows: np.matmul(np.swapaxes(av[rows], 1, 2), hv[rows]))
     return _result("pool-outer", out, [
-        (a, lambda g: _pooled_grad(g, index, hv[:, None, :], 2, np.empty_like(av))),
-        (h, lambda g: _pooled_grad(g, index, av[:, :, None], 1, np.empty_like(hv))),
+        (a, lambda g: _per_size(plan, np.empty_like(av), True, lambda ids, rows: np.matmul(
+            hv[rows], np.swapaxes(g[ids], 1, 2)))),
+        (h, lambda g: _per_size(plan, np.empty_like(hv), True,
+                                lambda ids, rows: np.matmul(av[rows], g[ids]))),
     ])
 
 
-def _pooled_grad(g: np.ndarray, index: np.ndarray, other: np.ndarray, axis: int,
-                 out: np.ndarray) -> np.ndarray:
-    """``(g[index] * other).sum(axis)`` into out, one row chunk of
-    ``g[index]`` at a time."""
-    for chunk, gc in _gathered_chunks(g, index):
-        gc *= other[chunk]
-        # a length-1 axis is the mul vjp's unbroadcast case, which does not
-        # sum: a sum would turn -0.0 into 0.0
-        if gc.shape[axis] == 1:
-            out[chunk] = gc.squeeze(axis)
-        else:
-            gc.sum(axis=axis, out=out[chunk])
+def _per_size(plan: RowSum, out: np.ndarray, to_rows: bool, product: Callable) -> np.ndarray:
+    """out with ``product(ids, rows)`` of each of the plan's size classes
+    written to the class's rows, or to its buckets."""
+    # a non-finite product is left to the output's finiteness check, or, in
+    # a gradient, to Adam's
+    with np.errstate(over="ignore", invalid="ignore"):
+        for ids, rows in plan.size_classes():
+            out[rows if to_rows else ids] = product(ids, rows)
     return out
-
-
-def _gathered_chunks(x: np.ndarray, index: np.ndarray):
-    """The row chunks of ``x[index]`` within ``_CHUNK_BYTES``, each with
-    the slice of index it gathers, one after another in one buffer."""
-    m = len(index)
-    rows = max(1, min(m, _CHUNK_BYTES // max(1, 8 * math.prod(x.shape[1:]))))
-    buf = np.empty((rows, *x.shape[1:]))
-    for lo in range(0, m, rows):
-        chunk = slice(lo, min(lo + rows, m))
-        # RowSum checked the indices: mode "raise" would gather into a
-        # temporary and copy it to buf
-        yield chunk, np.take(x, index[chunk], axis=0, out=buf[:chunk.stop - lo], mode="clip")
 
 
 def gathered_dot(u: Tensor, r: Tensor, plan: RowSum) -> Tensor:
     """(m, p, 1) scores ``u[plan.index[j]] @ r[j]`` of the rows of r (m, d)
     against the (p, d) blocks of u (plan.n, p, d): ``matmul(u[plan.index],
-    r as (m, d, 1))`` bit for bit, without the (m, p, d) gathered block.
+    r as (m, d, 1))`` within rounding, without the (m, p, d) gathered block.
 
-    The forward and the r vjp walk row chunks within ``_CHUNK_BYTES``: each
-    gathers the chunk's blocks of u into one buffer and takes the batched
-    product of the matmul, or of its vjp, into its rows of the result. The
-    u vjp sums the outer products ``g[j] ⊗ r[j]`` of each bucket inside
-    ``RowSum.sum_of``, the slot loop of the gather's vjp.
+    As in ``pool_outer``, each size class is one batched product over its
+    gathered rows of r and its buckets' blocks of u: the forward is ``r uᵀ``
+    per bucket, the vjps ``gᵀ r`` and ``g u``.
     """
     u, r = _as_tensor(u), _as_tensor(r)
     uv, rv, index = u.values, r.values, plan.index
@@ -739,22 +743,13 @@ def gathered_dot(u: Tensor, r: Tensor, plan: RowSum) -> Tensor:
     if plan.n != uv.shape[0] or index.shape != rv.shape[:1]:
         raise DimensionError(f"gathered-dot: plan of {index.size} rows into {plan.n} buckets "
                              f"for r of {rv.shape[0]} rows and u of {uv.shape[0]}")
-    (m, d), p = rv.shape, uv.shape[1]
-    out = np.empty((m, p, 1))
-    # a non-finite score is left to the output's finiteness check
-    with np.errstate(over="ignore", invalid="ignore"):
-        for chunk, uc in _gathered_chunks(uv, index):
-            np.matmul(uc, rv[chunk, :, None], out=out[chunk])
-
-    def r_grad(g):
-        gr = np.empty((m, d, 1))
-        for chunk, uc in _gathered_chunks(uv, index):
-            np.matmul(np.swapaxes(uc, -1, -2), g[chunk], out=gr[chunk])
-        return gr.reshape(m, d)
-
-    return _result("gathered-dot", out, [
-        (u, lambda g: plan.sum_of(lambda j: g[j] * rv[j][:, None, :], (p, d))),
-        (r, r_grad),
+    out = _per_size(plan, np.empty((rv.shape[0], uv.shape[1])), True,
+                    lambda ids, rows: np.matmul(rv[rows], np.swapaxes(uv[ids], 1, 2)))
+    return _result("gathered-dot", out[:, :, None], [
+        (u, lambda g: _per_size(plan, np.zeros_like(uv), False, lambda ids, rows: np.matmul(
+            np.swapaxes(g[rows, :, 0], 1, 2), rv[rows]))),
+        (r, lambda g: _per_size(plan, np.empty_like(rv), True,
+                                lambda ids, rows: np.matmul(g[rows, :, 0], uv[ids]))),
     ])
 
 

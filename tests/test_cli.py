@@ -96,6 +96,18 @@ def test_gen_data_rejects_non_positive_count(tmp_path, capsys, count):
     assert not out.exists()
 
 
+def test_train_refuses_a_repeated_augmentation_kind(tmp_path, capsys):
+    # once accepted, drawing node-drop for 2 of 3 graphs
+    data = write_small_dataset(tmp_path)
+    out = tmp_path / "run"
+    rc = main(["train", "--data", str(data), "--out", str(out)] + FAST_TRAIN
+              + ["aug_kinds=node-drop,node-drop"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: ConfigError: aug_kinds: repeated augmentation kind 'node-drop'\n")
+    assert not out.exists()
+
+
 def test_train_writes_artifacts(tmp_path):
     data = write_small_dataset(tmp_path)
     out = run_train(tmp_path, data, "run")

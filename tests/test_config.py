@@ -58,6 +58,15 @@ def test_validation_rules():
             RunConfig(**bad)
 
 
+@pytest.mark.parametrize("kinds", ["node-drop,node-drop,attribute-mask",
+                                   "attribute-mask, node-drop ,node-drop"])
+def test_repeated_augmentation_kind_rejected_by_name(kinds):
+    # a repeated kind was accepted and drawn for 2 of 3 graphs, where each
+    # graph draws one enabled kind uniformly
+    with pytest.raises(ConfigError, match="^aug_kinds: repeated augmentation kind 'node-drop'$"):
+        RunConfig(aug_kinds=kinds)
+
+
 @pytest.mark.parametrize("field, bad", [
     ("tie_views", "no"),            # a non-empty string is truthy
     ("scale_scores", 1),

@@ -148,9 +148,10 @@ def test_forward_groups_allocation_budget(traced_peak):
     # of 14 nodes, width 32, key_dim 100, 4 groups of width 40): scoring
     # through wk @ q, pooling before the value projection and pooling with
     # pool_outer build no (N, key_dim) key, (N, d) value or (N, p, width)
-    # weighted block, or their gradients. This reads 1.52 blocks, 0.64 of
-    # them the pooling vjp's chunk buffer; pooling as mul then index_add
-    # read 3.30, and one (N, p, width) block is 1.28
+    # weighted block, or their gradients. This reads 1.17 blocks with one
+    # batched product per graph size, against 1.31 when the pooling vjp
+    # walked chunk buffers; pooling as mul then index_add read 3.30, and
+    # one (N, p, width) block is 1.28
     b, nodes_per_graph, width, key_dim, p, d = 128, 14, 32, 100, 4, 40
     n = b * nodes_per_graph
     block = n * key_dim * 8

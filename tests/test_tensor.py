@@ -716,26 +716,67 @@ def _spread(rng, shape):
     return np.where(rng.random(shape) < 0.25, np.copysign(0.0, x), x)
 
 
+_EPS = np.finfo(np.float64).eps
+
+
+def _assert_within_rounding(got, want, ref_abs, terms):
+    """Each element of got lies within ``2 * terms * eps * ref_abs`` of
+    want, where terms is the largest number of products an element sums and
+    ref_abs the reference chain on the inputs' absolute values: the bound
+    on two sums of those products in any two orders. Zeros of either sign
+    compare equal."""
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 2 * terms * _EPS * ref_abs)
+
+
+def _check_pool_outer(av, hv, gv, plan):
+    """pool_outer's value and both gradients against the composed chain,
+    within the rounding of their sums: bucket sizes for the value, width
+    for a's gradient and p for h's."""
+    got = _pool_run(T.pool_outer, av, hv, gv, plan)
+    want = _pool_run(_pool_composed, av, hv, gv, plan)
+    ref_abs = _pool_run(_pool_composed, np.abs(av), np.abs(hv), np.abs(gv), plan)
+    terms = (np.bincount(plan.index, minlength=plan.n).max(initial=0), hv.shape[1], av.shape[1])
+    for x, y, ref, k in zip(got, want, ref_abs, terms, strict=True):
+        _assert_within_rounding(x, y, ref, k)
+
+
 @given(index=st.lists(st.integers(0, 3), max_size=12), p=st.integers(1, 9),
-       width=st.integers(1, 9), rows=st.integers(1, 3), seed=st.integers(0, 2**16))
-@example(index=[0, 1], p=2, width=3, rows=3, seed=0)            # m below the chunk
-@example(index=[0, 0, 1], p=2, width=3, rows=3, seed=1)         # m at the chunk
-@example(index=[2, 0, 2, 1, 2, 2, 3], p=3, width=2, rows=3, seed=2)  # above, not a multiple
-@example(index=[1, 0, 1, 1, 0, 3], p=2, width=2, rows=2, seed=3)     # a multiple
-@example(index=[0, 2, 2], p=1, width=4, rows=1, seed=4)         # one group: no sum for h
-@example(index=[0, 2, 2], p=4, width=1, rows=1, seed=5)         # width 1: no sum for a
-def test_pool_outer_is_byte_equal_to_composed_pooling(index, p, width, rows, seed):
-    # buckets of unequal size, single-row and empty buckets, chunks of 1-3
-    # rows; p and width up to 9 reach numpy's 8-way pairwise summation
+       width=st.integers(1, 9), seed=st.integers(0, 2**16))
+@example(index=[0, 1], p=2, width=3, seed=0)            # two single-row buckets, two empty
+@example(index=[0, 0, 1], p=2, width=3, seed=1)         # buckets of 2 and 1 rows
+@example(index=[2, 0, 2, 1, 2, 2, 3], p=3, width=2, seed=2)  # 4 interleaved rows and three of 1
+@example(index=[1, 0, 1, 1, 0, 3], p=2, width=2, seed=3)     # three sizes and an empty bucket
+@example(index=[0, 2, 2], p=1, width=4, seed=4)         # one group: no sum for h
+@example(index=[0, 2, 2], p=4, width=1, seed=5)         # width 1: no sum for a
+def test_pool_outer_matches_composed_pooling_within_rounding(index, p, width, seed):
+    # buckets of unequal size, single-row and empty buckets, signed zeros
+    # and magnitudes 1e-8..1e8 apart; p and width up to 9 reach numpy's
+    # 8-way pairwise summation
     rng = np.random.default_rng(seed)
     plan = T.RowSum(index, 4)
     av, hv = _spread(rng, (len(index), p)), _spread(rng, (len(index), width))
-    gv = _spread(rng, (4, p, width))
-    with mock.patch.object(T, "_CHUNK_BYTES", 8 * p * width * rows):
-        got = _pool_run(T.pool_outer, av, hv, gv, plan)
-    want = _pool_run(_pool_composed, av, hv, gv, plan)
-    for x, y in zip(got, want, strict=True):
-        assert x.shape == y.shape and _bits(x).tobytes() == _bits(y).tobytes()
+    _check_pool_outer(av, hv, _spread(rng, (4, p, width)), plan)
+
+
+def test_pool_outer_memory_on_a_skewed_batch(traced_peak):
+    # 127 graphs of 14 nodes and one of 400, p=4, width 32: one forward and
+    # backward holds its inputs' gradients and one size class's gathered
+    # rows and products. This reads 2.8 (N, 32) blocks; the chunked
+    # backward read 3.4, and padding every graph to 400 rows about 27
+    sizes = [14] * 127 + [400]
+    m, p, width = sum(sizes), 4, 32
+    plan = T.RowSum(np.repeat(np.arange(len(sizes)), sizes), len(sizes))
+    rng = np.random.default_rng(0)
+    av, hv = rng.standard_normal((m, p)), rng.standard_normal((m, width))
+    gv = rng.standard_normal((len(sizes), p, width))
+
+    def forward_backward():
+        _pool_run(T.pool_outer, av, hv, gv, plan)
+
+    forward_backward()          # the plan's size classes stay out of the count
+    peak = traced_peak(forward_backward)
+    assert peak < 4 * m * width * 8, f"peak {peak / (m * width * 8):.2f} blocks"
 
 
 def test_pool_outer_gradcheck_across_chunks():
@@ -886,34 +927,74 @@ def _gathered_dot_composed(uv, rv, gv, plan):
     return gathered @ r3, gu, (np.swapaxes(gathered, -1, -2) @ gv).reshape(m, d)
 
 
-@given(index=st.lists(st.integers(0, 3), max_size=12), p=st.integers(1, 9),
-       d=st.integers(1, 9), rows=st.integers(1, 3), tracked=st.sampled_from(["u", "r", "ur"]),
-       seed=st.integers(0, 2**16))
-@example(index=[0, 1], p=2, d=3, rows=3, tracked="ur", seed=0)            # m below the chunk
-@example(index=[0, 0, 1], p=2, d=3, rows=3, tracked="ur", seed=1)         # m at the chunk
-@example(index=[2, 0, 2, 1, 2, 2, 3], p=3, d=2, rows=3, tracked="ur", seed=2)  # above it
-@example(index=[1, 0, 1, 1, 0, 3], p=2, d=2, rows=2, tracked="ur", seed=3)     # a multiple
-@example(index=[0, 2, 2], p=1, d=4, rows=1, tracked="ur", seed=4)         # one group
-@example(index=[], p=2, d=2, rows=1, tracked="ur", seed=5)                # no rows
-def test_gathered_dot_is_byte_equal_to_gather_then_matmul(index, p, d, rows, tracked, seed):
-    # buckets of unequal size, single-row and empty buckets, chunks of 1-3
-    # rows, signed zeros and magnitudes 1e-8..1e8 apart; p and d up to 9
-    # reach numpy's 8-way pairwise summation
-    rng = np.random.default_rng(seed)
-    plan = T.RowSum(index, 4)
-    uv, rv = _spread(rng, (4, p, d)), _spread(rng, (len(index), d))
-    gv = _spread(rng, (len(index), p, 1))
+def _gathered_dot_run(uv, rv, gv, plan, tracked):
+    """gathered_dot's value and the gradients of <gathered_dot(u, r), gv>
+    for the tracked inputs."""
     tape = Tape()
     u = tape.leaf(uv) if "u" in tracked else Tensor(uv)
     r = tape.leaf(rv) if "r" in tracked else Tensor(rv)
-    with mock.patch.object(T, "_CHUNK_BYTES", 8 * p * d * rows):
-        out = T.gathered_dot(u, r, plan)
-        grads = backward(tape, T.tsum(T.mul(out, Tensor(gv))))
-    got = [out.values] + [grads[t.node_id] for t in (u, r) if t.tape is not None]
-    want_out, want_u, want_r = _gathered_dot_composed(uv, rv, gv, plan)
-    want = [want_out] + [g for name, g in (("u", want_u), ("r", want_r)) if name in tracked]
-    for x, y in zip(got, want, strict=True):
-        assert x.shape == y.shape and _bits(x).tobytes() == _bits(y).tobytes()
+    out = T.gathered_dot(u, r, plan)
+    grads = backward(tape, T.tsum(T.mul(out, Tensor(gv))))
+    return [out.values] + [grads[t.node_id] for t in (u, r) if t.tape is not None]
+
+
+def _check_gathered_dot(uv, rv, gv, plan, tracked):
+    """gathered_dot's value and tracked gradients against the composed
+    chain, within the rounding of their sums: d for the scores, bucket
+    sizes for u's gradient and p for r's."""
+    got = _gathered_dot_run(uv, rv, gv, plan, tracked)
+    want = _gathered_dot_composed(uv, rv, gv, plan)
+    ref_abs = _gathered_dot_composed(np.abs(uv), np.abs(rv), np.abs(gv), plan)
+    (p, d), largest = uv.shape[1:], np.bincount(plan.index, minlength=plan.n).max(initial=0)
+    picked = [(0, d)] + [(i, k) for i, (name, k) in enumerate((("u", largest), ("r", p)), 1)
+                         if name in tracked]
+    assert len(got) == len(picked)
+    for x, (i, k) in zip(got, picked):
+        _assert_within_rounding(x, want[i], ref_abs[i], k)
+
+
+@given(index=st.lists(st.integers(0, 3), max_size=12), p=st.integers(1, 9),
+       d=st.integers(1, 9), tracked=st.sampled_from(["u", "r", "ur"]),
+       seed=st.integers(0, 2**16))
+@example(index=[0, 1], p=2, d=3, tracked="ur", seed=0)            # two single-row buckets
+@example(index=[0, 0, 1], p=2, d=3, tracked="ur", seed=1)         # buckets of 2 and 1 rows
+@example(index=[2, 0, 2, 1, 2, 2, 3], p=3, d=2, tracked="ur", seed=2)  # 4 interleaved rows
+@example(index=[1, 0, 1, 1, 0, 3], p=2, d=2, tracked="ur", seed=3)     # three sizes, one empty
+@example(index=[0, 2, 2], p=1, d=4, tracked="ur", seed=4)         # one group
+@example(index=[], p=2, d=2, tracked="ur", seed=5)                # no rows
+def test_gathered_dot_matches_gather_then_matmul_within_rounding(index, p, d, tracked, seed):
+    # buckets of unequal size, single-row and empty buckets, signed zeros
+    # and magnitudes 1e-8..1e8 apart; p and d up to 9 reach numpy's 8-way
+    # pairwise summation
+    rng = np.random.default_rng(seed)
+    plan = T.RowSum(index, 4)
+    uv, rv = _spread(rng, (4, p, d)), _spread(rng, (len(index), d))
+    _check_gathered_dot(uv, rv, _spread(rng, (len(index), p, 1)), plan, tracked)
+
+
+@st.composite
+def _skewed_plans(draw):
+    """A plan over buckets of many distinct sizes, empty and single-row
+    ones among them, and one far larger than the rest, its rows either
+    contiguous by bucket, as a batch lists a graph's nodes, or shuffled."""
+    sizes = [0, 1, *draw(st.lists(st.integers(0, 9), min_size=2, max_size=10)),
+             draw(st.integers(40, 120))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    index = np.repeat(rng.permutation(len(sizes)), sizes)
+    if draw(st.booleans()):
+        index = rng.permutation(index)
+    return T.RowSum(index, len(sizes))
+
+
+@given(plan=_skewed_plans(), p=st.integers(1, 5), width=st.integers(1, 9),
+       seed=st.integers(0, 2**16))
+def test_fused_ops_match_composed_chains_on_skewed_buckets(plan, p, width, seed):
+    rng = np.random.default_rng(seed)
+    m, n = len(plan.index), plan.n
+    _check_pool_outer(_spread(rng, (m, p)), _spread(rng, (m, width)),
+                      _spread(rng, (n, p, width)), plan)
+    _check_gathered_dot(_spread(rng, (n, p, width)), _spread(rng, (m, width)),
+                        _spread(rng, (m, p, 1)), plan, "ur")
 
 
 @pytest.mark.parametrize("u, r", [

@@ -310,6 +310,36 @@ def test_steps_fault_in_no_fresh_pages_after_warmup():
     assert statistics.median(faults[6:]) < 100, faults
 
 
+# trains one epoch of each pipeline, and of GroupCL with every augmentation
+# kind, embeds and probes each model, and prints whether numpy.ma was imported
+_IMPORTS_NUMPY_MA = """
+import sys
+from groupcontrast.augment import AUGMENTATION_KINDS
+from groupcontrast.config import PIPELINES, RunConfig
+from groupcontrast.evaluation import extract_embeddings, linear_probe
+from groupcontrast.graphs import generate_planted_motif_dataset
+from groupcontrast.trainer import train
+
+dataset = generate_planted_motif_dataset(7, 40, 14, 8)
+configs = [RunConfig(pipeline=pipeline, epochs=1, batch_size=16) for pipeline in PIPELINES]
+configs.append(RunConfig(epochs=1, batch_size=16, aug_kinds=",".join(AUGMENTATION_KINDS)))
+for config in configs:
+    state, _ = train(config, dataset)
+    linear_probe(extract_embeddings(state, dataset))
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_training_and_evaluation_never_import_numpy_ma():
+    # a fresh process, so no other test's imports count. The first np.unique
+    # call imports numpy.ma, which adds 1.6 MB to the resident set
+    src = str(Path(trainer.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", _IMPORTS_NUMPY_MA], env=env, check=True,
+                         capture_output=True, text=True, timeout=300).stdout
+    assert out == "False\n"
+
+
 def test_train_runs_where_mallopt_cannot_be_found(monkeypatch):
     # the policy only places allocations: without it a run gives the same
     # history, and a failed lookup is not an error
