@@ -8,7 +8,7 @@ import numpy as np
 
 from . import tensor as T
 from .graphs import Batch
-from .tensor import Tensor
+from .tensor import NumericError, Tensor
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -81,18 +81,22 @@ def encode_nodes(
     params: Mapping[str, Tensor],
     num_layers: int,
 ) -> Tensor:
-    """Stack GIN layers over the batched node block; L=0 returns the inputs."""
+    """Stack GIN layers over the batched node block; L=0 returns the inputs.
+    A numeric error names its layer, counted from 1 (``gin.0`` is layer 1)."""
     h = Tensor(batch.features)
     for layer in range(num_layers):
-        h = gin_layer(
-            h,
-            batch,
-            params[f"gin.{layer}.w1"],
-            params[f"gin.{layer}.b1"],
-            params[f"gin.{layer}.w2"],
-            params[f"gin.{layer}.b2"],
-            eps=params.get(f"gin.{layer}.eps"),
-        )
+        try:
+            h = gin_layer(
+                h,
+                batch,
+                params[f"gin.{layer}.w1"],
+                params[f"gin.{layer}.b1"],
+                params[f"gin.{layer}.w2"],
+                params[f"gin.{layer}.b2"],
+                eps=params.get(f"gin.{layer}.eps"),
+            )
+        except NumericError as exc:
+            raise type(exc)(f"gin layer {layer + 1} of {num_layers}: {exc}") from exc
     return h
 
 
@@ -109,8 +113,12 @@ def readout_projection(
     batch: Batch,
     params: Mapping[str, Tensor],
 ) -> Tensor:
-    """Per-graph sum readout followed by the two-layer projection head."""
-    pooled = T.index_add(node_embeddings, batch.by_graph)
+    """Per-graph sum readout followed by the two-layer projection head. The
+    readout pools the nodes with one uniform group: ``pool_outer`` with a
+    column of ones."""
+    ones = Tensor(np.ones((node_embeddings.shape[0], 1)))
+    pooled = T.reshape(T.pool_outer(ones, node_embeddings, batch.segments),
+                       (batch.num_graphs, node_embeddings.shape[1]))
     if "head.lift" in params:
         pooled = T.matmul(pooled, params["head.lift"])
     hidden = T.relu(T.matmul(pooled, params["head.w1"]))

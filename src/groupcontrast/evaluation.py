@@ -51,7 +51,10 @@ def extract_embeddings(state: ModelState, dataset: Dataset) -> EmbeddingTable:
         # an empty file's dataset has feature dim 0: say so before the width
         raise ContractError("dataset is empty")
     _check_input_width(state, dataset.feature_dim)
-    groups, _ = embed_view(state.config, state.params, batch_graphs(list(dataset.graphs)))
+    try:
+        groups, _ = embed_view(state.config, state.params, batch_graphs(list(dataset.graphs)))
+    except NumericError as exc:
+        raise type(exc)(f"extract embeddings: {exc}") from exc
     embeddings = np.concatenate([g.values for g in groups], axis=1)
     return EmbeddingTable(
         ids=tuple(range(len(dataset))),
@@ -206,8 +209,11 @@ def export_attention(state: ModelState, graph: Graph) -> np.ndarray:
         raise ContractError("model has no representor")
     _check_input_width(state, graph.feature_dim)
     batch = batch_graphs([graph])
-    nodes = encode_nodes(batch, state.params, state.config.gin_layers)
-    _, att = forward_groups(batch, nodes, state.params, scale_scores=state.config.scale_scores)
+    try:
+        nodes = encode_nodes(batch, state.params, state.config.gin_layers)
+        _, att = forward_groups(batch, nodes, state.params, scale_scores=state.config.scale_scores)
+    except NumericError as exc:
+        raise type(exc)(f"export attention: {exc}") from exc
     return att.values
 
 

@@ -124,11 +124,6 @@ class Batch:
         """Edges bucketed by destination node."""
         return RowSum(self.edge_index[1], len(self.features))
 
-    @cached_property
-    def by_graph(self) -> RowSum:
-        """Nodes bucketed by owning graph."""
-        return RowSum(self.graph_index, self.num_graphs)
-
 
 def batch_graphs(graphs: list[Graph]) -> Batch:
     """Stack graphs with offset node ids. The edge index holds every edge of

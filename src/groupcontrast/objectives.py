@@ -90,13 +90,13 @@ def js_mi_loss(u_groups: Sequence[Tensor], r_groups: Sequence[Tensor]) -> Tensor
 def js_terms_nodewise(
     u_groups: Sequence[Tensor],
     r_nodes: Tensor,
-    by_graph: T.RowSum,
+    segments: np.ndarray,
 ) -> tuple[Tensor, Tensor]:
     """JS terms with node-level partners: positives pair a graph's group
     embedding with its own nodes, negatives with all other graphs' nodes.
-    ``by_graph`` buckets the nodes by their graph. One fused op sums the
-    softplus over every group-node score, so no (B*p, N) block is built;
-    another takes the (N, p, 1) own-node scores without gathering an
+    The (B, 2) ``segments`` hold each graph's node range. One fused op sums
+    the softplus over every group-node score, so no (B*p, N) block is
+    built; another takes the (N, p, 1) own-node scores without gathering an
     (N, p, d) block of each node's groups.
     """
     b = u_groups[0].shape[0]
@@ -104,7 +104,7 @@ def js_terms_nodewise(
         raise ContractError("node-wise JS loss needs at least 2 graphs")
     u = _stack(u_groups)
     all_sum = T.softplus_sum_of_products(T.reshape(u, (b * len(u_groups), -1)), r_nodes)
-    return _js_halves(all_sum, T.gathered_dot(u, r_nodes, by_graph), b - 1)
+    return _js_halves(all_sum, T.gathered_dot(u, r_nodes, segments), b - 1)
 
 
 def interspace_penalty_nonparam(u_groups: Sequence[Tensor]) -> Tensor:

@@ -53,7 +53,7 @@ def group_embed(h: Tensor, a: Tensor, batch: Batch, wv: Tensor) -> list[Tensor]:
     """Attention-weighted sums of value rows per graph, one tensor per group.
 
     The value projection is linear, so it is applied after pooling: one
-    ``pool_outer`` over the nodes' graphs sums node n's weighted embeddings
+    ``pool_outer`` over the batch's segments sums node n's weighted embeddings
     ``a[n, k] * h[n]`` into a (B, p, node_dim) block, building no
     (N, p, node_dim) block in either pass, and one matmul by ``wv`` projects
     all B * p pooled rows to the group width d. No (N, d) value block is
@@ -64,7 +64,7 @@ def group_embed(h: Tensor, a: Tensor, batch: Batch, wv: Tensor) -> list[Tensor]:
     p = a.shape[1]
     width, d = wv.shape
     b = batch.num_graphs
-    pooled = T.reshape(T.pool_outer(a, h, batch.by_graph), (b * p, width))
+    pooled = T.reshape(T.pool_outer(a, h, batch.segments), (b * p, width))
     unit = T.reshape(T.row_l2_normalize(T.matmul(pooled, wv)), (b, p * d))
     return [T.slice_cols(unit, k * d, (k + 1) * d) for k in range(p)]
 

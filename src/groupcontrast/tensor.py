@@ -533,17 +533,25 @@ def row_softmax(a: Tensor) -> Tensor:
     return transpose(segment_softmax(at, [(0, at.shape[0])]))
 
 
-def segment_softmax(a: Tensor, segments: list[tuple[int, int]]) -> Tensor:
+def _segment_sizes(op: str, segments: np.ndarray | list[tuple[int, int]],
+                   rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """The starts and sizes of (B, 2) ``[start, stop)`` segments, which must
+    be non-empty and tile the ``rows`` rows in order."""
+    starts, stops = np.array(segments, dtype=np.intp).reshape(-1, 2).T
+    sizes = stops - starts
+    if np.any(sizes <= 0) or not np.array_equal(starts, np.cumsum(sizes) - sizes) \
+            or sizes.sum() != rows:
+        raise DimensionError(f"{op}: segments must be non-empty and tile the {rows} rows")
+    return starts, sizes
+
+
+def segment_softmax(a: Tensor, segments: np.ndarray | list[tuple[int, int]]) -> Tensor:
     """Column-wise softmax over the rows of each segment independently; the
     segments are non-empty and tile the rows in order."""
     a = _as_tensor(a)
     if a.values.ndim != 2:
         raise DimensionError(f"segment-row-softmax: expected matrix, got shape {a.shape}")
-    starts, stops = np.array(segments, dtype=np.intp).reshape(-1, 2).T
-    sizes = stops - starts
-    if np.any(sizes <= 0) or not np.array_equal(starts, np.cumsum(sizes) - sizes) \
-            or sizes.sum() != a.shape[0]:
-        raise DimensionError("segment-row-softmax: segments must be non-empty and tile the rows")
+    starts, sizes = _segment_sizes("segment-row-softmax", segments, a.shape[0])
 
     def per_row(reduce, y):
         return np.repeat(reduce.reduceat(y, starts, axis=0), sizes, axis=0)
@@ -594,31 +602,22 @@ def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
     return _result("slice-cols", a.values[:, start:stop].copy(), [(a, vjp)], moves_only=True)
 
 
-def _grouped(index: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The rows grouped by bucket, each bucket's in row order, by a stable
-    sort, and the (n,) bucket sizes. numpy sorts a 16-bit key by radix,
-    over ten times faster than a wider one."""
-    grouped = np.argsort(index.astype(np.uint16) if n <= 1 << 16 else index, kind="stable")
-    return grouped, np.bincount(index, minlength=n)
-
-
 class RowSum:
-    """Plan for summing the rows of an (m, ...) block into n rows: row i of
-    the sum adds the rows j with ``index[j] == i``, the bucket of i.
+    """Plan for summing the gathered rows of a block into n rows: row i of
+    the sum adds the rows ``x[rows[j]]`` with ``index[j] == i``, the bucket
+    of i. A batch builds one, its edges by destination node.
 
-    The plan groups the rows once. ``order`` lists them slot-major: slot k
-    holds the k-th row, in row order, of every bucket of more than k rows,
-    and the buckets are ranked largest first, so slot k fills a prefix of
-    the ranked buckets. ``sum`` adds each slot to its prefix with one
-    in-place add and un-ranks the result. Each bucket thus adds its rows to
-    0.0 one at a time in row order, the order of a sequential scatter-add
-    (``np.add.at``), so every sum keeps its bits. The slot loop runs as
-    often as the largest bucket has rows. ``size_classes`` lists the
-    buckets by size instead, for the ops that take one batched product per
-    size.
+    The plan groups the rows once, by a stable sort. ``order`` lists them
+    slot-major: slot k holds the k-th row, in row order, of every bucket of
+    more than k rows, and the buckets are ranked largest first, so slot k
+    fills a prefix of the ranked buckets. ``sum`` adds each slot to its
+    prefix with one in-place add and un-ranks the result. Each bucket thus
+    adds its rows to 0.0 one at a time in row order, the order of a
+    sequential scatter-add (``np.add.at``), so every sum keeps its bits. The
+    slot loop runs as often as the largest bucket has rows.
     """
 
-    __slots__ = ("index", "n", "order", "_slots", "_unrank", "_classes")
+    __slots__ = ("index", "n", "order", "_slots", "_unrank")
 
     def __init__(self, index, n: int):
         index = np.asarray(index, dtype=np.intp)
@@ -627,7 +626,10 @@ class RowSum:
         if index.size and (index.min() < 0 or index.max() >= n):
             bad = np.flatnonzero((index < 0) | (index >= n))[0]
             raise DimensionError(f"row-sum: index {index[bad]} at row {bad} outside [0, {n})")
-        grouped, counts = _grouped(index, n)
+        # numpy sorts a 16-bit key by radix, over ten times faster than a
+        # wider one
+        grouped = np.argsort(index.astype(np.uint16) if n <= 1 << 16 else index, kind="stable")
+        counts = np.bincount(index, minlength=n)
         # buckets of equal size may rank in any order
         ranked = np.argsort(-counts)
         unrank = np.empty(n, dtype=np.intp)
@@ -641,122 +643,107 @@ class RowSum:
         order[offsets[slot] + unrank[bucket]] = grouped
         self.index, self.n, self.order, self._unrank = index, n, order, unrank
         self._slots = list(zip(offsets[:-1].tolist(), offsets[1:].tolist()))
-        self._classes = None
 
-    def sum(self, x: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
-        """The (n, ...) bucket sums of the block ``x[rows]``, or of ``x``
-        itself without ``rows``: row j of the block goes to bucket
-        ``index[j]``. Each slot gathers its own rows, so the block is never
-        built."""
+    def sum(self, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """The (n, ...) bucket sums of the block ``x[rows]``: row j of the
+        block goes to bucket ``index[j]``. Each slot gathers its own rows,
+        so the block is never built."""
         out = np.zeros((self.n, *x.shape[1:]))
         # overflow to inf is left to the caller's finiteness check: a sum of
         # finite floats can overflow
         with np.errstate(over="ignore", invalid="ignore"):
             for lo, hi in self._slots:
-                j = self.order[lo:hi]
-                out[:hi - lo] += x.take(j if rows is None else rows[j], axis=0)
+                out[:hi - lo] += x.take(rows[self.order[lo:hi]], axis=0)
         return out[self._unrank]
 
-    def size_classes(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """The non-empty buckets by size s, smallest first: one pair per
-        size of the (k,) ids of its k buckets and the (k, s) ids of their
-        rows, each bucket's in row order. Built on first use, from a
-        second grouping: a plan does not keep the first, which an edge plan
-        would hold for nothing."""
-        if self._classes is None:
-            grouped, counts = _grouped(self.index, self.n)
-            starts = np.cumsum(counts) - counts
-            # np.bincount, not np.unique, lists the sizes: the first
-            # np.unique call imports numpy.ma, 1.6 MB of resident memory
-            per_size = np.bincount(counts)
-            ends = np.cumsum(per_size)
-            by_size = np.argsort(counts, kind="stable")
-            self._classes = []
-            for s in np.flatnonzero(per_size[1:]) + 1:
-                ids = by_size[ends[s] - per_size[s]:ends[s]]
-                self._classes.append((ids, grouped[starts[ids, None] + np.arange(s)]))
-        return self._classes
+
+def _by_size(starts: np.ndarray, sizes: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The segments by size s, smallest first: one pair per size of the
+    (k,) ids of its k segments and the (k, s) ids of their rows, in row
+    order."""
+    classes = []
+    # np.bincount, not np.unique, lists the sizes: the first np.unique call
+    # imports numpy.ma, 1.6 MB of resident memory
+    for s in np.flatnonzero(np.bincount(sizes)):
+        ids = np.flatnonzero(sizes == s)
+        classes.append((ids, starts[ids, None] + np.arange(s)))
+    return classes
 
 
-def index_add(x: Tensor, plan: RowSum) -> Tensor:
-    """(plan.n, ...) block whose row i sums the rows ``x[j]`` with
-    ``plan.index[j] == i``; the adjoint of the gather ``x[plan.index]``."""
-    x = _as_tensor(x)
-    index = plan.index
-    if index.shape != x.shape[:1]:
-        raise DimensionError(f"index-add: {index.size} indices for input shape {x.shape}")
-    return _result("index-add", plan.sum(x.values), [(x, lambda g: g[index])])
-
-
-def pool_outer(a: Tensor, h: Tensor, plan: RowSum) -> Tensor:
-    """(plan.n, p, width) block whose row i sums the outer products
-    ``a[j] ⊗ h[j]`` of the rows j in bucket i: ``index_add(mul(a as (m, p, 1),
-    h as (m, 1, width)), plan)`` within rounding, without the
+def pool_outer(a: Tensor, h: Tensor, segments: np.ndarray) -> Tensor:
+    """(B, p, width) block whose row i sums the outer products ``a[j] ⊗
+    h[j]`` of the rows j of segment i, for a (m, p), h (m, width) and
+    (B, 2) segments that tile the m rows: ``mul(a as (m, p, 1), h as
+    (m, 1, width))`` summed per segment within rounding, without the
     (m, p, width) block.
 
-    Each size class of the plan is one batched product over its gathered
-    rows: the forward is ``aᵀ h`` per bucket, the vjps ``h gᵀ`` and ``a g``.
-    BLAS sums a bucket's products in its own order, not row by row.
+    Each size class of the segments is one batched product over its rows:
+    the forward is ``aᵀ h`` per segment, the vjps ``h gᵀ`` and ``a g``.
+    BLAS sums a segment's products in its own order, not row by row.
     """
     a, h = _as_tensor(a), _as_tensor(h)
-    index = plan.index
-    if a.values.ndim != 2 or h.values.ndim != 2 or a.shape[0] != h.shape[0] \
-            or index.shape != a.shape[:1]:
-        raise DimensionError(f"pool-outer: plan over {index.size} rows for shapes "
-                             f"{a.shape} and {h.shape}")
+    if a.values.ndim != 2 or h.values.ndim != 2 or a.shape[0] != h.shape[0]:
+        raise DimensionError(f"pool-outer: shapes a {a.shape} and h {h.shape} are not "
+                             "(m, p) and (m, width)")
+    starts, sizes = _segment_sizes("pool-outer", segments, a.shape[0])
+    classes = _by_size(starts, sizes)
     av, hv = a.values, h.values
-    out = _per_size(plan, np.zeros((plan.n, av.shape[1], hv.shape[1])), False,
+    out = _per_size(classes, np.zeros((len(sizes), av.shape[1], hv.shape[1])), False,
                     lambda ids, rows: np.matmul(np.swapaxes(av[rows], 1, 2), hv[rows]))
     return _result("pool-outer", out, [
-        (a, lambda g: _per_size(plan, np.empty_like(av), True, lambda ids, rows: np.matmul(
+        (a, lambda g: _per_size(classes, np.empty_like(av), True, lambda ids, rows: np.matmul(
             hv[rows], np.swapaxes(g[ids], 1, 2)))),
-        (h, lambda g: _per_size(plan, np.empty_like(hv), True,
+        (h, lambda g: _per_size(classes, np.empty_like(hv), True,
                                 lambda ids, rows: np.matmul(av[rows], g[ids]))),
     ])
 
 
-def _per_size(plan: RowSum, out: np.ndarray, to_rows: bool, product: Callable) -> np.ndarray:
-    """out with ``product(ids, rows)`` of each of the plan's size classes
-    written to the class's rows, or to its buckets."""
+def _per_size(classes: list[tuple[np.ndarray, np.ndarray]], out: np.ndarray, to_rows: bool,
+              product: Callable) -> np.ndarray:
+    """out with ``product(ids, rows)`` of each size class written to the
+    class's rows, or to its segments."""
     # a non-finite product is left to the output's finiteness check, or, in
     # a gradient, to Adam's
     with np.errstate(over="ignore", invalid="ignore"):
-        for ids, rows in plan.size_classes():
+        for ids, rows in classes:
             out[rows if to_rows else ids] = product(ids, rows)
     return out
 
 
-def gathered_dot(u: Tensor, r: Tensor, plan: RowSum) -> Tensor:
-    """(m, p, 1) scores ``u[plan.index[j]] @ r[j]`` of the rows of r (m, d)
-    against the (p, d) blocks of u (plan.n, p, d): ``matmul(u[plan.index],
-    r as (m, d, 1))`` within rounding, without the (m, p, d) gathered block.
+def gathered_dot(u: Tensor, r: Tensor, segments: np.ndarray) -> Tensor:
+    """(m, p, 1) scores ``u[i] @ r[j]`` of each row j of r (m, d) against
+    the (p, d) block of u (B, p, d) of its segment i, for (B, 2) segments
+    that tile the m rows: the gather of each row's block, then ``matmul``
+    with r as (m, d, 1), within rounding, without the (m, p, d) gathered
+    block.
 
     As in ``pool_outer``, each size class is one batched product over its
-    gathered rows of r and its buckets' blocks of u: the forward is ``r uᵀ``
-    per bucket, the vjps ``gᵀ r`` and ``g u``.
+    rows of r and its segments' blocks of u: the forward is ``r uᵀ`` per
+    segment, the vjps ``gᵀ r`` and ``g u``.
     """
     u, r = _as_tensor(u), _as_tensor(r)
-    uv, rv, index = u.values, r.values, plan.index
+    uv, rv = u.values, r.values
     if uv.ndim != 3 or rv.ndim != 2 or uv.shape[2] != rv.shape[1]:
         raise DimensionError(f"gathered-dot: shapes u {u.shape} and r {r.shape} are not "
                              "(n, p, d) and (m, d)")
-    if plan.n != uv.shape[0] or index.shape != rv.shape[:1]:
-        raise DimensionError(f"gathered-dot: plan of {index.size} rows into {plan.n} buckets "
-                             f"for r of {rv.shape[0]} rows and u of {uv.shape[0]}")
-    out = _per_size(plan, np.empty((rv.shape[0], uv.shape[1])), True,
+    starts, sizes = _segment_sizes("gathered-dot", segments, rv.shape[0])
+    if len(sizes) != uv.shape[0]:
+        raise DimensionError(f"gathered-dot: {len(sizes)} segments for u of {uv.shape[0]} blocks")
+    classes = _by_size(starts, sizes)
+    out = _per_size(classes, np.empty((rv.shape[0], uv.shape[1])), True,
                     lambda ids, rows: np.matmul(rv[rows], np.swapaxes(uv[ids], 1, 2)))
     return _result("gathered-dot", out[:, :, None], [
-        (u, lambda g: _per_size(plan, np.zeros_like(uv), False, lambda ids, rows: np.matmul(
+        (u, lambda g: _per_size(classes, np.zeros_like(uv), False, lambda ids, rows: np.matmul(
             np.swapaxes(g[rows, :, 0], 1, 2), rv[rows]))),
-        (r, lambda g: _per_size(plan, np.empty_like(rv), True,
+        (r, lambda g: _per_size(classes, np.empty_like(rv), True,
                                 lambda ids, rows: np.matmul(g[rows, :, 0], uv[ids]))),
     ])
 
 
 def neighbour_sum(x: Tensor, by_dst: RowSum, src: np.ndarray) -> Tensor:
-    """``index_add(x[src], by_dst)`` as one op: row i sums the rows
-    ``x[src[e]]`` over the edges e with ``dst[e] == i``, where dst is the
-    index of the plan. Precondition: the edges are symmetric, each
+    """Row i sums the rows ``x[src[e]]`` over the edges e with ``dst[e] ==
+    i``, where dst is the index of the plan: the scatter-add of ``x[src]``
+    as one op. Precondition: the edges are symmetric, each
     (u, v) also listed as (v, u), as in a `Batch`. The sum is then its own
     adjoint, so the vjp is the same sum of the gradient. Neither direction
     builds an (E, ...) edge block."""

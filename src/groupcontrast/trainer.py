@@ -136,7 +136,7 @@ def _step(state: ModelState, graphs: list[Graph], epoch: int, step: int) -> obj.
     batch = batch_graphs(graphs)
     if cfg.pipeline == "groupig":
         u, nodes = embed_view(cfg, leaves, batch)
-        pos, neg = obj.js_terms_nodewise(u, _node_view(leaves, nodes), batch.by_graph)
+        pos, neg = obj.js_terms_nodewise(u, _node_view(leaves, nodes), batch.segments)
     else:
         # both views come from the step's own stream, u's drawn before r's.
         # The step keeps neither the batch nor a view: the tape alone holds

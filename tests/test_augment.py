@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from groupcontrast.augment import AUGMENTATION_KINDS, AugmentationPolicy, sample_view
@@ -215,15 +215,33 @@ def test_each_subset_is_equally_likely(kind):
     assert chi2 < CHI2_BOUND, counts
 
 
+# a 1-node graph, an edgeless one and a 2-node edge: at the largest ratio
+# every kind would drop, mask or rewire all it could
+_SMALLEST = [Graph(1, [[1.0, 2.0, 3.0]], ()), Graph(3, np.arange(9.0).reshape(3, 3), ()),
+             Graph(2, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], ((0, 1),))]
+_KIND_SETS = [(kind,) for kind in AUGMENTATION_KINDS] + [AUGMENTATION_KINDS]
+
+
 @given(graphs=st.lists(valid_graphs(), min_size=1, max_size=4),
-       kind=st.sampled_from(AUGMENTATION_KINDS),
-       ratio=st.sampled_from((0.0, 0.2, 0.5, 0.9)), seed=st.integers(0, 99))
-def test_views_pass_the_public_constructor(graphs, kind, ratio, seed):
+       kinds=st.sampled_from(_KIND_SETS),
+       ratio=st.sampled_from((0.0, 0.2, 0.5, 0.9, 0.999999)), seed=st.integers(0, 99))
+@example(graphs=_SMALLEST, kinds=AUGMENTATION_KINDS, ratio=0.999999, seed=0)
+@example(graphs=_SMALLEST, kinds=("node-drop",), ratio=0.999999, seed=1)
+@example(graphs=_SMALLEST, kinds=("edge-perturb",), ratio=0.999999, seed=2)
+@example(graphs=_SMALLEST, kinds=("attribute-mask",), ratio=0.999999, seed=3)
+@example(graphs=_SMALLEST, kinds=("subgraph",), ratio=0.999999, seed=4)
+def test_views_pass_the_public_constructor(graphs, kinds, ratio, seed):
     # views are built without validation, so each segment must be a graph
-    # Graph(...) accepts as is, and batching those graphs must give the view
-    view = view_of(graphs, [kind], ratio, seed)
+    # Graph(...) accepts as is, and batching those graphs must give the view.
+    # The pooling ops read the segments as they are: each must be non-empty,
+    # and together they tile the node rows in order
+    view = view_of(graphs, kinds, ratio, seed)
     assert all(a.dtype == np.intp for a in (*view.edge_index, view.segments, view.graph_index))
     assert view.num_graphs == len(graphs)
+    starts, stops = view.segments.T
+    assert np.all(stops > starts)
+    assert starts[0] == 0 and np.array_equal(starts[1:], stops[:-1])
+    assert stops[-1] == len(view.features)
     assert_same_batch(batch_graphs(unbatch(view)), view)
 
 

@@ -220,6 +220,30 @@ def test_overflowing_step_names_epoch_and_step(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+def test_embedding_errors_name_the_phase_and_the_layer(tmp_path, capsys):
+    # one step at learning rate 1e300 trains and exits 0, and leaves
+    # weights whose forward overflows in the first GIN layer. Each command
+    # that embeds the graphs then named only the op, "mlp: non-finite
+    # output"; it now names its phase and the layer too
+    data = write_small_dataset(tmp_path)
+    config = ["epochs=1", "batch_size=24", "num_groups=2", "embed_dim=40", "key_dim=16",
+              "gin_hidden=12", "learning_rate=1e300"]
+    run = tmp_path / "run"
+    assert main(["train", "--data", str(data), "--out", str(run)] + config) == 0
+    capsys.readouterr()
+    stored = ["--checkpoint", str(run / "checkpoint.bin"), "--data", str(data)]
+    for phase, argv in [
+        ("extract embeddings", ["eval", *stored, "--out", str(tmp_path / "eval")]),
+        ("export attention", ["export-attn", *stored, "--graph-ids", "0",
+                              "--out", str(tmp_path / "attn")]),
+        ("extract embeddings", ["study", "--data", str(data), "--out", str(tmp_path / "study"),
+                                *config]),
+    ]:
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: NumericError: {phase}: gin layer 1 of 3: mlp: non-finite output\n")
+
+
 def test_skipped_batch_warning_prints_one_line(tmp_path, capsys):
     # 22 graphs in batches of 3 leave a 1-graph batch 7 each epoch; the
     # warning prints as one line, not as Python's file:line and source form

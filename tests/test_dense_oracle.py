@@ -163,7 +163,7 @@ def test_nodewise_js_matches_dense(seed):
 
     def indexed(leaves):
         u = [leaves[f"u{k}"] for k in range(P)]
-        return list(js_terms_nodewise(u, leaves["r"], batch.by_graph))
+        return list(js_terms_nodewise(u, leaves["r"], batch.segments))
 
     def dense(leaves):
         terms = [dense_js_nodewise(leaves[f"u{k}"], leaves["r"], indicator) for k in range(P)]

@@ -399,6 +399,9 @@ def test_export_attention_matches_forward(trained):
 
 _FORWARDS = {"embed": lambda state: extract_embeddings(state, DATASET),
              "attention": lambda state: export_attention(state, DATASET.graphs[0])}
+# each forward names its phase, and an error in a GIN layer its layer
+_PHASES = {"embed": "extract embeddings: ", "attention": "export attention: "}
+_LAYERS = {"mlp: non-finite hidden block": "gin layer 1 of 3: "}
 
 
 @pytest.mark.parametrize("forward", sorted(_FORWARDS))
@@ -413,7 +416,8 @@ def test_overflow_in_an_evaluation_forward_names_the_op(forward, factor, message
     # RuntimeWarning into an error, so none escapes
     state = init_model(RunConfig(), DATASET.feature_dim)
     state.params["gin.0.w1"] = state.params["gin.0.w1"] * factor
-    with pytest.raises(NumericError, match=f"^{message}$"):
+    where = _PHASES[forward] + _LAYERS.get(message, "")
+    with pytest.raises(NumericError, match=f"^{where}{message}$"):
         _FORWARDS[forward](state)
 
 

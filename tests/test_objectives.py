@@ -14,8 +14,14 @@ from groupcontrast.objectives import (LossBreakdown, club_param_penalty,
                                       total_loss, total_loss_nonparam,
                                       total_loss_param, varnet_likelihood_loss)
 from groupcontrast.seeding import stream_rng
-from groupcontrast.tensor import (ContractError, DimensionError, RowSum, Tape, Tensor,
+from groupcontrast.tensor import (ContractError, DimensionError, Tape, Tensor,
                                   backward)
+
+
+def _segments(*sizes):
+    """(B, 2) node ranges of consecutive graphs of the given sizes."""
+    ends = np.cumsum(sizes)
+    return np.stack([ends - sizes, ends], axis=1)
 
 
 def sp(x):
@@ -99,16 +105,16 @@ def test_js_requires_two_graphs():
 
 def test_nodewise_js_requires_two_graphs():
     with pytest.raises(ContractError, match="node-wise JS loss needs at least 2 graphs"):
-        js_terms_nodewise([Tensor(np.ones((1, 3)))], Tensor(np.ones((2, 3))), RowSum([0, 0], 1))
+        js_terms_nodewise([Tensor(np.ones((1, 3)))], Tensor(np.ones((2, 3))), _segments(2))
 
 
 def test_nodewise_js_names_a_plan_over_other_node_rows():
-    # a plan over 4 node rows for 5 node embeddings once failed as a bare
+    # segments over 4 node rows for 5 node embeddings once failed as a bare
     # reshape error, "cannot reshape (4, 6) to (5, 2, 3)"
     groups = [Tensor(np.ones((2, 3))) for _ in range(2)]
-    with pytest.raises(DimensionError, match="^gathered-dot: plan of 4 rows into 2 buckets "
-                                             "for r of 5 rows and u of 2$"):
-        js_terms_nodewise(groups, Tensor(np.ones((5, 3))), RowSum([0, 0, 1, 1], 2))
+    with pytest.raises(DimensionError, match="^gathered-dot: segments must be non-empty and "
+                                             "tile the 5 rows$"):
+        js_terms_nodewise(groups, Tensor(np.ones((5, 3))), _segments(2, 2))
 
 
 def test_js_group_count_mismatch():
@@ -125,7 +131,7 @@ def test_group_width_mismatch_rejected_by_every_loss():
     with pytest.raises(ContractError):
         js_terms(ragged, ragged)
     with pytest.raises(ContractError):
-        js_terms_nodewise(ragged, nodes, RowSum(np.repeat(np.arange(3), 2), 3))
+        js_terms_nodewise(ragged, nodes, _segments(2, 2, 2))
     with pytest.raises(ContractError):
         interspace_penalty_nonparam(ragged)
     with pytest.raises(ContractError):
@@ -141,7 +147,7 @@ def test_nodewise_js_matches_bruteforce():
     n = 6
     u = random_groups(18, b, p, d)
     r_nodes = Tensor(unit_rows(rng, n, d))
-    pos, neg = js_terms_nodewise(u, r_nodes, RowSum(owner, b))
+    pos, neg = js_terms_nodewise(u, r_nodes, _segments(2, 3, 1))
 
     tp, tn, n_pos, n_neg = 0.0, 0.0, 0, 0
     for k in range(p):
@@ -171,7 +177,7 @@ def test_js_terms_agree_with_nodewise_on_one_node_per_graph(b, p, d, seed):
         tape = Tape()
         u = [tape.leaf(v) for v in u_values]
         r = tape.leaf(r_values)
-        pos, neg = (js_terms_nodewise(u, r, RowSum(np.arange(b), b)) if nodewise
+        pos, neg = (js_terms_nodewise(u, r, _segments(*[1] * b)) if nodewise
                     else js_terms(u, [r] * p))
         grads = backward(tape, T.add(pos, neg))
         results.append((pos.item(), neg.item(),
@@ -186,13 +192,12 @@ def test_nodewise_js_gradients_pass_oracle():
     # GroupIG's training loss, gradients to both the groups and the nodes
     rng = np.random.default_rng(34)
     b, p, d = 3, 3, 4
-    owner = np.array([0, 0, 1, 1, 1, 2, 2])
     params = {f"u{k}": rng.standard_normal((b, d)) for k in range(p)}
     params["r"] = rng.standard_normal((7, d))
 
     def fn(leaves):
         pos, neg = js_terms_nodewise([leaves[f"u{k}"] for k in range(p)],
-                                     leaves["r"], RowSum(owner, b))
+                                     leaves["r"], _segments(2, 3, 2))
         return T.add(pos, neg)
 
     assert finite_difference_check(fn, params) <= 1e-4
@@ -212,12 +217,12 @@ def test_nodewise_js_step_allocation_budget(traced_peak):
     rng = np.random.default_rng(0)
     u_values = [unit_rows(rng, b, d) for _ in range(p)]
     r_values = unit_rows(rng, n, d)
-    by_graph = RowSum(np.repeat(np.arange(b), nodes_per_graph), b)
+    segments = _segments(*[nodes_per_graph] * b)
 
     def forward_backward():
         tape = Tape()
         u = [tape.leaf(v) for v in u_values]
-        pos, neg = js_terms_nodewise(u, tape.leaf(r_values), by_graph)
+        pos, neg = js_terms_nodewise(u, tape.leaf(r_values), segments)
         backward(tape, T.add(pos, neg))
 
     forward_backward()          # first-call set-up stays out of the count

@@ -150,7 +150,7 @@ def test_forward_groups_allocation_budget(traced_peak):
     # pool_outer build no (N, key_dim) key, (N, d) value or (N, p, width)
     # weighted block, or their gradients. This reads 1.17 blocks with one
     # batched product per graph size, against 1.31 when the pooling vjp
-    # walked chunk buffers; pooling as mul then index_add read 3.30, and
+    # walked chunk buffers; pooling as mul then a scatter-add read 3.30, and
     # one (N, p, width) block is 1.28
     b, nodes_per_graph, width, key_dim, p, d = 128, 14, 32, 100, 4, 40
     n = b * nodes_per_graph

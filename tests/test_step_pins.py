@@ -4,6 +4,12 @@ Each variant trains two epochs of three steps on a fixed dataset; every
 (intra_pos, intra_neg, inter, total) row must match the recorded values
 within 1e-12. Any change to what a training step computes shows up here.
 """
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from groupcontrast.config import RunConfig
@@ -150,6 +156,40 @@ def test_history_matches_pinned_values(name):
     assert len(got) == len(want)
     for row, expected in zip(got, want):
         assert row == pytest.approx(expected, rel=0, abs=1e-12)
+
+
+# prints every variant's history as exact hex floats, in a fresh process whose
+# BLAS thread count the environment sets
+_HISTORIES = """
+import json
+from test_step_pins import VARIANTS, history_of
+print(json.dumps({name: [[x.hex() for x in row] for row in history_of(name)]
+                  for name in VARIANTS}))
+"""
+
+
+def _histories_at(threads: int) -> dict[str, list[list[str]]]:
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]),
+               OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
+    out = subprocess.run([sys.executable, "-c", _HISTORIES], env=env, check=True,
+                         capture_output=True, text=True, timeout=600).stdout
+    return json.loads(out)
+
+
+def test_pins_hold_at_one_and_two_blas_threads():
+    # the thread count may change the order in which BLAS sums a product:
+    # every variant stays within the pins' 1e-12 at one thread and at two,
+    # and GroupIG's histories are byte-equal across the two
+    runs = {threads: _histories_at(threads) for threads in (1, 2)}
+    for name in VARIANTS:
+        for threads, histories in runs.items():
+            got = [tuple(float.fromhex(x) for x in row) for row in histories[name]]
+            assert len(got) == len(PINNED[name]), (name, threads)
+            for row, expected in zip(got, PINNED[name]):
+                assert row == pytest.approx(expected, rel=0, abs=1e-12), (name, threads)
+        if VARIANTS[name].get("pipeline") == "groupig":
+            assert runs[1][name] == runs[2][name], name
 
 
 if __name__ == "__main__":

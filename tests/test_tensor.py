@@ -16,6 +16,12 @@ from groupcontrast.tensor import (ContractError, DimensionError, NumericError,
                                   Tape, Tensor, backward)
 
 
+def _segments(sizes):
+    """(B, 2) segments: consecutive row ranges of the given sizes."""
+    ends = np.cumsum(sizes, dtype=np.intp)
+    return np.stack([ends - np.asarray(sizes, dtype=np.intp), ends], axis=1)
+
+
 def leaf_pair(shape_a, shape_b, seed=0):
     rng = np.random.default_rng(seed)
     tape = Tape()
@@ -107,13 +113,6 @@ def test_exp_log_inverse_and_log_domain():
 def test_non_finite_op_output_names_the_op():
     with np.errstate(over="ignore"), pytest.raises(NumericError, match="exp: non-finite output"):
         T.exp(Tensor([1000.0]))
-
-
-def test_index_add_overflow_names_the_op():
-    # value-moving ops skip the finiteness pass; a sum of finite rows can
-    # still overflow, so index_add keeps it
-    with pytest.raises(NumericError, match="index-add: non-finite"):
-        T.index_add(Tensor([[1e308], [1e308]]), T.RowSum([0, 0], 1))
 
 
 def test_sum_mean_axes():
@@ -278,7 +277,7 @@ def test_backward_walks_a_tape_once_and_keeps_its_entry_count():
                          for s in ((5, 3), (3, 4), (4,), (4, 6), (6,)))
     h = T.mlp(x, w1, b1, w2, b2)                                  # (5, 6)
     u = T.reshape(T.slice_cols(h, 0, 4), (5, 2, 2))
-    scores = T.gathered_dot(u, T.slice_cols(h, 4, 6), T.RowSum([2, 0, 2, 1, 4], 5))
+    scores = T.gathered_dot(u, T.slice_cols(h, 4, 6), _segments([1] * 5))
     dist = T.pairwise_weighted_sq_dist(u, T.square(u), T.relu(u))
     loss = T.add(T.tsum(scores), dist)
     recorded = len(tape)
@@ -311,14 +310,18 @@ _MATRIX, _VECTOR, _BLOCK = Tensor(np.ones((2, 3))), Tensor(np.ones(3)), Tensor(n
      r"softplus-sum-of-products: shapes \(2, 2, 3\) and \(3, 2, 3\) are not"),
     (lambda: T.softplus_sum_of_products(_MATRIX, Tensor(np.ones((1, 2, 3)))),
      r"softplus-sum-of-products: shapes \(2, 3\) and \(1, 2, 3\) are not"),
-    (lambda: T.gathered_dot(_BLOCK, Tensor(np.ones((2, 2))), T.RowSum([0, 1], 2)),
+    (lambda: T.gathered_dot(_BLOCK, Tensor(np.ones((2, 2))), _segments([1, 1])),
      r"gathered-dot: shapes u \(2, 2, 3\) and r \(2, 2\) are not \(n, p, d\) and \(m, d\)"),
-    (lambda: T.gathered_dot(_MATRIX, _MATRIX, T.RowSum([0, 1], 2)),
+    (lambda: T.gathered_dot(_MATRIX, _MATRIX, _segments([1, 1])),
      r"gathered-dot: shapes u \(2, 3\) and r \(2, 3\) are not"),
-    (lambda: T.gathered_dot(_BLOCK, _MATRIX, T.RowSum([0, 1, 1], 2)),
-     "gathered-dot: plan of 3 rows into 2 buckets for r of 2 rows and u of 2"),
-    (lambda: T.gathered_dot(_BLOCK, _MATRIX, T.RowSum([0, 1], 3)),
-     "gathered-dot: plan of 2 rows into 3 buckets for r of 2 rows and u of 2"),
+    (lambda: T.gathered_dot(_BLOCK, _MATRIX, _segments([1, 2])),
+     "^gathered-dot: segments must be non-empty and tile the 2 rows$"),
+    (lambda: T.gathered_dot(_BLOCK, Tensor(np.ones((3, 3))), _segments([1, 1, 1])),
+     "^gathered-dot: 3 segments for u of 2 blocks$"),
+    (lambda: T.pool_outer(_MATRIX, _MATRIX, [(0, 0), (0, 2)]),
+     "^pool-outer: segments must be non-empty and tile the 2 rows$"),
+    (lambda: T.segment_softmax(_MATRIX, [(1, 2), (0, 1)]),
+     "^segment-row-softmax: segments must be non-empty and tile the 2 rows$"),
     (lambda: T.pairwise_weighted_sq_dist(_MATRIX, _MATRIX, _MATRIX),
      r"pairwise-weighted-sq-dist: shapes u \(2, 3\), mu \(2, 3\) and w \(2, 3\) are not"),
     (lambda: T.pairwise_weighted_sq_dist(_BLOCK, _BLOCK, Tensor(np.ones((2, 2, 1)))),
@@ -473,51 +476,37 @@ def test_concat_gradcheck(shape, data, seed):
     assert err <= 1e-6
 
 
-@given(n=st.integers(1, 5), p=dims, d=dims, data=st.data(), seed=st.integers(0, 2**16))
-def test_gathered_dot_gradcheck(n, p, d, data, seed):
-    # repeated and empty index vectors included; x[index] is the gather
-    index = data.draw(st.lists(st.integers(0, n - 1), max_size=6))
-    plan = T.RowSum(index, n)
-    u, r = _array(seed, (n, p, d)), _array(seed + 1, (len(index), d))
-    out = T.gathered_dot(Tensor(u), Tensor(r), plan)
-    assert np.allclose(out.values, u[np.array(index, dtype=int)] @ r[:, :, None], atol=1e-12)
-    w = _array(seed + 2, out.shape)
-    err = _gradcheck(lambda u, r: T.tsum(T.mul(T.gathered_dot(u, r, plan), Tensor(w))), u=u, r=r)
-    assert err <= 1e-6
-
-
-@given(n=st.integers(1, 5), tail=st.lists(dims, max_size=2), data=st.data(),
+@given(sizes=st.lists(st.integers(1, 3), min_size=1, max_size=5), p=dims, d=dims,
        seed=st.integers(0, 2**16))
-def test_index_add_gradcheck(n, tail, data, seed):
-    index = data.draw(st.lists(st.integers(0, n - 1), max_size=6))
-    plan = T.RowSum(index, n)
-    x = _array(seed, (len(index), *tail))
-    out = T.index_add(Tensor(x), plan)
-    ref = np.zeros((n, *tail))
-    np.add.at(ref, np.array(index, dtype=int), x)
-    assert out.values.tobytes() == ref.tobytes()
-    w = _array(seed + 1, out.shape)
-    err = _gradcheck(lambda x: T.tsum(T.mul(T.index_add(x, plan), Tensor(w))), x=x)
+def test_gathered_dot_gradcheck(sizes, p, d, seed):
+    # single-row and longer segments; u[owner] is the gather
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    segments = _segments(sizes)
+    u, r = _array(seed, (len(sizes), p, d)), _array(seed + 1, (len(owner), d))
+    out = T.gathered_dot(Tensor(u), Tensor(r), segments)
+    assert np.allclose(out.values, u[owner] @ r[:, :, None], atol=1e-12)
+    w = _array(seed + 2, out.shape)
+    err = _gradcheck(lambda u, r: T.tsum(T.mul(T.gathered_dot(u, r, segments), Tensor(w))),
+                     u=u, r=r)
     assert err <= 1e-6
 
 
 def test_gathered_dot_and_index_add_are_adjoint():
-    # gathered_dot is linear in each input: for any y,
-    # <gathered_dot(u, r), y> == <u, index_add(y ⊗ r)> == <r, u[index]ᵀ y>
+    # gathered_dot is linear in each input: for any y, <gathered_dot(u, r),
+    # y> == <u, index-add of y ⊗ r> == <r, u[owner]ᵀ y>, where the index-add
+    # is numpy's scatter-add and, segment by segment, pool_outer
     rng = np.random.default_rng(5)
-    index = np.array([2, 0, 2, 3, 2])
-    plan = T.RowSum(index, 4)
-    u, r = rng.standard_normal((4, 2, 3)), rng.standard_normal((5, 3))
-    y = rng.standard_normal((5, 2, 1))
-    lhs = (T.gathered_dot(Tensor(u), Tensor(r), plan).values * y).sum()
-    by_u = (u * T.index_add(Tensor(y * r[:, None, :]), plan).values).sum()
-    by_r = (r * (np.swapaxes(u[index], 1, 2) @ y)[:, :, 0]).sum()
-    assert lhs == pytest.approx(by_u, abs=1e-12) and lhs == pytest.approx(by_r, abs=1e-12)
-
-
-def test_index_add_rejects_index_length_mismatch():
-    with pytest.raises(DimensionError):
-        T.index_add(Tensor(np.ones((3, 2))), T.RowSum([0, 1], 4))
+    sizes = [1, 3, 1, 2]
+    owner, segments = np.repeat(np.arange(4), sizes), _segments(sizes)
+    u, r = rng.standard_normal((4, 2, 3)), rng.standard_normal((7, 3))
+    y = rng.standard_normal((7, 2, 1))
+    lhs = (T.gathered_dot(Tensor(u), Tensor(r), segments).values * y).sum()
+    scattered = np.zeros_like(u)
+    np.add.at(scattered, owner, y * r[:, None, :])
+    pooled = T.pool_outer(Tensor(y[:, :, 0]), Tensor(r), segments).values
+    by_r = (r * (np.swapaxes(u[owner], 1, 2) @ y)[:, :, 0]).sum()
+    for rhs in ((u * scattered).sum(), (u * pooled).sum(), by_r):
+        assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
 @pytest.mark.parametrize("index, n, bad", [
@@ -556,26 +545,28 @@ def test_row_sum_is_byte_equal_to_sequential_scatter_add(family, width, data):
     ref = np.zeros((n, width))
     np.add.at(ref, np.array(index, dtype=np.intp), rows)
     assert sorted(plan.order.tolist()) == list(range(len(index)))
-    assert _bits(plan.sum(rows)).tobytes() == _bits(ref).tobytes()
+    assert _bits(plan.sum(rows, np.arange(len(index)))).tobytes() == _bits(ref).tobytes()
 
 
 @given(nodes=st.integers(1, 6), data=st.data(), seed=st.integers(0, 2**16))
 def test_neighbour_sum_matches_take_rows_then_index_add(nodes, data, seed):
     # the fused GIN aggregation over a symmetric edge list (undirected pairs
     # listed forward, then reversed, as a Batch lists them): the forward is
-    # bit-equal to the composed gather and scatter, the vjp is the forward
-    # applied to the gradient, and a gradcheck passes
+    # bit-equal to the gather and numpy's sequential scatter-add, the vjp
+    # is the forward applied to the gradient, and a gradcheck passes
     edge = st.tuples(st.integers(0, nodes - 1), st.integers(0, nodes - 1))
     pairs = np.array(data.draw(st.lists(edge, max_size=6)), dtype=np.intp).reshape(-1, 2)
     src = np.concatenate([pairs[:, 0], pairs[:, 1]])
-    by_dst = T.RowSum(np.concatenate([pairs[:, 1], pairs[:, 0]]), nodes)
+    dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
+    by_dst = T.RowSum(dst, nodes)
     x, w = _array(seed, (nodes, 2)), _array(seed + 1, (nodes, 2))
     tape = Tape()
     leaf = tape.leaf(x)
     y = T.neighbour_sum(leaf, by_dst, src)
     grad = backward(tape, T.tsum(T.mul(y, Tensor(w))))[leaf.node_id]
-    composed = T.index_add(Tensor(x[src]), by_dst)
-    assert y.values.tobytes() == composed.values.tobytes()
+    composed = np.zeros_like(x)
+    np.add.at(composed, dst, x[src])
+    assert y.values.tobytes() == composed.tobytes()
     assert grad.tobytes() == T.neighbour_sum(Tensor(w), by_dst, src).values.tobytes()
     err = _gradcheck(lambda x: T.tsum(T.mul(T.neighbour_sum(x, by_dst, src), Tensor(w))), x=x)
     assert err <= 1e-6
@@ -693,18 +684,25 @@ def test_softplus_sum_of_products_without_a_tape_is_a_constant():
 
 # -- the fused attention pooling -------------------------------------------------
 
-def _pool_composed(a, h, plan):
-    """pool_outer as the representor built it before: one (m, p, width) block."""
-    (m, p), width = a.shape, h.shape[1]
-    return T.index_add(T.mul(T.reshape(a, (m, p, 1)), T.reshape(h, (m, 1, width))), plan)
+def _pool_composed(av, hv, gv, sizes):
+    """pool_outer's value and gradients for the output gradient gv by the
+    chain it replaced, each step's forward or vjp expression in numpy: the
+    (m, p, width) outer-product block of a as (m, p, 1) and h as
+    (m, 1, width), then its sequential scatter-add into the segments, whose
+    vjp is the gather ``g[owner]``."""
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    pooled = np.zeros(gv.shape)
+    np.add.at(pooled, owner, av[:, :, None] * hv[:, None, :])
+    gathered = gv[owner]
+    return pooled, (gathered * hv[:, None, :]).sum(axis=2), (gathered * av[:, :, None]).sum(axis=1)
 
 
-def _pool_run(op, av, hv, gv, plan):
-    """op's value and the gradients of <op(a, h), gv> for a and h; the
-    gradient reaching op is gv, bit for bit."""
+def _pool_run(av, hv, gv, sizes):
+    """pool_outer's value and the gradients of <pool_outer(a, h), gv> for
+    a and h; the gradient reaching the op is gv, bit for bit."""
     tape = Tape()
     a, h = tape.leaf(av), tape.leaf(hv)
-    out = op(a, h, plan)
+    out = T.pool_outer(a, h, _segments(sizes))
     grads = backward(tape, T.tsum(T.mul(out, Tensor(gv))))
     return out.values, grads[a.node_id], grads[h.node_id]
 
@@ -729,34 +727,35 @@ def _assert_within_rounding(got, want, ref_abs, terms):
     assert np.all(np.abs(got - want) <= 2 * terms * _EPS * ref_abs)
 
 
-def _check_pool_outer(av, hv, gv, plan):
+def _check_pool_outer(av, hv, gv, sizes):
     """pool_outer's value and both gradients against the composed chain,
-    within the rounding of their sums: bucket sizes for the value, width
+    within the rounding of their sums: segment sizes for the value, width
     for a's gradient and p for h's."""
-    got = _pool_run(T.pool_outer, av, hv, gv, plan)
-    want = _pool_run(_pool_composed, av, hv, gv, plan)
-    ref_abs = _pool_run(_pool_composed, np.abs(av), np.abs(hv), np.abs(gv), plan)
-    terms = (np.bincount(plan.index, minlength=plan.n).max(initial=0), hv.shape[1], av.shape[1])
+    got = _pool_run(av, hv, gv, sizes)
+    want = _pool_composed(av, hv, gv, sizes)
+    ref_abs = _pool_composed(np.abs(av), np.abs(hv), np.abs(gv), sizes)
+    terms = (max(sizes, default=0), hv.shape[1], av.shape[1])
     for x, y, ref, k in zip(got, want, ref_abs, terms, strict=True):
         _assert_within_rounding(x, y, ref, k)
 
 
-@given(index=st.lists(st.integers(0, 3), max_size=12), p=st.integers(1, 9),
+@given(sizes=st.lists(st.integers(1, 5), max_size=6), p=st.integers(1, 9),
        width=st.integers(1, 9), seed=st.integers(0, 2**16))
-@example(index=[0, 1], p=2, width=3, seed=0)            # two single-row buckets, two empty
-@example(index=[0, 0, 1], p=2, width=3, seed=1)         # buckets of 2 and 1 rows
-@example(index=[2, 0, 2, 1, 2, 2, 3], p=3, width=2, seed=2)  # 4 interleaved rows and three of 1
-@example(index=[1, 0, 1, 1, 0, 3], p=2, width=2, seed=3)     # three sizes and an empty bucket
-@example(index=[0, 2, 2], p=1, width=4, seed=4)         # one group: no sum for h
-@example(index=[0, 2, 2], p=4, width=1, seed=5)         # width 1: no sum for a
-def test_pool_outer_matches_composed_pooling_within_rounding(index, p, width, seed):
-    # buckets of unequal size, single-row and empty buckets, signed zeros
-    # and magnitudes 1e-8..1e8 apart; p and width up to 9 reach numpy's
-    # 8-way pairwise summation
+@example(sizes=[1, 1], p=2, width=3, seed=0)            # two single-row segments
+@example(sizes=[2, 1], p=2, width=3, seed=1)            # segments of 2 and 1 rows
+@example(sizes=[1, 1, 4, 1], p=3, width=2, seed=2)      # 4 rows between three of 1
+@example(sizes=[2, 3, 1], p=2, width=2, seed=3)         # three sizes
+@example(sizes=[1, 2], p=1, width=4, seed=4)            # one group: no sum for h
+@example(sizes=[1, 2], p=4, width=1, seed=5)            # width 1: no sum for a
+@example(sizes=[], p=2, width=2, seed=6)                # no rows
+def test_pool_outer_matches_composed_pooling_within_rounding(sizes, p, width, seed):
+    # segments of unequal size, single-row segments, signed zeros and
+    # magnitudes 1e-8..1e8 apart; p and width up to 9 reach numpy's 8-way
+    # pairwise summation
     rng = np.random.default_rng(seed)
-    plan = T.RowSum(index, 4)
-    av, hv = _spread(rng, (len(index), p)), _spread(rng, (len(index), width))
-    _check_pool_outer(av, hv, _spread(rng, (4, p, width)), plan)
+    m = sum(sizes)
+    av, hv = _spread(rng, (m, p)), _spread(rng, (m, width))
+    _check_pool_outer(av, hv, _spread(rng, (len(sizes), p, width)), sizes)
 
 
 def test_pool_outer_memory_on_a_skewed_batch(traced_peak):
@@ -766,49 +765,51 @@ def test_pool_outer_memory_on_a_skewed_batch(traced_peak):
     # backward read 3.4, and padding every graph to 400 rows about 27
     sizes = [14] * 127 + [400]
     m, p, width = sum(sizes), 4, 32
-    plan = T.RowSum(np.repeat(np.arange(len(sizes)), sizes), len(sizes))
     rng = np.random.default_rng(0)
     av, hv = rng.standard_normal((m, p)), rng.standard_normal((m, width))
     gv = rng.standard_normal((len(sizes), p, width))
 
     def forward_backward():
-        _pool_run(T.pool_outer, av, hv, gv, plan)
+        _pool_run(av, hv, gv, sizes)
 
-    forward_backward()          # the plan's size classes stay out of the count
+    forward_backward()          # first-call set-up stays out of the count
     peak = traced_peak(forward_backward)
     assert peak < 4 * m * width * 8, f"peak {peak / (m * width * 8):.2f} blocks"
 
 
-def test_pool_outer_gradcheck_across_chunks():
+def test_pool_outer_gradcheck_across_size_classes():
+    # segments of 1, 3 and 1 rows: two size classes, the second one
+    # segment
     rng = np.random.default_rng(6)
-    plan = T.RowSum([1, 0, 1, 2, 1], 3)
+    segments = _segments([1, 3, 1])
     w = rng.standard_normal((3, 2, 3))
-    with mock.patch.object(T, "_CHUNK_BYTES", 8 * 2 * 3 * 2):    # chunks of 2, 2 and 1 rows
-        err = _gradcheck(lambda a, h: T.tsum(T.mul(T.pool_outer(a, h, plan), Tensor(w))),
-                         a=rng.standard_normal((5, 2)), h=rng.standard_normal((5, 3)))
+    err = _gradcheck(lambda a, h: T.tsum(T.mul(T.pool_outer(a, h, segments), Tensor(w))),
+                     a=rng.standard_normal((5, 2)), h=rng.standard_normal((5, 3)))
     assert err <= 1e-6
 
 
 @pytest.mark.parametrize("a, h", [
     ([[1e200]], [[1e200]]),                    # a product of +inf
-    ([[1e200], [1e200]], [[1e200], [-1e200]]), # inf - inf in one bucket: nan
+    ([[1e200], [1e200]], [[1e200], [-1e200]]), # inf - inf in one segment: nan
     ([[1e308], [1e308]], [[1.0], [1.0]]),      # finite products whose sum overflows
 ])
 def test_pool_outer_overflow_names_the_op(a, h):
     # pyproject turns a RuntimeWarning into an error, so none escapes
     with pytest.raises(NumericError, match="pool-outer: non-finite output"):
-        T.pool_outer(Tensor(a), Tensor(h), T.RowSum([0] * len(a), 1))
+        T.pool_outer(Tensor(a), Tensor(h), _segments([len(a)]))
 
 
 @pytest.mark.parametrize("a_shape, h_shape", [
-    ((3, 2), (3, 4)),       # three rows, a plan over two
+    ((3, 2), (3, 4)),       # three rows, segments over two
     ((2, 2), (3, 4)),       # a and h disagree
     ((2,), (2, 4)),         # a is not a matrix
     ((2, 2), (2, 4, 1)),    # nor is h
 ])
 def test_pool_outer_rejects_rows_that_do_not_match_the_plan(a_shape, h_shape):
-    with pytest.raises(DimensionError, match="pool-outer: plan over 2 rows"):
-        T.pool_outer(Tensor(np.ones(a_shape)), Tensor(np.ones(h_shape)), T.RowSum([0, 1], 2))
+    # the segments are the op's plan of the rows
+    with pytest.raises(DimensionError, match=r"^pool-outer: (segments must be non-empty and "
+                                             r"tile the 3 rows|shapes a \()"):
+        T.pool_outer(Tensor(np.ones(a_shape)), Tensor(np.ones(h_shape)), _segments([1, 1]))
 
 
 @given(shape=st.lists(dims, min_size=1, max_size=3), data=st.data(),
@@ -915,37 +916,39 @@ def test_mlp_overflow_names_the_op(x, w1, b1, w2, message):
 
 # -- the fused own-node scores ----------------------------------------------------
 
-def _gathered_dot_composed(uv, rv, gv, plan):
+def _gathered_dot_composed(uv, rv, gv, sizes):
     """gathered_dot's value and gradients for the output gradient gv by the
     chain it replaced, each step's forward or vjp expression in numpy: the
-    gather ``u[index]``, whose vjp is ``plan.sum``, then the batched matmul
-    with r as (m, d, 1)."""
+    gather ``u[owner]``, whose vjp is the sequential scatter-add, then the
+    batched matmul with r as (m, d, 1)."""
     (n, p, d), m = uv.shape, len(rv)
-    gathered = uv.reshape(n, p * d)[plan.index].reshape(m, p, d)
+    owner = np.repeat(np.arange(n), sizes)
+    gathered = uv.reshape(n, p * d)[owner].reshape(m, p, d)
     r3 = rv.reshape(m, d, 1)
-    gu = plan.sum((gv @ np.swapaxes(r3, -1, -2)).reshape(m, p * d)).reshape(n, p, d)
-    return gathered @ r3, gu, (np.swapaxes(gathered, -1, -2) @ gv).reshape(m, d)
+    gu = np.zeros((n, p * d))
+    np.add.at(gu, owner, (gv @ np.swapaxes(r3, -1, -2)).reshape(m, p * d))
+    return gathered @ r3, gu.reshape(n, p, d), (np.swapaxes(gathered, -1, -2) @ gv).reshape(m, d)
 
 
-def _gathered_dot_run(uv, rv, gv, plan, tracked):
+def _gathered_dot_run(uv, rv, gv, sizes, tracked):
     """gathered_dot's value and the gradients of <gathered_dot(u, r), gv>
     for the tracked inputs."""
     tape = Tape()
     u = tape.leaf(uv) if "u" in tracked else Tensor(uv)
     r = tape.leaf(rv) if "r" in tracked else Tensor(rv)
-    out = T.gathered_dot(u, r, plan)
+    out = T.gathered_dot(u, r, _segments(sizes))
     grads = backward(tape, T.tsum(T.mul(out, Tensor(gv))))
     return [out.values] + [grads[t.node_id] for t in (u, r) if t.tape is not None]
 
 
-def _check_gathered_dot(uv, rv, gv, plan, tracked):
+def _check_gathered_dot(uv, rv, gv, sizes, tracked):
     """gathered_dot's value and tracked gradients against the composed
-    chain, within the rounding of their sums: d for the scores, bucket
+    chain, within the rounding of their sums: d for the scores, segment
     sizes for u's gradient and p for r's."""
-    got = _gathered_dot_run(uv, rv, gv, plan, tracked)
-    want = _gathered_dot_composed(uv, rv, gv, plan)
-    ref_abs = _gathered_dot_composed(np.abs(uv), np.abs(rv), np.abs(gv), plan)
-    (p, d), largest = uv.shape[1:], np.bincount(plan.index, minlength=plan.n).max(initial=0)
+    got = _gathered_dot_run(uv, rv, gv, sizes, tracked)
+    want = _gathered_dot_composed(uv, rv, gv, sizes)
+    ref_abs = _gathered_dot_composed(np.abs(uv), np.abs(rv), np.abs(gv), sizes)
+    (p, d), largest = uv.shape[1:], max(sizes, default=0)
     picked = [(0, d)] + [(i, k) for i, (name, k) in enumerate((("u", largest), ("r", p)), 1)
                          if name in tracked]
     assert len(got) == len(picked)
@@ -953,48 +956,43 @@ def _check_gathered_dot(uv, rv, gv, plan, tracked):
         _assert_within_rounding(x, want[i], ref_abs[i], k)
 
 
-@given(index=st.lists(st.integers(0, 3), max_size=12), p=st.integers(1, 9),
+@given(sizes=st.lists(st.integers(1, 5), max_size=6), p=st.integers(1, 9),
        d=st.integers(1, 9), tracked=st.sampled_from(["u", "r", "ur"]),
        seed=st.integers(0, 2**16))
-@example(index=[0, 1], p=2, d=3, tracked="ur", seed=0)            # two single-row buckets
-@example(index=[0, 0, 1], p=2, d=3, tracked="ur", seed=1)         # buckets of 2 and 1 rows
-@example(index=[2, 0, 2, 1, 2, 2, 3], p=3, d=2, tracked="ur", seed=2)  # 4 interleaved rows
-@example(index=[1, 0, 1, 1, 0, 3], p=2, d=2, tracked="ur", seed=3)     # three sizes, one empty
-@example(index=[0, 2, 2], p=1, d=4, tracked="ur", seed=4)         # one group
-@example(index=[], p=2, d=2, tracked="ur", seed=5)                # no rows
-def test_gathered_dot_matches_gather_then_matmul_within_rounding(index, p, d, tracked, seed):
-    # buckets of unequal size, single-row and empty buckets, signed zeros
-    # and magnitudes 1e-8..1e8 apart; p and d up to 9 reach numpy's 8-way
+@example(sizes=[1, 1], p=2, d=3, tracked="ur", seed=0)            # two single-row segments
+@example(sizes=[2, 1], p=2, d=3, tracked="ur", seed=1)            # segments of 2 and 1 rows
+@example(sizes=[1, 1, 4, 1], p=3, d=2, tracked="ur", seed=2)      # 4 rows between three of 1
+@example(sizes=[2, 3, 1], p=2, d=2, tracked="ur", seed=3)         # three sizes
+@example(sizes=[1, 2], p=1, d=4, tracked="ur", seed=4)            # one group
+@example(sizes=[], p=2, d=2, tracked="ur", seed=5)                # no rows
+def test_gathered_dot_matches_gather_then_matmul_within_rounding(sizes, p, d, tracked, seed):
+    # segments of unequal size, single-row segments, signed zeros and
+    # magnitudes 1e-8..1e8 apart; p and d up to 9 reach numpy's 8-way
     # pairwise summation
     rng = np.random.default_rng(seed)
-    plan = T.RowSum(index, 4)
-    uv, rv = _spread(rng, (4, p, d)), _spread(rng, (len(index), d))
-    _check_gathered_dot(uv, rv, _spread(rng, (len(index), p, 1)), plan, tracked)
+    m = sum(sizes)
+    uv, rv = _spread(rng, (len(sizes), p, d)), _spread(rng, (m, d))
+    _check_gathered_dot(uv, rv, _spread(rng, (m, p, 1)), sizes, tracked)
 
 
 @st.composite
-def _skewed_plans(draw):
-    """A plan over buckets of many distinct sizes, empty and single-row
-    ones among them, and one far larger than the rest, its rows either
-    contiguous by bucket, as a batch lists a graph's nodes, or shuffled."""
-    sizes = [0, 1, *draw(st.lists(st.integers(0, 9), min_size=2, max_size=10)),
+def _skewed_sizes(draw):
+    """Segment sizes of many distinct values, single-row segments among
+    them, and one far larger than the rest, in a random order."""
+    sizes = [1, *draw(st.lists(st.integers(1, 9), min_size=2, max_size=10)),
              draw(st.integers(40, 120))]
-    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
-    index = np.repeat(rng.permutation(len(sizes)), sizes)
-    if draw(st.booleans()):
-        index = rng.permutation(index)
-    return T.RowSum(index, len(sizes))
+    return np.random.default_rng(draw(st.integers(0, 2**16))).permutation(sizes).tolist()
 
 
-@given(plan=_skewed_plans(), p=st.integers(1, 5), width=st.integers(1, 9),
+@given(sizes=_skewed_sizes(), p=st.integers(1, 5), width=st.integers(1, 9),
        seed=st.integers(0, 2**16))
-def test_fused_ops_match_composed_chains_on_skewed_buckets(plan, p, width, seed):
+def test_fused_ops_match_composed_chains_on_skewed_buckets(sizes, p, width, seed):
     rng = np.random.default_rng(seed)
-    m, n = len(plan.index), plan.n
+    m, n = sum(sizes), len(sizes)
     _check_pool_outer(_spread(rng, (m, p)), _spread(rng, (m, width)),
-                      _spread(rng, (n, p, width)), plan)
+                      _spread(rng, (n, p, width)), sizes)
     _check_gathered_dot(_spread(rng, (n, p, width)), _spread(rng, (m, width)),
-                        _spread(rng, (m, p, 1)), plan, "ur")
+                        _spread(rng, (m, p, 1)), sizes, "ur")
 
 
 @pytest.mark.parametrize("u, r", [
@@ -1005,7 +1003,7 @@ def test_fused_ops_match_composed_chains_on_skewed_buckets(plan, p, width, seed)
 def test_gathered_dot_overflow_names_the_op(u, r):
     # pyproject turns a RuntimeWarning into an error, so none escapes
     with pytest.raises(NumericError, match="gathered-dot: non-finite output"):
-        T.gathered_dot(Tensor(u), Tensor(r), T.RowSum([0], 1))
+        T.gathered_dot(Tensor(u), Tensor(r), _segments([1]))
 
 
 # -- the fused CLUB quadratic term ------------------------------------------------
