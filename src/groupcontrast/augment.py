@@ -61,27 +61,26 @@ def _walk(adj: dict[int, list[int]], lo: int, hi: int, ratio: float,
     return list(kept)
 
 
-def _perturb_edges(src, dst, owner, segments, ratios, rng):
-    """The forward edge half (`owner` holds each edge's graph) with, in each
-    graph b, the k = floor(ratios[b]*|E|) lowest-ranked edges removed and as
-    many uniform non-edges of the input graph added after its kept edges
-    (fewer if it is near-complete)."""
+def _perturb_edges(edges, owner, segments, ratios, rng):
+    """The (E, 2) pairs `edges` (`owner` holds each pair's graph) with, in
+    each graph b, the k = floor(ratios[b]*|E|) lowest-ranked pairs removed
+    and as many uniform non-edges of the input graph added after its kept
+    pairs (fewer if it is near-complete)."""
     k = (ratios * np.bincount(owner, minlength=len(segments))).astype(np.intp)
-    kept = ~_lowest(rng.random(len(src)), owner, k)
-    parts = [(src[kept], dst[kept], owner[kept])]
+    kept = ~_lowest(rng.random(len(edges)), owner, k)
+    parts = [(edges[kept], owner[kept])]
     for b in np.flatnonzero(k):
-        (lo, hi), mine = segments[b], owner == b
-        u, v, n = src[mine] - lo, dst[mine] - lo, hi - lo
+        lo, hi = segments[b]
+        (u, v), n = (edges[owner == b] - lo).T, hi - lo
         rows, cols = np.triu_indices(n, 1)           # every pair, in row-major order
         free = ~np.isin(rows * n + cols, np.minimum(u, v) * n + np.maximum(u, v))
         rows, cols = rows[free], cols[free]
         n_add = min(k[b], len(rows))
         if n_add:
             added = np.sort(rng.choice(len(rows), size=n_add, replace=False))
-            parts.append((rows[added] + lo, cols[added] + lo, np.full(n_add, b)))
-    src, dst, owner = (np.concatenate(p) for p in zip(*parts))
-    order = np.argsort(owner, kind="stable")
-    return src[order], dst[order]
+            parts.append((np.stack([rows[added], cols[added]], axis=1) + lo, np.full(n_add, b)))
+    edges, owner = (np.concatenate(p) for p in zip(*parts))
+    return edges[np.argsort(owner, kind="stable")]
 
 
 def sample_view(batch: Batch, policy: AugmentationPolicy, rng: np.random.Generator) -> Batch:
@@ -100,28 +99,27 @@ def sample_view(batch: Batch, policy: AugmentationPolicy, rng: np.random.Generat
     kind = np.asarray(policy.kinds)[rng.integers(len(policy.kinds), size=len(segments))]
     low = _lowest(rng.random(len(owner)), owner, (ratio * sizes).astype(np.intp))
     keep = ~(low & (kind == "node-drop")[owner])
-    src, dst = batch.edge_index
+    edges = batch.edges
     walked = np.flatnonzero((kind == "subgraph") & (sizes >= 2))
     if walked.size:
+        # the walk follows each pair both ways
+        src, dst = np.concatenate([edges, edges[:, ::-1]]).T
         order = np.lexsort((dst, src))
         ptr = np.searchsorted(src[order], np.arange(len(owner) + 1))
         for lo, hi in segments[walked]:
             adj = {v: dst[order[ptr[v]:ptr[v + 1]]].tolist() for v in range(lo, hi)}
             keep[lo:hi] = False
             keep[_walk(adj, lo, hi, ratio, rng)] = True
-    src, dst = src[:len(src) // 2], dst[:len(dst) // 2]
     if (kind == "edge-perturb").any():
         ratios = np.where(kind == "edge-perturb", ratio, 0.0)
-        src, dst = _perturb_edges(src, dst, owner[src], segments, ratios, rng)
+        edges = _perturb_edges(edges, owner[edges[:, 0]], segments, ratios, rng)
     new_id = np.cumsum(keep) - 1
-    inside = keep[src] & keep[dst]
-    src, dst = new_id[src[inside]], new_id[dst[inside]]
     features = batch.features[keep]
     features[(low & (kind == "attribute-mask")[owner])[keep]] = 0.0
     sizes = np.bincount(owner[keep], minlength=len(segments))
     ends = np.cumsum(sizes)
     return Batch(
         features=features,
-        edge_index=(np.concatenate([src, dst]), np.concatenate([dst, src])),
+        edges=new_id[edges[keep[edges].all(axis=1)]],
         segments=np.stack([ends - sizes, ends], axis=1),
     )

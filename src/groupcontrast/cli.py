@@ -76,6 +76,12 @@ def _cmd_train(args) -> int:
     cfg = load_config(RunConfig, args.config, args.override)
     dataset = load_dataset(args.data)
     state, history = train(cfg, dataset)
+    # a step can leave weights whose forward overflows; such a model is
+    # refused before anything is written
+    try:
+        extract_embeddings(state, dataset)
+    except NumericError as exc:
+        raise type(exc)(f"trained model: {exc}") from exc
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.txt").write_text(format_config(cfg), encoding="utf-8")

@@ -62,16 +62,16 @@ def init_gin_params(
 
 def gin_layer(
     h: Tensor,
-    batch: Batch,
+    plan: T.EdgePlan,
     w1: Tensor,
     b1: Tensor,
     w2: Tensor,
     b2: Tensor,
     eps: Tensor | None = None,
 ) -> Tensor:
-    """MLP((1+eps)*h_v + sum of the rows h_src over the directed edges
-    (src, v) of the batch); no eps is eps = 0."""
-    neigh = T.neighbour_sum(h, batch.by_dst, batch.edge_index[0])
+    """MLP((1+eps)*h_v + sum of the rows h_u over the neighbours u of v in
+    the plan's graph); no eps is eps = 0."""
+    neigh = T.neighbour_sum(h, plan)
     self_term = h if eps is None else T.add(h, T.mul(h, eps))
     return T.mlp(T.add(self_term, neigh), w1, b1, w2, b2)
 
@@ -82,13 +82,15 @@ def encode_nodes(
     num_layers: int,
 ) -> Tensor:
     """Stack GIN layers over the batched node block; L=0 returns the inputs.
-    A numeric error names its layer, counted from 1 (``gin.0`` is layer 1)."""
+    The layers share one plan of the batch's edges. A numeric error names
+    its layer, counted from 1 (``gin.0`` is layer 1)."""
     h = Tensor(batch.features)
+    plan = T.EdgePlan(batch.edges, len(batch.features))
     for layer in range(num_layers):
         try:
             h = gin_layer(
                 h,
-                batch,
+                plan,
                 params[f"gin.{layer}.w1"],
                 params[f"gin.{layer}.b1"],
                 params[f"gin.{layer}.w2"],

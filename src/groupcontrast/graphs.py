@@ -10,7 +10,6 @@ from functools import cached_property
 import numpy as np
 
 from .seeding import stream_rng
-from .tensor import RowSum
 
 
 class GraphError(ValueError):
@@ -103,31 +102,24 @@ class Dataset:
 class Batch:
     """Graphs stacked into one node block with per-graph segment ranges."""
 
-    features: np.ndarray                         # (total_nodes, d)
-    edge_index: tuple[np.ndarray, np.ndarray]    # directed (src, dst), see batch_graphs
-    segments: np.ndarray                         # (B, 2) [start, end) per graph, in order
+    features: np.ndarray    # (total_nodes, d)
+    edges: np.ndarray       # (E, 2) undirected pairs in batch node ids, as in Graph.edges
+    segments: np.ndarray    # (B, 2) [start, end) per graph, in order
 
     @property
     def num_graphs(self) -> int:
         return len(self.segments)
 
-    # derived once on first use and dropped with the batch
-
     @cached_property
     def graph_index(self) -> np.ndarray:
-        """(total_nodes,) owning graph of each node."""
+        """(total_nodes,) owning graph of each node; derived once on first
+        use and dropped with the batch."""
         sizes = self.segments[:, 1] - self.segments[:, 0]
         return np.repeat(np.arange(self.num_graphs), sizes)
 
-    @cached_property
-    def by_dst(self) -> RowSum:
-        """Edges bucketed by destination node."""
-        return RowSum(self.edge_index[1], len(self.features))
-
 
 def batch_graphs(graphs: list[Graph]) -> Batch:
-    """Stack graphs with offset node ids. The edge index holds every edge of
-    the batch forward, then every edge reversed."""
+    """Stack graphs with offset node ids, their edges in graph order."""
     if not graphs:
         raise GraphError("cannot batch an empty graph list")
     if len({g.feature_dim for g in graphs}) > 1:
@@ -135,12 +127,10 @@ def batch_graphs(graphs: list[Graph]) -> Batch:
     sizes = np.array([g.num_nodes for g in graphs], dtype=np.intp)
     ends = np.cumsum(sizes)
     starts = ends - sizes
-    edges = np.concatenate([g.edges for g in graphs]) + np.repeat(
-        starts, [len(g.edges) for g in graphs])[:, None]
     return Batch(
         features=np.concatenate([g.node_features for g in graphs], axis=0),
-        edge_index=(np.concatenate([edges[:, 0], edges[:, 1]]),
-                    np.concatenate([edges[:, 1], edges[:, 0]])),
+        edges=np.concatenate([g.edges for g in graphs]) + np.repeat(
+            starts, [len(g.edges) for g in graphs])[:, None],
         segments=np.stack([starts, ends], axis=1),
     )
 

@@ -602,58 +602,60 @@ def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
     return _result("slice-cols", a.values[:, start:stop].copy(), [(a, vjp)], moves_only=True)
 
 
-class RowSum:
-    """Plan for summing the gathered rows of a block into n rows: row i of
-    the sum adds the rows ``x[rows[j]]`` with ``index[j] == i``, the bucket
-    of i. A batch builds one, its edges by destination node.
+class EdgePlan:
+    """Plan for GIN's neighbour sum over the (E, 2) undirected pairs of an
+    n-node graph. It lists every pair forward, (u, v) adding ``x[u]`` to row
+    v, then reversed, so the sum is symmetric and its own adjoint.
 
-    The plan groups the rows once, by a stable sort. ``order`` lists them
-    slot-major: slot k holds the k-th row, in row order, of every bucket of
-    more than k rows, and the buckets are ranked largest first, so slot k
-    fills a prefix of the ranked buckets. ``sum`` adds each slot to its
-    prefix with one in-place add and un-ranks the result. Each bucket thus
-    adds its rows to 0.0 one at a time in row order, the order of a
-    sequential scatter-add (``np.add.at``), so every sum keeps its bits. The
-    slot loop runs as often as the largest bucket has rows.
+    The plan groups the directed edges by destination, by a stable sort.
+    ``rows`` lists their sources slot-major: slot k holds the k-th edge, in
+    list order, of every node of degree above k, and the nodes are ranked
+    by degree, largest first, so slot k fills a prefix of the ranked nodes.
+    ``sum`` adds each slot to its prefix with one in-place add and un-ranks
+    the result. Each node thus adds its neighbours to 0.0 one at a time in
+    list order, the order of a sequential scatter-add (``np.add.at``), so
+    every sum keeps its bits. The slot loop runs as often as the largest
+    degree.
     """
 
-    __slots__ = ("index", "n", "order", "_slots", "_unrank")
+    __slots__ = ("n", "rows", "_slots", "_unrank")
 
-    def __init__(self, index, n: int):
-        index = np.asarray(index, dtype=np.intp)
-        if index.ndim != 1:
-            raise DimensionError(f"row-sum: index must be a vector, got shape {index.shape}")
-        if index.size and (index.min() < 0 or index.max() >= n):
-            bad = np.flatnonzero((index < 0) | (index >= n))[0]
-            raise DimensionError(f"row-sum: index {index[bad]} at row {bad} outside [0, {n})")
+    def __init__(self, pairs, n: int):
+        pairs = np.asarray(pairs, dtype=np.intp)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise DimensionError(f"edge-plan: pairs must be (E, 2), got shape {pairs.shape}")
+        if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
+            bad = np.flatnonzero(((pairs < 0) | (pairs >= n)).any(axis=1))[0]
+            u, v = pairs[bad]
+            raise DimensionError(f"edge-plan: pair ({u}, {v}) at row {bad} outside [0, {n})")
+        src, dst = np.concatenate([pairs, pairs[:, ::-1]]).T
         # numpy sorts a 16-bit key by radix, over ten times faster than a
         # wider one
-        grouped = np.argsort(index.astype(np.uint16) if n <= 1 << 16 else index, kind="stable")
-        counts = np.bincount(index, minlength=n)
-        # buckets of equal size may rank in any order
+        grouped = np.argsort(dst.astype(np.uint16) if n <= 1 << 16 else dst, kind="stable")
+        counts = np.bincount(dst, minlength=n)
+        # nodes of equal degree may rank in any order
         ranked = np.argsort(-counts)
         unrank = np.empty(n, dtype=np.intp)
         unrank[ranked] = np.arange(n)
-        # filled[k] buckets have more than k rows; slot k spans those rows of order
+        # filled[k] nodes have more than k edges; slot k spans those rows of order
         filled = np.cumsum(np.bincount(counts)[::-1])[::-1][1:]
         offsets = np.concatenate([[0], np.cumsum(filled)])
-        bucket = index[grouped]
-        slot = np.arange(len(index)) - (np.cumsum(counts) - counts)[bucket]
+        node = dst[grouped]
+        slot = np.arange(len(dst)) - (np.cumsum(counts) - counts)[node]
         order = np.empty_like(grouped)
-        order[offsets[slot] + unrank[bucket]] = grouped
-        self.index, self.n, self.order, self._unrank = index, n, order, unrank
+        order[offsets[slot] + unrank[node]] = grouped
+        self.n, self.rows, self._unrank = n, src[order], unrank
         self._slots = list(zip(offsets[:-1].tolist(), offsets[1:].tolist()))
 
-    def sum(self, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """The (n, ...) bucket sums of the block ``x[rows]``: row j of the
-        block goes to bucket ``index[j]``. Each slot gathers its own rows,
-        so the block is never built."""
+    def sum(self, x: np.ndarray) -> np.ndarray:
+        """The (n, ...) neighbour sums of the rows of x. Each slot gathers
+        its own rows, so the (2E, ...) edge block is never built."""
         out = np.zeros((self.n, *x.shape[1:]))
         # overflow to inf is left to the caller's finiteness check: a sum of
         # finite floats can overflow
         with np.errstate(over="ignore", invalid="ignore"):
             for lo, hi in self._slots:
-                out[:hi - lo] += x.take(rows[self.order[lo:hi]], axis=0)
+                out[:hi - lo] += x.take(self.rows[lo:hi], axis=0)
         return out[self._unrank]
 
 
@@ -740,19 +742,14 @@ def gathered_dot(u: Tensor, r: Tensor, segments: np.ndarray) -> Tensor:
     ])
 
 
-def neighbour_sum(x: Tensor, by_dst: RowSum, src: np.ndarray) -> Tensor:
-    """Row i sums the rows ``x[src[e]]`` over the edges e with ``dst[e] ==
-    i``, where dst is the index of the plan: the scatter-add of ``x[src]``
-    as one op. Precondition: the edges are symmetric, each
-    (u, v) also listed as (v, u), as in a `Batch`. The sum is then its own
-    adjoint, so the vjp is the same sum of the gradient. Neither direction
-    builds an (E, ...) edge block."""
+def neighbour_sum(x: Tensor, plan: EdgePlan) -> Tensor:
+    """Row i sums the rows of x over the neighbours of node i in the plan's
+    undirected graph. The sum is its own adjoint, so the vjp is the same sum
+    of the gradient."""
     x = _as_tensor(x)
-    if x.values.ndim == 0 or by_dst.n != x.shape[0] or src.shape != by_dst.index.shape:
-        raise DimensionError(f"neighbour-sum: plan over {by_dst.n} rows and "
-                             f"{src.size} / {by_dst.index.size} edges for input shape {x.shape}")
-    return _result("neighbour-sum", by_dst.sum(x.values, src),
-                   [(x, lambda g: by_dst.sum(g, src))])
+    if x.values.ndim == 0 or plan.n != x.shape[0]:
+        raise DimensionError(f"neighbour-sum: plan over {plan.n} rows for input shape {x.shape}")
+    return _result("neighbour-sum", plan.sum(x.values), [(x, plan.sum)])
 
 
 def backward(tape: Tape, loss: Tensor) -> dict[int, np.ndarray]:

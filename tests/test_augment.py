@@ -6,7 +6,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from groupcontrast import tensor as T
 from groupcontrast.augment import AUGMENTATION_KINDS, AugmentationPolicy, sample_view
+from groupcontrast.encoder import encode_nodes, init_gin_params
 from groupcontrast.graphs import Graph, GraphError, batch_graphs, generate_planted_motif_dataset
 from groupcontrast.seeding import stream_rng
 from strategies import valid_graphs
@@ -25,18 +27,15 @@ def view_of(graphs, kinds, ratio, seed, *key):
 
 def unbatch(batch) -> list[Graph]:
     """Each segment of a batch, rebuilt through the public constructor from
-    the forward half of the edge index."""
-    half = len(batch.edge_index[0]) // 2
-    src, dst = batch.edge_index[0][:half], batch.edge_index[1][:half]
-    owner = batch.graph_index[src]
-    return [Graph(int(hi - lo), batch.features[lo:hi],
-                  np.stack([src[owner == b], dst[owner == b]], axis=1) - lo)
+    the pairs its first endpoints own."""
+    owner = batch.graph_index[batch.edges[:, 0]]
+    return [Graph(int(hi - lo), batch.features[lo:hi], batch.edges[owner == b] - lo)
             for b, (lo, hi) in enumerate(batch.segments)]
 
 
 def assert_same_batch(a, b):
     for x, y in ((a.features, b.features), (a.segments, b.segments),
-                 (a.graph_index, b.graph_index), *zip(a.edge_index, b.edge_index)):
+                 (a.graph_index, b.graph_index), (a.edges, b.edges)):
         assert x.dtype == y.dtype and np.array_equal(x, y)
 
 
@@ -215,6 +214,27 @@ def test_each_subset_is_equally_likely(kind):
     assert chi2 < CHI2_BOUND, counts
 
 
+_GIN = {name: T.Tensor(value) for name, value in
+        init_gin_params(stream_rng(0, "init"), 3, 4, 2).items()}
+
+
+def neighbour_sums(view) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The input and the output of each neighbour sum of a two-layer
+    ``encode_nodes`` over the view."""
+    sums, neighbour_sum = [], T.neighbour_sum
+
+    def recorded(x, plan):
+        out = neighbour_sum(x, plan)
+        sums.append((x.values, out.values))
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(T, "neighbour_sum", recorded)
+        encode_nodes(view, _GIN, 2)
+    assert len(sums) == 2
+    return sums
+
+
 # a 1-node graph, an edgeless one and a 2-node edge: at the largest ratio
 # every kind would drop, mask or rewire all it could
 _SMALLEST = [Graph(1, [[1.0, 2.0, 3.0]], ()), Graph(3, np.arange(9.0).reshape(3, 3), ()),
@@ -236,13 +256,26 @@ def test_views_pass_the_public_constructor(graphs, kinds, ratio, seed):
     # The pooling ops read the segments as they are: each must be non-empty,
     # and together they tile the node rows in order
     view = view_of(graphs, kinds, ratio, seed)
-    assert all(a.dtype == np.intp for a in (*view.edge_index, view.segments, view.graph_index))
+    assert all(a.dtype == np.intp for a in (view.edges, view.segments, view.graph_index))
     assert view.num_graphs == len(graphs)
     starts, stops = view.segments.T
     assert np.all(stops > starts)
     assert starts[0] == 0 and np.array_equal(starts[1:], stops[:-1])
     assert stops[-1] == len(view.features)
     assert_same_batch(batch_graphs(unbatch(view)), view)
+    # the view's edges hold each undirected pair once, inside one graph,
+    # in range and loop-free, as a Graph's do
+    u, v = view.edges.T
+    assert view.edges.shape == (len(u), 2) and np.all((0 <= view.edges) & (view.edges < stops[-1]))
+    assert np.all(u != v) and np.array_equal(view.graph_index[u], view.graph_index[v])
+    assert len({frozenset(pair) for pair in view.edges.tolist()}) == len(u)
+    # every GIN layer sums each pair both ways, in list order: forward, then
+    # reversed, as numpy's sequential scatter-add does
+    src, dst = np.concatenate([u, v]), np.concatenate([v, u])
+    for x, summed in neighbour_sums(view):
+        ref = np.zeros_like(x)
+        np.add.at(ref, dst, x[src])
+        assert summed.tobytes() == ref.tobytes()
 
 
 @given(graphs=st.lists(valid_graphs(), min_size=1, max_size=4),

@@ -11,6 +11,7 @@ import pytest
 
 from groupcontrast import cli, trainer
 from groupcontrast.cli import build_parser, main
+from groupcontrast.config import RunConfig, load_config
 from groupcontrast.evaluation import export_attention, extract_embeddings, linear_probe
 from groupcontrast.graphs import generate_planted_motif_dataset, load_dataset, save_dataset
 from groupcontrast.trainer import checkpoint_load
@@ -220,28 +221,43 @@ def test_overflowing_step_names_epoch_and_step(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+_OVERFLOWING = ["epochs=1", "batch_size=24", "num_groups=2", "embed_dim=40", "key_dim=16",
+                "gin_hidden=12", "learning_rate=1e300"]
+
+
 def test_embedding_errors_name_the_phase_and_the_layer(tmp_path, capsys):
-    # one step at learning rate 1e300 trains and exits 0, and leaves
-    # weights whose forward overflows in the first GIN layer. Each command
-    # that embeds the graphs then named only the op, "mlp: non-finite
-    # output"; it now names its phase and the layer too
+    # one step at learning rate 1e300 leaves weights whose forward
+    # overflows in the first GIN layer. Each command that embeds the graphs
+    # then named only the op, "mlp: non-finite output"; it now names its
+    # phase and the layer too
     data = write_small_dataset(tmp_path)
-    config = ["epochs=1", "batch_size=24", "num_groups=2", "embed_dim=40", "key_dim=16",
-              "gin_hidden=12", "learning_rate=1e300"]
+    state, _ = trainer.train(load_config(RunConfig, None, _OVERFLOWING), load_dataset(data))
     run = tmp_path / "run"
-    assert main(["train", "--data", str(data), "--out", str(run)] + config) == 0
-    capsys.readouterr()
+    run.mkdir()
+    trainer.checkpoint_save(run / "checkpoint.bin", state)
     stored = ["--checkpoint", str(run / "checkpoint.bin"), "--data", str(data)]
     for phase, argv in [
         ("extract embeddings", ["eval", *stored, "--out", str(tmp_path / "eval")]),
         ("export attention", ["export-attn", *stored, "--graph-ids", "0",
                               "--out", str(tmp_path / "attn")]),
         ("extract embeddings", ["study", "--data", str(data), "--out", str(tmp_path / "study"),
-                                *config]),
+                                *_OVERFLOWING]),
     ]:
         assert main(argv) == 1
         assert capsys.readouterr().err == (
             f"error: NumericError: {phase}: gin layer 1 of 3: mlp: non-finite output\n")
+
+
+def test_train_refuses_weights_no_forward_can_use(tmp_path, capsys):
+    # the same step exited 0 and wrote a checkpoint that every embedding
+    # command then refused; train now embeds its data with the trained
+    # model first, and fails before it writes anything
+    data = write_small_dataset(tmp_path)
+    run = tmp_path / "run"
+    assert main(["train", "--data", str(data), "--out", str(run)] + _OVERFLOWING) == 1
+    assert capsys.readouterr().err == ("error: NumericError: trained model: extract embeddings: "
+                                       "gin layer 1 of 3: mlp: non-finite output\n")
+    assert not run.exists()
 
 
 def test_skipped_batch_warning_prints_one_line(tmp_path, capsys):

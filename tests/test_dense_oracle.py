@@ -36,7 +36,7 @@ def random_batch(seed):
 def dense_matrices(batch):
     n = batch.features.shape[0]
     adjacency = np.zeros((n, n))
-    for u, v in zip(*batch.edge_index):
+    for u, v in batch.edges:
         adjacency[u, v] = adjacency[v, u] = 1.0
     indicator = np.zeros((batch.num_graphs, n))
     for g, (lo, hi) in enumerate(batch.segments):

@@ -37,7 +37,7 @@ def test_gin_layer_matches_naive_reference():
     params = init_gin_params(rng, 4, 5, 1)
     batch = batch_graphs([g])
     out = gin_layer(
-        Tensor(batch.features), batch,
+        Tensor(batch.features), T.EdgePlan(batch.edges, g.num_nodes),
         Tensor(params["gin.0.w1"]), Tensor(params["gin.0.b1"]),
         Tensor(params["gin.0.w2"]), Tensor(params["gin.0.b2"]))
     ref = naive_gin_layer(g.node_features, g,
@@ -51,7 +51,7 @@ def test_learnable_eps_changes_self_term():
     rng = stream_rng(1, "init")
     params = init_gin_params(rng, 3, 4, 1)
     batch = batch_graphs([g])
-    args = (Tensor(batch.features), batch,
+    args = (Tensor(batch.features), T.EdgePlan(batch.edges, g.num_nodes),
             Tensor(params["gin.0.w1"]), Tensor(params["gin.0.b1"]),
             Tensor(params["gin.0.w2"]), Tensor(params["gin.0.b2"]))
     base = gin_layer(*args)

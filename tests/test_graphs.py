@@ -95,12 +95,10 @@ def test_batch_preserves_graphs():
         Graph(3, rng.standard_normal((3, 3)), (), label=None),
     ]
     batch = batch_graphs(gs)
-    src, dst = batch.edge_index
-    forward = np.stack([src, dst], axis=1)[:len(src) // 2]
     for orig, (lo, hi) in zip(gs, batch.segments):
-        inside = (lo <= forward[:, 0]) & (forward[:, 0] < hi)
+        inside = (lo <= batch.edges[:, 0]) & (batch.edges[:, 0] < hi)
         assert hi - lo == orig.num_nodes
-        assert np.array_equal(forward[inside] - lo, orig.edges)
+        assert np.array_equal(batch.edges[inside] - lo, orig.edges)
         assert np.array_equal(batch.features[lo:hi], orig.node_features)
 
 
@@ -119,7 +117,7 @@ def test_batch_offsets_and_segments():
     gs = [triangle(), triangle()]
     b = batch_graphs(gs)
     assert b.segments.tolist() == [[0, 3], [3, 6]]
-    assert [3, 4] in np.stack(b.edge_index, axis=1).tolist()
+    assert [3, 4] in b.edges.tolist()
     assert np.array_equal(b.graph_index, [0, 0, 0, 1, 1, 1])
 
 
@@ -131,21 +129,18 @@ def test_batch_rejects_empty_and_mixed_dims():
                       Graph(2, np.zeros((2, 5)), ())])
 
 
-def test_batch_edge_index_block_diagonal():
+def test_batch_edges_block_diagonal():
     b = batch_graphs([triangle(), Graph(1, np.zeros((1, 2)), ()), triangle()])
-    src, dst = b.edge_index
-    # every edge forward, then every edge reversed, and never across graphs
-    forward = np.array([(0, 1), (1, 2), (2, 0), (4, 5), (5, 6), (6, 4)])
-    assert np.array_equal(src, np.concatenate([forward[:, 0], forward[:, 1]]))
-    assert np.array_equal(dst, np.concatenate([forward[:, 1], forward[:, 0]]))
-    assert np.array_equal(b.graph_index[src], b.graph_index[dst])
+    # every pair once, in graph order and orientation, and never across graphs
+    assert b.edges.dtype == np.intp
+    assert b.edges.tolist() == [[0, 1], [1, 2], [2, 0], [4, 5], [5, 6], [6, 4]]
+    assert np.array_equal(b.graph_index[b.edges[:, 0]], b.graph_index[b.edges[:, 1]])
     assert np.array_equal(b.graph_index, [0, 0, 0, 1, 2, 2, 2])
 
 
-def test_edgeless_batch_has_empty_edge_index():
+def test_edgeless_batch_has_empty_edges():
     b = batch_graphs([Graph(2, np.zeros((2, 2)), ()), Graph(1, np.zeros((1, 2)), ())])
-    src, dst = b.edge_index
-    assert src.shape == dst.shape == (0,)
+    assert b.edges.shape == (0, 2) and b.edges.dtype == np.intp
     assert np.array_equal(b.graph_index, [0, 0, 1])
 
 

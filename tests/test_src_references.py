@@ -61,3 +61,27 @@ def test_every_import_of_src_is_read():
                         bound in names for other, names in zip(body, reads) if other is not node):
                     unused.append(f"{path.name}: {bound}")
     assert unused == []
+
+
+
+def imported_modules(path: Path) -> set[str]:
+    """The groupcontrast modules a source file imports, anywhere in it."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["groupcontrast" if node.level else "", node.module]))
+            found |= {module} | {f"{module}.{alias.name}" for alias in node.names}
+    return {name.split(".")[1] for name in found if name.startswith("groupcontrast.")}
+
+
+def test_graph_and_config_modules_import_nothing_of_the_model():
+    # the graph types, their augmentation, the config and the seeded streams
+    # sit below the model: none of them imports the autodiff engine or
+    # anything built on it
+    below = ("graphs", "augment", "config", "seeding")
+    model = {"tensor", "encoder", "representor", "objectives", "optim", "trainer"}
+    imported = {name: sorted(imported_modules(ROOT / "src" / "groupcontrast" / f"{name}.py")
+                             & model) for name in below}
+    assert imported == {name: [] for name in below}

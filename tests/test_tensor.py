@@ -301,9 +301,10 @@ _MATRIX, _VECTOR, _BLOCK = Tensor(np.ones((2, 3))), Tensor(np.ones(3)), Tensor(n
     (lambda: T.segment_softmax(_VECTOR, [(0, 3)]), "segment-row-softmax: expected matrix"),
     (lambda: T.row_l2_normalize(_VECTOR), "row-L2-normalize: expected matrix"),
     (lambda: T.slice_cols(_VECTOR, 0, 1), "slice-cols: expected matrix"),
-    (lambda: T.RowSum(np.zeros((2, 2), dtype=int), 2), "row-sum: index must be a vector"),
-    (lambda: T.neighbour_sum(_MATRIX, T.RowSum([0, 1], 2), np.array([1, 0, 1])),
-     "neighbour-sum: plan over 2 rows and 3 / 2 edges"),
+    (lambda: T.EdgePlan(np.zeros(2, dtype=int), 2), r"edge-plan: pairs .* shape \(2,\)"),
+    (lambda: T.EdgePlan(np.zeros((2, 3), dtype=int), 2), r"edge-plan: pairs .* shape \(2, 3\)"),
+    (lambda: T.neighbour_sum(_MATRIX, T.EdgePlan([[0, 1]], 3)),
+     r"neighbour-sum: plan over 3 rows for input shape \(2, 3\)"),
     (lambda: T.softplus_sum_of_products(_MATRIX, Tensor(np.ones((2, 2)))),
      r"softplus-sum-of-products: shapes \(2, 3\) and \(2, 2\) are not"),
     (lambda: T.softplus_sum_of_products(Tensor(np.ones((2, 2, 3))), Tensor(np.ones((3, 2, 3)))),
@@ -509,66 +510,74 @@ def test_gathered_dot_and_index_add_are_adjoint():
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
-@pytest.mark.parametrize("index, n, bad", [
-    ([-1, 0], 2, "index -1 at row 0"),      # wrapped round in the forward pass
-    ([0, 5], 3, "index 5 at row 1"),        # failed as a bare reshape error
-    ([1, 2, 2, 7, -3], 2, "index 2 at row 1"),
+@pytest.mark.parametrize("pairs, n, bad", [
+    ([(-1, 0)], 2, r"pair \(-1, 0\) at row 0"),     # wrapped round in the forward pass
+    ([(0, 1), (0, 5)], 3, r"pair \(0, 5\) at row 1"),  # failed as a bare reshape error
+    ([(1, 0), (2, 2), (7, -3)], 2, r"pair \(2, 2\) at row 1"),
 ])
-def test_row_sum_rejects_out_of_range_index(index, n, bad):
-    with pytest.raises(DimensionError, match=f"^row-sum: {bad} outside \\[0, {n}\\)$"):
-        T.RowSum(index, n)
+def test_edge_plan_rejects_out_of_range_pair(pairs, n, bad):
+    with pytest.raises(DimensionError, match=f"^edge-plan: {bad} outside \\[0, {n}\\)$"):
+        T.EdgePlan(pairs, n)
 
 
-# slot k of a plan holds one row of every bucket of more than k rows. Each
-# family draws (index, n): random indices; buckets of 9 to 40 rows beside
-# empty ones; the empty index; and bucket counts past the 16-bit sort key
+# slot k of a plan holds one edge of every node of degree above k. Each
+# family draws (pairs, n): random pairs; nodes of degree 9 to 40 beside
+# isolated ones; no pairs; and node ids past the 16-bit sort key. The plan
+# takes any pairs, loops and repeats included
 _PLAN_FAMILIES = {
     "random": st.integers(1, 9).flatmap(lambda n: st.tuples(
-        st.lists(st.integers(0, n - 1), max_size=40), st.just(n))),
-    "large-buckets": st.tuples(st.lists(st.sampled_from([0, 2]), min_size=18, max_size=40),
-                               st.integers(3, 5)),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=20),
+        st.just(n))),
+    "large-buckets": st.integers(3, 5).flatmap(lambda n: st.tuples(
+        st.lists(st.tuples(st.sampled_from([0, 2]), st.integers(0, n - 1)),
+                 min_size=9, max_size=20), st.just(n))),
     "empty": st.tuples(st.just([]), st.integers(0, 3)),
-    "wide": st.tuples(st.lists(st.sampled_from([0, 65535, 65536, 70000]), max_size=12),
-                      st.sampled_from([70001, 1 << 17])),
+    "wide": st.tuples(st.lists(st.tuples(*[st.sampled_from([0, 65535, 65536, 70000])] * 2),
+                               max_size=6), st.sampled_from([70001, 1 << 17])),
 }
 # magnitudes apart by up to 1e16 and signed zeros: a sum in any other order
-# than row order shows in the bits
+# than list order shows in the bits
 _addends = st.floats(-1e8, 1e8, allow_nan=False) | st.sampled_from([0.0, -0.0, 1e-8, -1e-8])
 
 
 @pytest.mark.parametrize("family", _PLAN_FAMILIES)
 @given(width=st.integers(1, 3), data=st.data())
 def test_row_sum_is_byte_equal_to_sequential_scatter_add(family, width, data):
-    index, n = data.draw(_PLAN_FAMILIES[family])
-    rows = data.draw(hnp.arrays(np.float64, (len(index), width), elements=_addends))
-    plan = T.RowSum(index, n)
+    pairs, n = data.draw(_PLAN_FAMILIES[family])
+    pairs = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+    src = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
+    # only the rows the pairs read are drawn; a repeated source keeps one
+    x = np.zeros((n, width))
+    x[src] = data.draw(hnp.arrays(np.float64, (len(src), width), elements=_addends))
+    plan = T.EdgePlan(pairs, n)
     ref = np.zeros((n, width))
-    np.add.at(ref, np.array(index, dtype=np.intp), rows)
-    assert sorted(plan.order.tolist()) == list(range(len(index)))
-    assert _bits(plan.sum(rows, np.arange(len(index)))).tobytes() == _bits(ref).tobytes()
+    np.add.at(ref, dst, x[src])
+    assert sorted(plan.rows.tolist()) == sorted(src.tolist())
+    assert _bits(plan.sum(x)).tobytes() == _bits(ref).tobytes()
 
 
 @given(nodes=st.integers(1, 6), data=st.data(), seed=st.integers(0, 2**16))
 def test_neighbour_sum_matches_take_rows_then_index_add(nodes, data, seed):
-    # the fused GIN aggregation over a symmetric edge list (undirected pairs
-    # listed forward, then reversed, as a Batch lists them): the forward is
-    # bit-equal to the gather and numpy's sequential scatter-add, the vjp
-    # is the forward applied to the gradient, and a gradcheck passes
+    # the fused GIN aggregation over undirected pairs: the forward is
+    # bit-equal to the gather of both directions and numpy's sequential
+    # scatter-add, the vjp is the forward applied to the gradient, and a
+    # gradcheck passes
     edge = st.tuples(st.integers(0, nodes - 1), st.integers(0, nodes - 1))
     pairs = np.array(data.draw(st.lists(edge, max_size=6)), dtype=np.intp).reshape(-1, 2)
     src = np.concatenate([pairs[:, 0], pairs[:, 1]])
     dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
-    by_dst = T.RowSum(dst, nodes)
+    plan = T.EdgePlan(pairs, nodes)
     x, w = _array(seed, (nodes, 2)), _array(seed + 1, (nodes, 2))
     tape = Tape()
     leaf = tape.leaf(x)
-    y = T.neighbour_sum(leaf, by_dst, src)
+    y = T.neighbour_sum(leaf, plan)
     grad = backward(tape, T.tsum(T.mul(y, Tensor(w))))[leaf.node_id]
     composed = np.zeros_like(x)
     np.add.at(composed, dst, x[src])
     assert y.values.tobytes() == composed.tobytes()
-    assert grad.tobytes() == T.neighbour_sum(Tensor(w), by_dst, src).values.tobytes()
-    err = _gradcheck(lambda x: T.tsum(T.mul(T.neighbour_sum(x, by_dst, src), Tensor(w))), x=x)
+    assert grad.tobytes() == T.neighbour_sum(Tensor(w), plan).values.tobytes()
+    err = _gradcheck(lambda x: T.tsum(T.mul(T.neighbour_sum(x, plan), Tensor(w))), x=x)
     assert err <= 1e-6
 
 

@@ -17,14 +17,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from groupcontrast import graphs, trainer
+from groupcontrast import trainer
 from groupcontrast import tensor as T
 from groupcontrast.augment import AUGMENTATION_KINDS
 from groupcontrast.config import ESTIMATORS, PIPELINES, RunConfig
 from groupcontrast.graphs import (Dataset, Graph, batch_graphs,
                                   generate_planted_motif_dataset)
 from groupcontrast.objectives import varnet_layout, varnet_params
-from groupcontrast.tensor import NumericError, RowSum, Tape
+from groupcontrast.tensor import EdgePlan, NumericError, Tape
 from groupcontrast.trainer import (CheckpointError, HISTORY_HEADER, ModelState,
                                    TrainingError, checkpoint_load,
                                    checkpoint_save, init_model,
@@ -383,20 +383,19 @@ def test_param_estimator_without_inter_term_leaves_varnets_untouched(overrides):
 @pytest.mark.parametrize("pipeline, views", [("groupcl", 2), ("groupig", 1),
                                              ("graphcl-baseline", 2)])
 def test_step_builds_each_plan_of_a_view_once(monkeypatch, pipeline, views):
-    # each encoded batch builds its one row-sum plan, the edges by
-    # destination, once for all GIN layers forward and backward; the
-    # pooling and the loss read the batch's segments. The plans leave no
-    # cyclic tape behind
+    # each encoded view builds its one edge plan once for all GIN layers
+    # forward and backward; the pooling and the loss read the view's
+    # segments. The plans leave no cyclic tape behind
     built = []
 
-    class Counted(RowSum):
+    class Counted(EdgePlan):
         __slots__ = ()
 
-        def __init__(self, index, n):
-            built.append(index)
-            super().__init__(index, n)
+        def __init__(self, pairs, n):
+            built.append(pairs)
+            super().__init__(pairs, n)
 
-    monkeypatch.setattr(graphs, "RowSum", Counted)
+    monkeypatch.setattr(T, "EdgePlan", Counted)
     state = init_model(RunConfig(pipeline=pipeline, seed=0, batch_size=16), DATASET.feature_dim)
     gc.collect()
     gc.disable()
@@ -407,7 +406,7 @@ def test_step_builds_each_plan_of_a_view_once(monkeypatch, pipeline, views):
         gc.enable()
     assert alive == 0
     assert len(built) == views
-    assert len({id(index) for index in built}) == len(built)
+    assert len({id(pairs) for pairs in built}) == len(built)
 
 
 @pytest.mark.parametrize("kind", AUGMENTATION_KINDS)
