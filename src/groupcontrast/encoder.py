@@ -60,43 +60,25 @@ def init_gin_params(
     return draw_params(rng, gin_layout(in_dim, hidden, num_layers, learnable_eps))
 
 
-def gin_layer(
-    h: Tensor,
-    plan: T.EdgePlan,
-    w1: Tensor,
-    b1: Tensor,
-    w2: Tensor,
-    b2: Tensor,
-    eps: Tensor | None = None,
-) -> Tensor:
-    """MLP((1+eps)*h_v + sum of the rows h_u over the neighbours u of v in
-    the plan's graph); no eps is eps = 0."""
-    neigh = T.neighbour_sum(h, plan)
-    self_term = h if eps is None else T.add(h, T.mul(h, eps))
-    return T.mlp(T.add(self_term, neigh), w1, b1, w2, b2)
-
-
 def encode_nodes(
     batch: Batch,
     params: Mapping[str, Tensor],
     num_layers: int,
 ) -> Tensor:
     """Stack GIN layers over the batched node block; L=0 returns the inputs.
-    The layers share one plan of the batch's edges. A numeric error names
-    its layer, counted from 1 (``gin.0`` is layer 1)."""
+    Layer l maps h to ``mlp((1 + eps) * h_v + the sum of the rows h_u over
+    the neighbours u of v)`` with its ``gin.{l-1}`` weights; no eps is
+    eps = 0. The layers share one plan of the batch's edges, and each drops
+    its input and the neighbour sum before its mlp runs. A numeric error
+    names its layer, counted from 1 (``gin.0`` is layer 1)."""
     h = Tensor(batch.features)
     plan = T.EdgePlan(batch.edges, len(batch.features))
     for layer in range(num_layers):
+        eps = params.get(f"gin.{layer}.eps")
         try:
-            h = gin_layer(
-                h,
-                plan,
-                params[f"gin.{layer}.w1"],
-                params[f"gin.{layer}.b1"],
-                params[f"gin.{layer}.w2"],
-                params[f"gin.{layer}.b2"],
-                eps=params.get(f"gin.{layer}.eps"),
-            )
+            # the neighbour sum goes on the tape first, fixing the order of h's gradient sum
+            h = T.add(T.neighbour_sum(h, plan), h if eps is None else T.add(h, T.mul(h, eps)))
+            h = T.mlp(h, *(params[f"gin.{layer}.{name}"] for name in ("w1", "b1", "w2", "b2")))
         except NumericError as exc:
             raise type(exc)(f"gin layer {layer + 1} of {num_layers}: {exc}") from exc
     return h

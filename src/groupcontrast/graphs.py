@@ -41,6 +41,8 @@ class Graph:
         if feats.ndim != 2 or feats.shape[0] != self.num_nodes:
             raise GraphError(
                 f"feature matrix shape {feats.shape} does not match {self.num_nodes} nodes")
+        if feats.shape[1] == 0:
+            raise GraphError("feature matrix has no columns")
         if not np.all(np.isfinite(feats)):
             raise GraphError("node features hold non-finite values")
         object.__setattr__(self, "node_features", feats)

@@ -319,10 +319,11 @@ def pairwise_weighted_sq_dist(u: Tensor, mu: Tensor, w: Tensor) -> Tensor:
     The forward forms the (B, p, p, d) block in one buffer, each step the
     ufunc of the composed chain in place, and sums it. The op keeps its
     three inputs, not the block: the first tracked vjp of a backward pass
-    rebuilds the residuals and takes every tracked input's gradient with
-    the expressions of the tsum, mask, w, square and sub vjps, in that
-    order. The rest hand theirs out. A non-finite block raises through the
-    sum, which a non-finite entry makes non-finite.
+    rebuilds the residuals, a chunk of graphs at a time, and takes every
+    tracked input's gradient with the expressions of the tsum, mask, w,
+    square and sub vjps, in that order. The rest hand theirs out. A
+    non-finite block raises through the sum, which a non-finite entry makes
+    non-finite.
     """
     u, mu, w = (_as_tensor(t) for t in (u, mu, w))
     uv, muv, wv = u.values, mu.values, w.values
@@ -341,31 +342,41 @@ def pairwise_weighted_sq_dist(u: Tensor, mu: Tensor, w: Tensor) -> Tensor:
         lambda g, tracked: _sq_dist_grads(g * mask, uv, muv, wv, tracked)))
 
 
+# the byte budget of each (graphs, p, p, d) block of pairwise_weighted_sq_dist's
+# backward: 16 graphs of the groupig-param benchmark's 4 groups of width 40.
+# Each gradient sums within a graph, so the chunk moves no bit
+_SQ_DIST_CHUNK_BYTES = 16 * 4 * 4 * 40 * 8
+
+
 def _sq_dist_grads(g_mask: np.ndarray, uv: np.ndarray, muv: np.ndarray, wv: np.ndarray,
                    tracked: set[str]) -> dict[str, np.ndarray]:
     """The gradients of the tracked pairwise_weighted_sq_dist inputs, where
     g_mask is the (p, p, 1) gradient of each masked entry: the composed
     chain's block gradients, each its vjp's expression, through at most
-    two (B, p, p, d) blocks."""
+    two (graphs, p, p, d) blocks of a chunk of graphs."""
     # the unbroadcast of a length-1 axis does not sum: a sum would turn
     # -0.0 into 0.0
     def fold(x, axis):
         return x.sum(axis=axis) if x.shape[axis] > 1 else x.squeeze(axis)
 
-    grads = {}
-    diff = np.subtract(uv[:, None], muv[:, :, None])
-    if "w" in tracked:
-        resid = diff * diff
-        resid *= g_mask
-        grads["w"] = fold(resid, 2)
-        del resid
-    if tracked & {"u", "mu"}:
-        diff *= 2.0
-        diff *= g_mask * wv[:, :, None]
-        if "u" in tracked:
-            grads["u"] = fold(diff, 1)
-        if "mu" in tracked:
-            grads["mu"] = np.negative(fold(diff, 2))
+    b, p, d = uv.shape
+    graphs = max(1, _SQ_DIST_CHUNK_BYTES // (8 * p * p * d))
+    grads = {name: np.empty_like(uv) for name in tracked}
+    for lo in range(0, b, graphs):
+        chunk = slice(lo, lo + graphs)
+        diff = np.subtract(uv[chunk, None], muv[chunk, :, None])
+        if "w" in tracked:
+            resid = diff * diff
+            resid *= g_mask
+            grads["w"][chunk] = fold(resid, 2)
+            del resid
+        if tracked & {"u", "mu"}:
+            diff *= 2.0
+            diff *= g_mask * wv[chunk, :, None]
+            if "u" in tracked:
+                grads["u"][chunk] = fold(diff, 1)
+            if "mu" in tracked:
+                np.negative(fold(diff, 2), out=grads["mu"][chunk])
     return grads
 
 
@@ -406,7 +417,7 @@ def tsum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     return _result("sum", a.values.sum(axis=axis, keepdims=keepdims), [(a, vjp)])
 
 
-# the byte budget of each of softplus_sum_of_products' three score
+# the byte budget of each of softplus_sum_of_products' two score
 # buffers, whose chunk row spans every leading slice. It is 64 rows of 1792
 # partners, the groupig-param benchmark's score block. The value stays
 # because it fixes the order in which the op sums its chunks: another size
@@ -445,12 +456,14 @@ def softplus_sum_of_products(a: Tensor, b: Tensor) -> Tensor:
     the (..., m, n) score block.
 
     Row chunks of a, each row taken across every leading slice, pass
-    through three reused buffers. Each chunk's scores s give
-    ``e = exp(-|s|)`` once; the softplus is ``max(s, 0) + log1p(e)`` and
-    its logistic ``exp(min(s, 0)) / (1 + e)``. The output is a scalar, so
-    the vjps are ``g * (σ @ b)`` and ``g * (σᵀ @ a)``: for the inputs on a
-    tape, both products are taken in the chunk loop, while the chunk is in
-    cache. A non-finite score raises, as the product's own check would.
+    through two reused buffers, the scores s and ``e = exp(-|s|)``, and a
+    bool ``s > 0`` mask. The softplus is ``max(s, 0) + log1p(e)``, each
+    term summed in s; its logistic is ``exp(min(s, 0)) / (1 + e)``, whose
+    numerator is ``max(e, s > 0)``, as e = exp(s) where s <= 0 and e <= 1.
+    The output is a scalar, so the vjps are ``g * (σ @ b)`` and ``g * (σᵀ @
+    a)``: for the inputs on a tape, both products are taken in the chunk
+    loop, while the chunk is in cache, σᵀ @ a in e's buffer where it fits.
+    A non-finite score raises, as the product's own check would.
     """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.values.ndim < 2 or a.values.ndim != b.values.ndim \
@@ -460,10 +473,14 @@ def softplus_sum_of_products(a: Tensor, b: Tensor) -> Tensor:
     av, bv = a.values, b.values
     lead, (m, n) = av.shape[:-2], (av.shape[-2], bv.shape[-2])
     rows = max(1, min(m, _CHUNK_BYTES // (8 * max(n * math.prod(lead), 1))))
-    s, e, t = (np.empty((*lead, rows, n)) for _ in range(3))
+    s, e = np.empty((*lead, rows, n)), np.empty((*lead, rows, n))
     grads = a.tape is not None or b.tape is not None
     if grads:
-        ga, gb, gb_chunk = np.empty_like(av), np.zeros_like(bv), np.empty_like(bv)
+        positive = np.empty((*lead, rows, n), dtype=bool)
+        ga, gb = np.empty_like(av), np.zeros_like(bv)
+        # e is dead once the chunk's logistic is formed
+        gb_chunk = e.reshape(-1)[:bv.size].reshape(bv.shape) if e.size >= bv.size \
+            else np.empty_like(bv)
     total = 0.0
     # a non-finite score raises at once; a sum that overflows is left to
     # the output's finiteness check
@@ -471,25 +488,24 @@ def softplus_sum_of_products(a: Tensor, b: Tensor) -> Tensor:
         for lo in range(0, m, rows):
             ac = av[..., lo:lo + rows, :]
             k = ac.shape[-2]
-            sc, ec, tc = s[..., :k, :], e[..., :k, :], t[..., :k, :]
+            sc, ec = s[..., :k, :], e[..., :k, :]
             np.matmul(ac, np.swapaxes(bv, -1, -2), out=sc)
             np.abs(sc, out=ec)
             if not np.isfinite(ec.max(initial=0.0)):
                 raise NumericError("softplus-sum-of-products: non-finite score")
             np.negative(ec, out=ec)
             np.exp(ec, out=ec)
-            np.log1p(ec, out=tc)
-            total += tc.sum()
             if grads:
-                np.minimum(sc, 0.0, out=tc)
-            np.maximum(sc, 0.0, out=sc)
-            total += sc.sum()
+                np.greater(sc, 0.0, out=positive[..., :k, :])
+            hinge = np.maximum(sc, 0.0, out=sc).sum()
+            total += np.log1p(ec, out=sc).sum()
+            total += hinge
             if grads:
-                np.exp(tc, out=tc)
+                np.maximum(ec, positive[..., :k, :], out=sc)
                 ec += 1.0
-                tc /= ec
-                np.matmul(tc, bv, out=ga[..., lo:lo + rows, :])
-                gb += np.matmul(np.swapaxes(tc, -1, -2), ac, out=gb_chunk)
+                sc /= ec
+                np.matmul(sc, bv, out=ga[..., lo:lo + rows, :])
+                gb += np.matmul(np.swapaxes(sc, -1, -2), ac, out=gb_chunk)
     return _result("softplus-sum-of-products", total,
                    [(a, lambda g: g * ga), (b, lambda g: g * gb)])
 

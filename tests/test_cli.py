@@ -64,6 +64,17 @@ def test_non_utf8_dataset_byte_names_its_line(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_train_on_records_without_feature_columns_prints_one_error_line(tmp_path, capsys):
+    data = tmp_path / "data.jsonl"
+    data.write_text('{"n":1000000000,"x":[],"e":[]}\n' * 4)
+    rc = main(["train", "--data", str(data), "--out", str(tmp_path / "x"),
+               "epochs=1", "batch_size=4"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: DatasetFormatError: line 1: feature matrix has no columns\n")
+    assert not (tmp_path / "x").exists()
+
+
 def test_non_utf8_config_byte_names_its_line(tmp_path, capsys):
     data = write_small_dataset(tmp_path)
     cfg = tmp_path / "run.cfg"

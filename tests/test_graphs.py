@@ -43,6 +43,8 @@ def test_graph_rejects_bad_features():
         Graph(num_nodes=3, node_features=np.zeros((2, 2)), edges=())
     with pytest.raises(GraphError):
         Graph(num_nodes=1, node_features=np.array([[np.nan]]), edges=())
+    with pytest.raises(GraphError, match="no columns"):
+        Graph(num_nodes=3, node_features=np.zeros((3, 0)), edges=((0, 1),))
 
 
 def test_graph_rejects_non_integer_endpoints():
@@ -213,6 +215,19 @@ def test_bad_record_names_line(tmp_path, record, message):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"n":2,"x":[0,0],"e":[0,1],"y":0}\n' + record + "\n")
     with pytest.raises(DatasetFormatError, match=f"line 2: .*{message}"):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("record", [
+    '{"n":1000000000,"x":[],"e":[]}',    # 10^9 nodes that no data holds
+    '{"n":3,"x":[],"e":[0,1,1,2]}',      # a graph with nothing to learn from
+])
+def test_record_without_feature_columns_names_its_line(tmp_path, record):
+    # with no columns, len(x) % n == 0 held for every n: four records of
+    # 10^9 nodes loaded, and training them ran out of memory
+    path = tmp_path / "bad.jsonl"
+    path.write_text((record + "\n") * 4)
+    with pytest.raises(DatasetFormatError, match="line 1: feature matrix has no columns"):
         load_dataset(path)
 
 

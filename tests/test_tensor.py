@@ -691,6 +691,71 @@ def test_softplus_sum_of_products_without_a_tape_is_a_constant():
     assert out.item() == pytest.approx(8 * np.log1p(np.exp(3.0)), rel=1e-15)
 
 
+def _three_buffer_kernel(av, bv):
+    """softplus_sum_of_products' value and both gradients as the kernel
+    formed them through three chunk buffers, with the logistic's numerator
+    as ``exp(min(s, 0))``: the byte-for-byte reference of the fused op."""
+    lead, (m, n) = av.shape[:-2], (av.shape[-2], bv.shape[-2])
+    rows = max(1, min(m, T._CHUNK_BYTES // (8 * max(n * math.prod(lead), 1))))
+    s, e, t = (np.empty((*lead, rows, n)) for _ in range(3))
+    ga, gb, gb_chunk = np.empty_like(av), np.zeros_like(bv), np.empty_like(bv)
+    total = 0.0
+    for lo in range(0, m, rows):
+        ac = av[..., lo:lo + rows, :]
+        k = ac.shape[-2]
+        sc, ec, tc = s[..., :k, :], e[..., :k, :], t[..., :k, :]
+        np.matmul(ac, np.swapaxes(bv, -1, -2), out=sc)
+        np.abs(sc, out=ec)
+        np.negative(ec, out=ec)
+        np.exp(ec, out=ec)
+        np.log1p(ec, out=tc)
+        total += tc.sum()
+        np.minimum(sc, 0.0, out=tc)
+        np.maximum(sc, 0.0, out=sc)
+        total += sc.sum()
+        np.exp(tc, out=tc)
+        ec += 1.0
+        tc /= ec
+        np.matmul(tc, bv, out=ga[..., lo:lo + rows, :])
+        gb += np.matmul(np.swapaxes(tc, -1, -2), ac, out=gb_chunk)
+    return total, ga, gb
+
+
+# signed zeros give scores of either zero sign; entries up to 30 in up to
+# four columns give scores beyond ±745, where exp(-|s|) underflows to 0.0
+_score_entries = st.sampled_from([0.0, -0.0, 1.0, -1.0]) | st.floats(-30.0, 30.0)
+
+
+@given(rows=st.integers(1, 4), m=st.integers(1, 9), n=st.integers(1, 5), d=st.integers(1, 4),
+       lead=hnp.array_shapes(min_dims=0, max_dims=2, max_side=3), data=st.data())
+@example(rows=1, m=3, n=2, d=4, lead=(), data=None)      # a chunk below d rows: σᵀ a allocated
+@example(rows=4, m=9, n=3, d=2, lead=(2,), data=None)    # σᵀ a in e's buffer, across chunks
+@example(rows=2, m=5, n=4, d=3, lead=(3, 2), data=None)  # a short last chunk, two axes
+def test_softplus_sum_of_products_is_byte_equal_to_the_three_buffer_kernel(rows, m, n, d,
+                                                                          lead, data):
+    if data is None:
+        rng = np.random.default_rng(rows * m)
+        a = 30.0 * rng.standard_normal((*lead, m, d))
+        b = np.where(rng.random((*lead, n, d)) < 0.3, -0.0, rng.standard_normal((*lead, n, d)))
+    else:
+        a = data.draw(hnp.arrays(np.float64, (*lead, m, d), elements=_score_entries))
+        b = data.draw(hnp.arrays(np.float64, (*lead, n, d), elements=_score_entries))
+    with _chunk_rows(rows, n, lead):
+        want = _three_buffer_kernel(a, b)
+        for tracked in ("", "a", "b", "ab"):
+            tape = Tape()
+            x = tape.leaf(a) if "a" in tracked else Tensor(a)
+            y = tape.leaf(b) if "b" in tracked else Tensor(b)
+            out = T.softplus_sum_of_products(x, y)
+            got = [out.values]
+            if tracked:
+                grads = backward(tape, out)
+                got += [grads[t.node_id] if t.tape is not None else w
+                        for t, w in ((x, want[1]), (y, want[2]))]
+            for g, w in zip(got, want):
+                assert _bits(g).tobytes() == _bits(w).tobytes()
+
+
 # -- the fused attention pooling -------------------------------------------------
 
 def _pool_composed(av, hv, gv, sizes):
@@ -1038,20 +1103,23 @@ def _sq_dist_run(op, arrays, gv, tracked):
     return [out.values] + [grads[ins[k].node_id] for k in _SQ_DIST_INPUTS if k in tracked]
 
 
-@given(b=st.integers(1, 3), p=st.integers(1, 9), d=st.integers(1, 4),
+@given(b=st.integers(1, 3), p=st.integers(1, 9), d=st.integers(1, 4), graphs=st.integers(1, 3),
        g=st.sampled_from([1.0, -1.0, 0.0, -0.0]) | st.floats(-1e8, 1e8),
        seed=st.integers(0, 2**16))
-@example(b=2, p=1, d=3, g=-1.0, seed=0)     # one group: every entry masked
-@example(b=1, p=3, d=1, g=-0.0, seed=1)     # a -0.0 gradient
-@example(b=2, p=9, d=2, g=0.5, seed=2)      # 9 groups: an 8-way pairwise sum
-def test_pairwise_weighted_sq_dist_is_byte_equal_to_the_composed_chain(b, p, d, g, seed):
+@example(b=2, p=1, d=3, graphs=3, g=-1.0, seed=0)     # one group: every entry masked
+@example(b=1, p=3, d=1, graphs=3, g=-0.0, seed=1)     # a -0.0 gradient
+@example(b=2, p=9, d=2, graphs=3, g=0.5, seed=2)      # 9 groups: an 8-way pairwise sum
+@example(b=3, p=4, d=2, graphs=2, g=0.5, seed=3)      # backward in chunks of 2 and 1 graphs
+def test_pairwise_weighted_sq_dist_is_byte_equal_to_the_composed_chain(b, p, d, graphs, g, seed):
     # signed zeros and magnitudes 1e-8..1e8 apart; every subset of the
-    # inputs is tracked in turn, so each vjp also runs without the others
+    # inputs is tracked in turn, so each vjp also runs without the others.
+    # The fused backward takes chunks of `graphs` graphs
     rng = np.random.default_rng(seed)
     arrays = {name: _spread(rng, (b, p, d)) for name in _SQ_DIST_INPUTS}
     for size in range(len(_SQ_DIST_INPUTS) + 1):
         for tracked in itertools.combinations(_SQ_DIST_INPUTS, size):
-            got = _sq_dist_run(T.pairwise_weighted_sq_dist, arrays, g, tracked)
+            with mock.patch.object(T, "_SQ_DIST_CHUNK_BYTES", 8 * p * p * d * graphs):
+                got = _sq_dist_run(T.pairwise_weighted_sq_dist, arrays, g, tracked)
             want = _sq_dist_run(_sq_dist_composed, arrays, g, tracked)
             for x, y in zip(got, want, strict=True):
                 assert x.shape == y.shape and _bits(x).tobytes() == _bits(y).tobytes()
