@@ -113,6 +113,13 @@ def _result(op: str, out: np.ndarray, parents: list[tuple[Tensor, Callable]],
     return res
 
 
+def _owned(vjp: Callable) -> Callable:
+    """Mark a vjp whose every result is a fresh float64 array of its input's
+    shape that nothing else holds: backward may sum into it in place."""
+    vjp.owned = True
+    return vjp
+
+
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum a gradient down to the shape of a broadcast input."""
     while g.ndim > len(shape):
@@ -140,8 +147,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"matmul: incompatible shapes {a.shape} @ {b.shape}") from exc
     a_shape, b_shape = a.shape, b.shape
     return _result("matmul", out, [
-        (a, lambda g: _unbroadcast(g @ np.swapaxes(bv, -1, -2), a_shape)),
-        (b, lambda g: _unbroadcast(np.swapaxes(av, -1, -2) @ g, b_shape)),
+        (a, _owned(lambda g: _unbroadcast(g @ np.swapaxes(bv, -1, -2), a_shape))),
+        (b, _owned(lambda g: _unbroadcast(np.swapaxes(av, -1, -2) @ g, b_shape))),
     ])
 
 
@@ -357,10 +364,10 @@ def _sq_dist_grads(g_mask: np.ndarray, uv: np.ndarray, muv: np.ndarray, wv: np.n
     # the unbroadcast of a length-1 axis does not sum: a sum would turn
     # -0.0 into 0.0
     def fold(x, axis):
-        return x.sum(axis=axis) if x.shape[axis] > 1 else x.squeeze(axis)
+        return x.sum(axis=axis) if x.shape[axis] != 1 else x.squeeze(axis)
 
     b, p, d = uv.shape
-    graphs = max(1, _SQ_DIST_CHUNK_BYTES // (8 * p * p * d))
+    graphs = max(1, _SQ_DIST_CHUNK_BYTES // max(8 * p * p * d, 1))
     grads = {name: np.empty_like(uv) for name in tracked}
     for lo in range(0, b, graphs):
         chunk = slice(lo, lo + graphs)
@@ -406,15 +413,18 @@ def log(a: Tensor) -> Tensor:
 
 def tsum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
-    shape = a.shape
+    return _result("sum", a.values.sum(axis=axis, keepdims=keepdims),
+                   [(a, _spread_back(a.shape, axis, keepdims, 1))])
 
-    # the gradient is a read-only broadcast view, not a copy: no vjp writes
-    # to its input, and backward copies what reaches a leaf
+
+def _spread_back(shape: tuple[int, ...], axis: int | None, keepdims: bool, n: int) -> Callable:
+    """The vjp of a sum (n = 1) or a mean of n items over axis: ``g / n`` as
+    a read-only broadcast view of the input's shape, not a copy. No vjp
+    writes to its input, and backward copies what reaches a leaf."""
     def vjp(g):
         ge = g if axis is None or keepdims else np.expand_dims(g, axis)
-        return np.broadcast_to(ge, shape)
-
-    return _result("sum", a.values.sum(axis=axis, keepdims=keepdims), [(a, vjp)])
+        return np.broadcast_to(ge if n == 1 else ge / n, shape)
+    return vjp
 
 
 # the byte budget of each of softplus_sum_of_products' two score
@@ -462,7 +472,7 @@ def softplus_sum_of_products(a: Tensor, b: Tensor) -> Tensor:
     numerator is ``max(e, s > 0)``, as e = exp(s) where s <= 0 and e <= 1.
     The output is a scalar, so the vjps are ``g * (σ @ b)`` and ``g * (σᵀ @
     a)``: for the inputs on a tape, both products are taken in the chunk
-    loop, while the chunk is in cache, σᵀ @ a in e's buffer where it fits.
+    loop, while the chunk is in cache, σᵀ @ a in e's buffer.
     A non-finite score raises, as the product's own check would.
     """
     a, b = _as_tensor(a), _as_tensor(b)
@@ -471,16 +481,16 @@ def softplus_sum_of_products(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"softplus-sum-of-products: shapes {a.shape} and {b.shape} "
                              "are not (..., m, d) and (..., n, d)")
     av, bv = a.values, b.values
-    lead, (m, n) = av.shape[:-2], (av.shape[-2], bv.shape[-2])
+    lead, (m, d), n = av.shape[:-2], av.shape[-2:], bv.shape[-2]
     rows = max(1, min(m, _CHUNK_BYTES // (8 * max(n * math.prod(lead), 1))))
-    s, e = np.empty((*lead, rows, n)), np.empty((*lead, rows, n))
     grads = a.tape is not None or b.tape is not None
+    # with grads, e has at least d rows, so each chunk's σᵀ @ a fits in it
+    # once the chunk's logistic is formed and e is dead
+    s, e = np.empty((*lead, rows, n)), np.empty((*lead, max(rows, d) if grads else rows, n))
     if grads:
         positive = np.empty((*lead, rows, n), dtype=bool)
         ga, gb = np.empty_like(av), np.zeros_like(bv)
-        # e is dead once the chunk's logistic is formed
-        gb_chunk = e.reshape(-1)[:bv.size].reshape(bv.shape) if e.size >= bv.size \
-            else np.empty_like(bv)
+        gb_chunk = e.reshape(-1)[:bv.size].reshape(bv.shape)
     total = 0.0
     # a non-finite score raises at once; a sum that overflows is left to
     # the output's finiteness check
@@ -512,14 +522,9 @@ def softplus_sum_of_products(a: Tensor, b: Tensor) -> Tensor:
 
 def tmean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
-    shape = a.shape
-    n = a.values.size if axis is None else shape[axis]
-
-    def vjp(g):
-        ge = g if axis is None or keepdims else np.expand_dims(g, axis)
-        return np.broadcast_to(ge / n, shape)
-
-    return _result("mean", a.values.mean(axis=axis, keepdims=keepdims), [(a, vjp)])
+    n = a.values.size if axis is None else a.shape[axis]
+    return _result("mean", a.values.mean(axis=axis, keepdims=keepdims),
+                   [(a, _spread_back(a.shape, axis, keepdims, n))])
 
 
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
@@ -527,20 +532,12 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
     if not tensors:
         raise DimensionError("concat-along-axis: empty input list")
     out = np.concatenate([t.values for t in tensors], axis=axis)
-    parents = []
-    offset = 0
-    for t in tensors:
-        n = t.shape[axis]
-        lo, hi = offset, offset + n
-
-        def vjp(g, lo=lo, hi=hi):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(lo, hi)
-            return g[tuple(sl)]
-
-        parents.append((t, vjp))
-        offset += n
-    return _result("concat-along-axis", out, parents, moves_only=True)
+    # each input's gradient is its own slice of g along the axis
+    lead = (slice(None),) * (axis % out.ndim)
+    bounds = np.cumsum([0] + [t.shape[axis] for t in tensors]).tolist()
+    return _result("concat-along-axis", out, [
+        (t, lambda g, lo=lo, hi=hi: g[(*lead, slice(lo, hi))])
+        for t, lo, hi in zip(tensors, bounds, bounds[1:])], moves_only=True)
 
 
 def row_softmax(a: Tensor) -> Tensor:
@@ -792,10 +789,13 @@ def backward(tape: Tape, loss: Tensor) -> dict[int, np.ndarray]:
             continue
         for in_id, vjp in parents:
             gi = vjp(g)
-            if in_id in grads:
-                grads[in_id] = grads[in_id] + gi
-            else:
+            if in_id not in grads:
                 grads[in_id] = np.asarray(gi, dtype=np.float64)
+            elif getattr(vjp, "owned", False):
+                # y + x has the bits of x + y, and no third block
+                grads[in_id] = np.add(gi, grads[in_id], out=gi)
+            else:
+                grads[in_id] = grads[in_id] + gi
     # vjps pass gradients on as views (a broadcast sum, a reshape) and may
     # hand one array to two inputs: each leaf gets an array of its own
     leaf_grads: dict[int, np.ndarray] = {}

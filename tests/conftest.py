@@ -81,7 +81,8 @@ def op_peak(fn) -> tuple[int, str]:
             gi = vjp(g)
             mark(f"{name} backward")
             return gi
-        return run
+        # the wrapper keeps an owned vjp's mark, so backward sums as unprobed
+        return T._owned(run) if getattr(vjp, "owned", False) else run
 
     result = T._result
 

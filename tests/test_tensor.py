@@ -345,6 +345,24 @@ def test_fanout_accumulates():
     assert np.allclose(grads[a.node_id], 3.0)
 
 
+def test_backward_sums_into_an_owned_gradient_without_a_third_block(traced_peak):
+    # x feeds two matmuls, whose vjps hand out fresh products they own no
+    # more: backward adds x's first gradient into the second product, which
+    # gives the bits of the plain sum and holds two (n, k) blocks, not three
+    rng = np.random.default_rng(0)
+    n, k = 2000, 32
+    xv, w1v, w2v = rng.standard_normal((n, k)), rng.standard_normal((k, 1)), rng.standard_normal((k, 1))
+    tape = Tape()
+    x, w1, w2 = tape.leaf(xv), tape.leaf(w1v), tape.leaf(w2v)
+    loss = T.add(T.tsum(T.matmul(x, w1)), T.tsum(T.matmul(x, w2)))
+    grads = {}
+    peak = traced_peak(lambda: grads.update(backward(tape, loss)))
+    ones = np.ones((n, 1))
+    want = ones @ w2v.T + ones @ w1v.T
+    assert _bits(grads[x.node_id]).tobytes() == _bits(want).tobytes()
+    assert peak < 2.5 * n * k * 8, f"peak {peak / (n * k * 8):.2f} blocks"
+
+
 def test_transpose_axes_and_reshape_errors():
     x = Tensor(np.arange(24.0).reshape(2, 3, 4))
     assert np.array_equal(T.transpose(x, (2, 0, 1)).values,
@@ -728,7 +746,7 @@ _score_entries = st.sampled_from([0.0, -0.0, 1.0, -1.0]) | st.floats(-30.0, 30.0
 
 @given(rows=st.integers(1, 4), m=st.integers(1, 9), n=st.integers(1, 5), d=st.integers(1, 4),
        lead=hnp.array_shapes(min_dims=0, max_dims=2, max_side=3), data=st.data())
-@example(rows=1, m=3, n=2, d=4, lead=(), data=None)      # a chunk below d rows: σᵀ a allocated
+@example(rows=1, m=3, n=2, d=4, lead=(), data=None)      # chunks below d rows: e grows to d
 @example(rows=4, m=9, n=3, d=2, lead=(2,), data=None)    # σᵀ a in e's buffer, across chunks
 @example(rows=2, m=5, n=4, d=3, lead=(3, 2), data=None)  # a short last chunk, two axes
 def test_softplus_sum_of_products_is_byte_equal_to_the_three_buffer_kernel(rows, m, n, d,
@@ -1110,6 +1128,8 @@ def _sq_dist_run(op, arrays, gv, tracked):
 @example(b=1, p=3, d=1, graphs=3, g=-0.0, seed=1)     # a -0.0 gradient
 @example(b=2, p=9, d=2, graphs=3, g=0.5, seed=2)      # 9 groups: an 8-way pairwise sum
 @example(b=3, p=4, d=2, graphs=2, g=0.5, seed=3)      # backward in chunks of 2 and 1 graphs
+@example(b=2, p=0, d=3, graphs=1, g=0.5, seed=4)      # no groups: empty blocks, one graph a chunk
+@example(b=2, p=3, d=0, graphs=1, g=0.5, seed=5)      # no columns
 def test_pairwise_weighted_sq_dist_is_byte_equal_to_the_composed_chain(b, p, d, graphs, g, seed):
     # signed zeros and magnitudes 1e-8..1e8 apart; every subset of the
     # inputs is tracked in turn, so each vjp also runs without the others.

@@ -270,10 +270,11 @@ def test_groupcl_step_frees_each_view_as_backward_passes_it(op_peaks):
     # 40 nodes), traced after a first step. Backward drops each tape entry
     # once its vjps have run, and the step holds neither the batch nor a
     # view, so view r's arrays go before the walk reaches view u's: the
-    # step peaks at 10.01 blocks of (N, gin_hidden), where backward adds
-    # the two gradients of view u's node embeddings. When it read 10.67, it
-    # read 11.34 with the batch kept, 12.67 with every entry kept and 13.34
-    # with both
+    # step peaks at 9.24 blocks of (N, gin_hidden), in an mlp backward.
+    # Backward adds the two gradients of view u's node embeddings into the
+    # attention matmul's own product; a fresh sum there read 10.01. When it
+    # read 10.67, it read 11.34 with the batch kept, 12.67 with every entry
+    # kept and 13.34 with both
     ds = generate_planted_motif_dataset(1, 64, 40, 8)
     config = RunConfig(pipeline="groupcl", batch_size=64)
     state = init_model(config, ds.feature_dim)
@@ -281,7 +282,7 @@ def test_groupcl_step_frees_each_view_as_backward_passes_it(op_peaks):
     block = 64 * 40 * config.gin_hidden * 8
     trainer._step(state, graphs, 0, 0)      # first-call set-up stays out of the count
     peak, where = op_peaks(lambda: trainer._step(state, graphs, 0, 1))
-    assert peak < 10.6 * block, f"peak {peak / block:.2f} blocks at {where}"
+    assert peak < 9.7 * block, f"peak {peak / block:.2f} blocks at {where}"
 
 
 # trains GroupCL at the groupcl-large benchmark's shape (64 graphs of 40
