@@ -68,16 +68,15 @@ def encode_nodes(
     """Stack GIN layers over the batched node block; L=0 returns the inputs.
     Layer l maps h to ``mlp((1 + eps) * h_v + the sum of the rows h_u over
     the neighbours u of v)`` with its ``gin.{l-1}`` weights; no eps is
-    eps = 0. The layers share one plan of the batch's edges, and each drops
-    its input and the neighbour sum before its mlp runs. A numeric error
-    names its layer, counted from 1 (``gin.0`` is layer 1)."""
+    eps = 0, the aggregation one ``gin_aggregate`` op. The layers share one
+    plan of the batch's edges, and each drops its input before its mlp
+    runs. A numeric error names its layer, counted from 1 (``gin.0`` is
+    layer 1)."""
     h = Tensor(batch.features)
     plan = T.EdgePlan(batch.edges, len(batch.features))
     for layer in range(num_layers):
-        eps = params.get(f"gin.{layer}.eps")
         try:
-            # the neighbour sum goes on the tape first, fixing the order of h's gradient sum
-            h = T.add(T.neighbour_sum(h, plan), h if eps is None else T.add(h, T.mul(h, eps)))
+            h = T.gin_aggregate(h, plan, params.get(f"gin.{layer}.eps"))
             h = T.mlp(h, *(params[f"gin.{layer}.{name}"] for name in ("w1", "b1", "w2", "b2")))
         except NumericError as exc:
             raise type(exc)(f"gin layer {layer + 1} of {num_layers}: {exc}") from exc

@@ -427,11 +427,12 @@ def _spread_back(shape: tuple[int, ...], axis: int | None, keepdims: bool, n: in
     return vjp
 
 
-# the byte budget of each of softplus_sum_of_products' two score
-# buffers, whose chunk row spans every leading slice. It is 64 rows of 1792
-# partners, the groupig-param benchmark's score block. The value stays
-# because it fixes the order in which the op sums its chunks: another size
-# moves GroupIG's bits
+# the byte budget that sets softplus_sum_of_products' chunk rows: a chunk
+# of rows across every leading slice fills it, and each of the two score
+# buffers holds one slice's share. It is 64 rows of 1792 partners, the
+# groupig-param benchmark's score block. The value stays because it fixes
+# the order in which the op sums its chunks: another size moves GroupIG's
+# bits
 _CHUNK_BYTES = 64 * 1792 * 8
 
 # glibc's mallopt parameters (malloc.h) and the heap policy set with them:
@@ -465,15 +466,16 @@ def softplus_sum_of_products(a: Tensor, b: Tensor) -> Tensor:
     (..., m, d) and b (..., n, d) with equal leading axes, without building
     the (..., m, n) score block.
 
-    Row chunks of a, each row taken across every leading slice, pass
-    through two reused buffers, the scores s and ``e = exp(-|s|)``, and a
-    bool ``s > 0`` mask. The softplus is ``max(s, 0) + log1p(e)``, each
-    term summed in s; its logistic is ``exp(min(s, 0)) / (1 + e)``, whose
-    numerator is ``max(e, s > 0)``, as e = exp(s) where s <= 0 and e <= 1.
-    The output is a scalar, so the vjps are ``g * (σ @ b)`` and ``g * (σᵀ @
-    a)``: for the inputs on a tape, both products are taken in the chunk
-    loop, while the chunk is in cache, σᵀ @ a in e's buffer.
-    A non-finite score raises, as the product's own check would.
+    Each leading slice is walked on its own, in row chunks of a, through two
+    reused buffers of one slice's chunk, the scores s and ``e =
+    exp(-|s|)``, and a bool ``s > 0`` mask. A chunk has as many rows as a
+    chunk spanning every slice would. The softplus is ``max(s, 0) +
+    log1p(e)``, each term summed in s; its logistic is ``exp(min(s, 0)) /
+    (1 + e)``, whose numerator is ``max(e, s > 0)``, as e = exp(s) where s
+    <= 0 and e <= 1. The output is a scalar, so the vjps are ``g * (σ @
+    b)`` and ``g * (σᵀ @ a)``: for the inputs on a tape, both products are
+    taken in the chunk loop, while the chunk is in cache, σᵀ @ a in e's
+    buffer. A non-finite score raises, as the product's own check would.
     """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.values.ndim < 2 or a.values.ndim != b.values.ndim \
@@ -486,36 +488,38 @@ def softplus_sum_of_products(a: Tensor, b: Tensor) -> Tensor:
     grads = a.tape is not None or b.tape is not None
     # with grads, e has at least d rows, so each chunk's σᵀ @ a fits in it
     # once the chunk's logistic is formed and e is dead
-    s, e = np.empty((*lead, rows, n)), np.empty((*lead, max(rows, d) if grads else rows, n))
+    s, e = np.empty((rows, n)), np.empty((max(rows, d) if grads else rows, n))
     if grads:
-        positive = np.empty((*lead, rows, n), dtype=bool)
+        positive = np.empty((rows, n), dtype=bool)
         ga, gb = np.empty_like(av), np.zeros_like(bv)
-        gb_chunk = e.reshape(-1)[:bv.size].reshape(bv.shape)
+        gb_chunk = e.reshape(-1)[:n * d].reshape(n, d)
     total = 0.0
     # a non-finite score raises at once; a sum that overflows is left to
     # the output's finiteness check
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, m, rows):
-            ac = av[..., lo:lo + rows, :]
-            k = ac.shape[-2]
-            sc, ec = s[..., :k, :], e[..., :k, :]
-            np.matmul(ac, np.swapaxes(bv, -1, -2), out=sc)
-            np.abs(sc, out=ec)
-            if not np.isfinite(ec.max(initial=0.0)):
-                raise NumericError("softplus-sum-of-products: non-finite score")
-            np.negative(ec, out=ec)
-            np.exp(ec, out=ec)
-            if grads:
-                np.greater(sc, 0.0, out=positive[..., :k, :])
-            hinge = np.maximum(sc, 0.0, out=sc).sum()
-            total += np.log1p(ec, out=sc).sum()
-            total += hinge
-            if grads:
-                np.maximum(ec, positive[..., :k, :], out=sc)
-                ec += 1.0
-                sc /= ec
-                np.matmul(sc, bv, out=ga[..., lo:lo + rows, :])
-                gb += np.matmul(np.swapaxes(sc, -1, -2), ac, out=gb_chunk)
+        for i in np.ndindex(lead):
+            ai, bi = av[i], bv[i]
+            for lo in range(0, m, rows):
+                ac = ai[lo:lo + rows]
+                k = len(ac)
+                sc, ec = s[:k], e[:k]
+                np.matmul(ac, bi.T, out=sc)
+                np.abs(sc, out=ec)
+                if not np.isfinite(ec.max(initial=0.0)):
+                    raise NumericError("softplus-sum-of-products: non-finite score")
+                np.negative(ec, out=ec)
+                np.exp(ec, out=ec)
+                if grads:
+                    np.greater(sc, 0.0, out=positive[:k])
+                hinge = np.maximum(sc, 0.0, out=sc).sum()
+                total += np.log1p(ec, out=sc).sum()
+                total += hinge
+                if grads:
+                    np.maximum(ec, positive[:k], out=sc)
+                    ec += 1.0
+                    sc /= ec
+                    np.matmul(sc, bi, out=ga[i][lo:lo + rows])
+                    gb[i] += np.matmul(sc.T, ac, out=gb_chunk)
     return _result("softplus-sum-of-products", total,
                    [(a, lambda g: g * ga), (b, lambda g: g * gb)])
 
@@ -641,7 +645,8 @@ class EdgePlan:
             bad = np.flatnonzero(((pairs < 0) | (pairs >= n)).any(axis=1))[0]
             u, v = pairs[bad]
             raise DimensionError(f"edge-plan: pair ({u}, {v}) at row {bad} outside [0, {n})")
-        src, dst = np.concatenate([pairs, pairs[:, ::-1]]).T
+        src = np.concatenate([pairs[:, 0], pairs[:, 1]])
+        dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
         # numpy sorts a 16-bit key by radix, over ten times faster than a
         # wider one
         grouped = np.argsort(dst.astype(np.uint16) if n <= 1 << 16 else dst, kind="stable")
@@ -755,14 +760,39 @@ def gathered_dot(u: Tensor, r: Tensor, segments: np.ndarray) -> Tensor:
     ])
 
 
-def neighbour_sum(x: Tensor, plan: EdgePlan) -> Tensor:
-    """Row i sums the rows of x over the neighbours of node i in the plan's
-    undirected graph. The sum is its own adjoint, so the vjp is the same sum
-    of the gradient."""
-    x = _as_tensor(x)
-    if x.values.ndim == 0 or plan.n != x.shape[0]:
-        raise DimensionError(f"neighbour-sum: plan over {plan.n} rows for input shape {x.shape}")
-    return _result("neighbour-sum", plan.sum(x.values), [(x, plan.sum)])
+def gin_aggregate(h: Tensor, plan: EdgePlan, eps: Tensor | None = None) -> Tensor:
+    """GIN's aggregation ``(1 + eps) h[v] + sum of h[u]`` over the
+    neighbours u of each node v in the plan's undirected graph, as one op:
+    ``add(S h, h)``, or ``add(S h, add(h, mul(h, eps)))`` with eps, bit for
+    bit, where S is the plan's neighbour sum. S is symmetric, so the op is
+    its own adjoint: h's vjp applies it to g, which sums each term as
+    backward summed the chain's gradients; eps's is the ``mul`` vjp. A
+    non-finite output raises: a non-finite step leaves the output so.
+    """
+    h = _as_tensor(h)
+    hv = h.values
+    if hv.ndim == 0 or plan.n != hv.shape[0]:
+        raise DimensionError(f"gin-aggregate: plan over {plan.n} rows for input shape {h.shape}")
+    # the vjps keep eps's values, not the tensor, which points back to its tape
+    ev = None if eps is None else _as_tensor(eps).values
+
+    def aggregate(x):
+        out = plan.sum(x)
+        if ev is None:
+            out += x
+        else:
+            self_term = x * ev
+            self_term += x
+            out += self_term
+        return out
+
+    # a non-finite output raises below, so numpy's warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = aggregate(hv)
+    parents = [(h, _owned(aggregate))]
+    if eps is not None:
+        parents.append((_as_tensor(eps), lambda g: _unbroadcast(g * hv, ev.shape)))
+    return _result("gin-aggregate", out, parents)
 
 
 def backward(tape: Tape, loss: Tensor) -> dict[int, np.ndarray]:

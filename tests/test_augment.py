@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from groupcontrast import tensor as T
-from groupcontrast.augment import AUGMENTATION_KINDS, AugmentationPolicy, sample_view
+from groupcontrast.augment import AUGMENTATION_KINDS, AugmentationPolicy, _lowest, sample_view
 from groupcontrast.encoder import encode_nodes, init_gin_params
 from groupcontrast.graphs import Graph, GraphError, batch_graphs, generate_planted_motif_dataset
 from groupcontrast.seeding import stream_rng
@@ -214,22 +215,51 @@ def test_each_subset_is_equally_likely(kind):
     assert chi2 < CHI2_BOUND, counts
 
 
+def _lowest_by_lexsort(key, owner, k):
+    """_lowest as one lexsort of the items by graph, then key: each item's
+    rank within its graph against the graph's k."""
+    order = np.lexsort((key, owner))
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order)) - np.searchsorted(owner[order], owner[order])
+    return rank < k[owner]
+
+
+@given(sizes=st.lists(st.integers(0, 40), min_size=1, max_size=8), data=st.data())
+@example(sizes=[0, 3, 0, 3, 1, 0], data=None)
+@example(sizes=[40, 0, 40, 17], data=None)
+def test_lowest_matches_the_lexsort_ranking(sizes, data):
+    # graphs of equal and of differing sizes, empty ones among them, keys
+    # with ties, and k from 0 past the graph's size: the same mask. Rows of
+    # over 16 ties tell a stable sort from numpy's default
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    if data is None:
+        rng = np.random.default_rng(sum(sizes))
+        key = rng.integers(0, 3, len(owner)) / 4
+        k = np.array([rng.integers(0, n + 2) for n in sizes], dtype=np.intp)
+    else:
+        key = data.draw(hnp.arrays(np.float64, len(owner), elements=st.sampled_from(
+            [0.0, 0.25, 0.5]) | st.floats(0.0, 1.0, exclude_max=True)))
+        k = np.array([data.draw(st.integers(0, n + 1)) for n in sizes], dtype=np.intp)
+    got = _lowest(key, owner, k)
+    assert got.dtype == bool and np.array_equal(got, _lowest_by_lexsort(key, owner, k))
+
+
 _GIN = {name: T.Tensor(value) for name, value in
         init_gin_params(stream_rng(0, "init"), 3, 4, 2).items()}
 
 
-def neighbour_sums(view) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The input and the output of each neighbour sum of a two-layer
+def aggregations(view) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The input and the output of each GIN aggregation of a two-layer
     ``encode_nodes`` over the view."""
-    sums, neighbour_sum = [], T.neighbour_sum
+    sums, gin_aggregate = [], T.gin_aggregate
 
-    def recorded(x, plan):
-        out = neighbour_sum(x, plan)
+    def recorded(x, plan, eps=None):
+        out = gin_aggregate(x, plan, eps)
         sums.append((x.values, out.values))
         return out
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(T, "neighbour_sum", recorded)
+        patch.setattr(T, "gin_aggregate", recorded)
         encode_nodes(view, _GIN, 2)
     assert len(sums) == 2
     return sums
@@ -270,12 +300,13 @@ def test_views_pass_the_public_constructor(graphs, kinds, ratio, seed):
     assert np.all(u != v) and np.array_equal(view.graph_index[u], view.graph_index[v])
     assert len({frozenset(pair) for pair in view.edges.tolist()}) == len(u)
     # every GIN layer sums each pair both ways, in list order: forward, then
-    # reversed, as numpy's sequential scatter-add does
+    # reversed, as numpy's sequential scatter-add does, then adds the node's
+    # own row
     src, dst = np.concatenate([u, v]), np.concatenate([v, u])
-    for x, summed in neighbour_sums(view):
+    for x, summed in aggregations(view):
         ref = np.zeros_like(x)
         np.add.at(ref, dst, x[src])
-        assert summed.tobytes() == ref.tobytes()
+        assert summed.tobytes() == (ref + x).tobytes()
 
 
 @given(graphs=st.lists(valid_graphs(), min_size=1, max_size=4),

@@ -231,6 +231,28 @@ def test_nodewise_js_step_allocation_budget(op_peaks):
     assert peak < 0.48 * block, f"peak {peak / block:.2f} blocks at {where}"
 
 
+def test_js_step_allocation_budget(op_peaks):
+    # one forward and backward of GroupCL's JS terms at the groupcl-default
+    # benchmark's shape (128 graphs, 4 groups, width 40): the fused softplus
+    # sum walks one group's (B, B) score block at a time, so the peak is
+    # the (B, p, d) blocks of the positives' backward, 6.53 of them. With
+    # every group's block in one chunk it read 11.38, at the fused forward
+    b, p, d = 128, 4, 40
+    block = b * p * d * 8
+    rng = np.random.default_rng(0)
+    u_values = [unit_rows(rng, b, d) for _ in range(p)]
+    r_values = [unit_rows(rng, b, d) for _ in range(p)]
+
+    def forward_backward():
+        tape = Tape()
+        pos, neg = js_terms([tape.leaf(v) for v in u_values], [tape.leaf(v) for v in r_values])
+        backward(tape, T.add(pos, neg))
+
+    forward_backward()          # first-call set-up stays out of the count
+    peak, where = op_peaks(forward_backward)
+    assert peak < 7.2 * block, f"peak {peak / block:.2f} blocks at {where}"
+
+
 def test_interspace_identical_groups_closed_form():
     # identical unit rows: every cross-group dot is 1, SP(1) = ln(1 + e)
     rows = unit_rows(np.random.default_rng(19), 4, 5)

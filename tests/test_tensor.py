@@ -303,8 +303,8 @@ _MATRIX, _VECTOR, _BLOCK = Tensor(np.ones((2, 3))), Tensor(np.ones(3)), Tensor(n
     (lambda: T.slice_cols(_VECTOR, 0, 1), "slice-cols: expected matrix"),
     (lambda: T.EdgePlan(np.zeros(2, dtype=int), 2), r"edge-plan: pairs .* shape \(2,\)"),
     (lambda: T.EdgePlan(np.zeros((2, 3), dtype=int), 2), r"edge-plan: pairs .* shape \(2, 3\)"),
-    (lambda: T.neighbour_sum(_MATRIX, T.EdgePlan([[0, 1]], 3)),
-     r"neighbour-sum: plan over 3 rows for input shape \(2, 3\)"),
+    (lambda: T.gin_aggregate(_MATRIX, T.EdgePlan([[0, 1]], 3)),
+     r"gin-aggregate: plan over 3 rows for input shape \(2, 3\)"),
     (lambda: T.softplus_sum_of_products(_MATRIX, Tensor(np.ones((2, 2)))),
      r"softplus-sum-of-products: shapes \(2, 3\) and \(2, 2\) are not"),
     (lambda: T.softplus_sum_of_products(Tensor(np.ones((2, 2, 3))), Tensor(np.ones((3, 2, 3)))),
@@ -575,28 +575,61 @@ def test_row_sum_is_byte_equal_to_sequential_scatter_add(family, width, data):
     assert _bits(plan.sum(x)).tobytes() == _bits(ref).tobytes()
 
 
-@given(nodes=st.integers(1, 6), data=st.data(), seed=st.integers(0, 2**16))
-def test_neighbour_sum_matches_take_rows_then_index_add(nodes, data, seed):
-    # the fused GIN aggregation over undirected pairs: the forward is
-    # bit-equal to the gather of both directions and numpy's sequential
-    # scatter-add, the vjp is the forward applied to the gradient, and a
-    # gradcheck passes
-    edge = st.tuples(st.integers(0, nodes - 1), st.integers(0, nodes - 1))
-    pairs = np.array(data.draw(st.lists(edge, max_size=6)), dtype=np.intp).reshape(-1, 2)
-    src = np.concatenate([pairs[:, 0], pairs[:, 1]])
-    dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
+def _neighbour_sum(x, plan):
+    """The plan's neighbour sum as a tape op of its own, whose vjp is the
+    same sum: the first step of the chain gin_aggregate replaces."""
+    return T._result("neighbour-sum", plan.sum(x.values), [(x, plan.sum)])
+
+
+def _gin_aggregate_composed(h, plan, eps):
+    """gin_aggregate as the chain of ops it replaces, the neighbour sum on
+    the tape first."""
+    return T.add(_neighbour_sum(h, plan), h if eps is None else T.add(h, T.mul(h, eps)))
+
+
+@given(nodes=st.integers(1, 6), data=st.data(), eps=st.sampled_from(["none", "constant", "tracked"]),
+       seed=st.integers(0, 2**16))
+@example(nodes=3, data=None, eps="tracked", seed=0)    # an edgeless batch
+@example(nodes=4, data=None, eps="none", seed=1)
+def test_gin_aggregate_is_byte_equal_to_the_composed_chain(nodes, data, eps, seed):
+    # the forward, h's gradient and a tracked eps's are byte-equal to the
+    # neighbour sum plus the self term as separate ops, with signed zeros
+    # and magnitudes 1e16 apart among the entries; the op's gradients pass
+    # a gradcheck
+    rng = np.random.default_rng(seed)
+    if data is None:
+        pairs = np.empty((0, 2), dtype=np.intp)
+        x = np.where(rng.random((nodes, 2)) < 0.5, -0.0, rng.standard_normal((nodes, 2)))
+        w, eps_value = rng.standard_normal((nodes, 2)), np.array([-0.0])
+    else:
+        edge = st.tuples(st.integers(0, nodes - 1), st.integers(0, nodes - 1))
+        pairs = np.array(data.draw(st.lists(edge, max_size=6)), dtype=np.intp).reshape(-1, 2)
+        x = data.draw(hnp.arrays(np.float64, (nodes, 2), elements=_addends))
+        w = data.draw(hnp.arrays(np.float64, (nodes, 2), elements=_addends))
+        eps_value = np.array([data.draw(_addends)]) / 1e8
     plan = T.EdgePlan(pairs, nodes)
-    x, w = _array(seed, (nodes, 2)), _array(seed + 1, (nodes, 2))
-    tape = Tape()
-    leaf = tape.leaf(x)
-    y = T.neighbour_sum(leaf, plan)
-    grad = backward(tape, T.tsum(T.mul(y, Tensor(w))))[leaf.node_id]
-    composed = np.zeros_like(x)
-    np.add.at(composed, dst, x[src])
-    assert y.values.tobytes() == composed.tobytes()
-    assert grad.tobytes() == T.neighbour_sum(Tensor(w), plan).values.tobytes()
-    err = _gradcheck(lambda x: T.tsum(T.mul(T.neighbour_sum(x, plan), Tensor(w))), x=x)
+
+    def run(op):
+        tape = Tape()
+        h = tape.leaf(x)
+        e = None if eps == "none" else tape.leaf(eps_value) if eps == "tracked" \
+            else Tensor(eps_value)
+        out = op(h, plan, e)
+        grads = backward(tape, T.tsum(T.mul(out, Tensor(w))))
+        return [out.values] + [grads[t.node_id] for t in (h, e)
+                               if t is not None and t.tape is not None]
+
+    got, want = run(T.gin_aggregate), run(_gin_aggregate_composed)
+    assert len(got) == len(want) == (3 if eps == "tracked" else 2)
+    for g, v in zip(got, want):
+        assert _bits(g).tobytes() == _bits(v).tobytes()
+    e = None if eps == "none" else Tensor(_array(seed, 1))
+    h, w = Tensor(_array(seed + 1, (nodes, 2))), Tensor(_array(seed + 2, (nodes, 2)))
+    err = _gradcheck(lambda h: T.tsum(T.mul(T.gin_aggregate(h, plan, e), w)), h=h.values)
     assert err <= 1e-6
+    if eps == "tracked":
+        err = _gradcheck(lambda e: T.tsum(T.mul(T.gin_aggregate(h, plan, e), w)), e=e.values)
+        assert err <= 1e-6
 
 
 # -- softplus and the sum vjps: values, bits and gradient ownership ------------
@@ -711,13 +744,17 @@ def test_softplus_sum_of_products_without_a_tape_is_a_constant():
 
 def _three_buffer_kernel(av, bv):
     """softplus_sum_of_products' value and both gradients as the kernel
-    formed them through three chunk buffers, with the logistic's numerator
-    as ``exp(min(s, 0))``: the byte-for-byte reference of the fused op."""
+    formed them through three chunk buffers, each chunk row across every
+    leading slice, with the logistic's numerator as ``exp(min(s, 0))``: the
+    byte-for-byte reference of the fused op's gradients. The value comes
+    twice, as that kernel summed it, over each chunk of all slices, and
+    with the sums of its log1p and hinge terms taken per slice, a slice's
+    chunks in turn: the fused op's value."""
     lead, (m, n) = av.shape[:-2], (av.shape[-2], bv.shape[-2])
     rows = max(1, min(m, T._CHUNK_BYTES // (8 * max(n * math.prod(lead), 1))))
     s, e, t = (np.empty((*lead, rows, n)) for _ in range(3))
     ga, gb, gb_chunk = np.empty_like(av), np.zeros_like(bv), np.empty_like(bv)
-    total = 0.0
+    total, terms = 0.0, {i: [] for i in np.ndindex(lead)}
     for lo in range(0, m, rows):
         ac = av[..., lo:lo + rows, :]
         k = ac.shape[-2]
@@ -728,15 +765,23 @@ def _three_buffer_kernel(av, bv):
         np.exp(ec, out=ec)
         np.log1p(ec, out=tc)
         total += tc.sum()
+        for i in terms:
+            terms[i].append(tc[i].sum())
         np.minimum(sc, 0.0, out=tc)
         np.maximum(sc, 0.0, out=sc)
         total += sc.sum()
+        for i in terms:
+            terms[i].append(sc[i].sum())
         np.exp(tc, out=tc)
         ec += 1.0
         tc /= ec
         np.matmul(tc, bv, out=ga[..., lo:lo + rows, :])
         gb += np.matmul(np.swapaxes(tc, -1, -2), ac, out=gb_chunk)
-    return total, ga, gb
+    per_slice = 0.0
+    for i in terms:
+        for term in terms[i]:
+            per_slice += term
+    return total, per_slice, ga, gb
 
 
 # signed zeros give scores of either zero sign; entries up to 30 in up to
@@ -759,7 +804,7 @@ def test_softplus_sum_of_products_is_byte_equal_to_the_three_buffer_kernel(rows,
         a = data.draw(hnp.arrays(np.float64, (*lead, m, d), elements=_score_entries))
         b = data.draw(hnp.arrays(np.float64, (*lead, n, d), elements=_score_entries))
     with _chunk_rows(rows, n, lead):
-        want = _three_buffer_kernel(a, b)
+        total, *want = _three_buffer_kernel(a, b)
         for tracked in ("", "a", "b", "ab"):
             tape = Tape()
             x = tape.leaf(a) if "a" in tracked else Tensor(a)
@@ -772,6 +817,26 @@ def test_softplus_sum_of_products_is_byte_equal_to_the_three_buffer_kernel(rows,
                         for t, w in ((x, want[1]), (y, want[2]))]
             for g, w in zip(got, want):
                 assert _bits(g).tobytes() == _bits(w).tobytes()
+            # no lead, or a lead of one slice, keeps the old value's bits
+            assert out.item() == pytest.approx(total, rel=1e-15, abs=0)
+            if math.prod(lead) == 1:
+                assert _bits(out.values).tobytes() == _bits(total).tobytes()
+
+
+def test_softplus_sum_of_products_sums_its_value_per_slice():
+    # seeded shapes across chunks and slices, where a sum in another order
+    # shows in the bits in about a third of the cases: the value is the
+    # reference's per-slice sum, a slice's chunks in turn, byte for byte
+    rng = np.random.default_rng(0)
+    for _ in range(60):
+        lead = tuple(rng.integers(1, 4, size=rng.integers(0, 3)))
+        m, n, d, rows = (int(x) for x in rng.integers(1, [10, 6, 5, 5]))
+        a, b = 30.0 * rng.standard_normal((*lead, m, d)), rng.standard_normal((*lead, n, d))
+        with _chunk_rows(rows, n, lead):
+            total, per_slice, _, _ = _three_buffer_kernel(a, b)
+            value = T.softplus_sum_of_products(Tensor(a), Tensor(b)).values
+        assert _bits(value).tobytes() == _bits(per_slice).tobytes()
+        assert value == pytest.approx(total, rel=1e-15, abs=0)
 
 
 # -- the fused attention pooling -------------------------------------------------
