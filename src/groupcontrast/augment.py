@@ -29,19 +29,11 @@ class AugmentationPolicy:
 
 
 def _lowest(key: np.ndarray, owner: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Mask of the k[b] items of lowest `key` among the items of each graph
-    b, a tie going to the earlier item. The items come grouped by graph, in
-    graph order, so the graphs of each size are the rows of one block, ranked
-    by one stable row sort."""
-    sizes = np.bincount(owner, minlength=len(k))
-    starts = np.cumsum(sizes) - sizes
-    low = np.empty(len(key), dtype=bool)
-    for s in np.flatnonzero(np.bincount(sizes)[1:]) + 1:
-        ids = np.flatnonzero(sizes == s)
-        rows = starts[ids, None] + np.arange(s)
-        ranked = np.take_along_axis(rows, np.argsort(key[rows], axis=1, kind="stable"), axis=1)
-        low[ranked] = np.arange(s) < k[ids, None]
-    return low
+    """Mask of the k[b] items of lowest `key` among the items of each graph b."""
+    order = np.lexsort((key, owner))
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order)) - np.searchsorted(owner[order], owner[order])
+    return rank < k[owner]
 
 
 def _walk(adj: dict[int, list[int]], lo: int, hi: int, ratio: float,
