@@ -30,9 +30,14 @@ class AugmentationPolicy:
 
 def _lowest(key: np.ndarray, owner: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Mask of the k[b] items of lowest `key` among the items of each graph b."""
-    order = np.lexsort((key, owner))
+    # np.lexsort((key, owner)) as two stable sorts; a 16-bit owner sorts by radix
+    order = np.argsort(key, kind="stable")
+    by_key = owner[order]
+    order = order[np.argsort(by_key.astype(np.uint16) if len(k) <= 1 << 16 else by_key,
+                             kind="stable")]
+    ranked = owner[order]
     rank = np.empty_like(order)
-    rank[order] = np.arange(len(order)) - np.searchsorted(owner[order], owner[order])
+    rank[order] = np.arange(len(order)) - np.searchsorted(ranked, ranked)
     return rank < k[owner]
 
 

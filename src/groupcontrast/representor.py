@@ -59,7 +59,8 @@ def group_embed(h: Tensor, a: Tensor, batch: Batch, wv: Tensor) -> list[Tensor]:
     all B * p pooled rows to the group width d. No (N, d) value block is
     built. Each group vector is L2-normalized, so discriminator scores are
     bounded. The result is held flat as (B, p * d) with the groups in order
-    and handed on as p (B, d) column slices.
+    and handed on as p (B, d) column views of it, which ``concat`` joins
+    back into the block without a copy.
     """
     p = a.shape[1]
     width, d = wv.shape

@@ -475,7 +475,8 @@ def softplus_sum_of_products(a: Tensor, b: Tensor) -> Tensor:
     <= 0 and e <= 1. The output is a scalar, so the vjps are ``g * (σ @
     b)`` and ``g * (σᵀ @ a)``: for the inputs on a tape, both products are
     taken in the chunk loop, while the chunk is in cache, σᵀ @ a in e's
-    buffer. A non-finite score raises, as the product's own check would.
+    buffer; the vjps scale them in place. A non-finite score raises, as
+    the product's own check would.
     """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.values.ndim < 2 or a.values.ndim != b.values.ndim \
@@ -521,7 +522,8 @@ def softplus_sum_of_products(a: Tensor, b: Tensor) -> Tensor:
                     np.matmul(sc, bi, out=ga[i][lo:lo + rows])
                     gb[i] += np.matmul(sc.T, ac, out=gb_chunk)
     return _result("softplus-sum-of-products", total,
-                   [(a, lambda g: g * ga), (b, lambda g: g * gb)])
+                   [(a, _owned(lambda g: np.multiply(ga, g, out=ga))),
+                    (b, _owned(lambda g: np.multiply(gb, g, out=gb)))])
 
 
 def tmean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
@@ -532,16 +534,39 @@ def tmean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
 
 
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
+    """Join along axis: consecutive views of one array, as a matrix's
+    ``slice_cols`` in order, join as a read-only view of it, others copy."""
     tensors = [_as_tensor(t) for t in tensors]
     if not tensors:
         raise DimensionError("concat-along-axis: empty input list")
-    out = np.concatenate([t.values for t in tensors], axis=axis)
+    values = [t.values for t in tensors]
+    out = _joined_view(values, axis)
+    if out is None:
+        out = np.concatenate(values, axis=axis)
     # each input's gradient is its own slice of g along the axis
     lead = (slice(None),) * (axis % out.ndim)
     bounds = np.cumsum([0] + [t.shape[axis] for t in tensors]).tolist()
     return _result("concat-along-axis", out, [
         (t, lambda g, lo=lo, hi=hi: g[(*lead, slice(lo, hi))])
         for t, lo, hi in zip(tensors, bounds, bounds[1:])], moves_only=True)
+
+
+def _joined_view(arrays: list[np.ndarray], axis: int) -> np.ndarray | None:
+    """The arrays as one read-only view when they are views of one array
+    with one layout, each starting where the one before ends along axis."""
+    first = arrays[0]
+    if first.base is None or not -first.ndim <= axis < first.ndim:
+        return None
+    axis %= first.ndim
+    lead, trail = first.shape[:axis], first.shape[axis + 1:]
+    end = first.__array_interface__["data"][0]
+    for x in arrays:
+        if x.base is not first.base or x.strides != first.strides or x.shape[:axis] != lead \
+                or x.shape[axis + 1:] != trail or x.__array_interface__["data"][0] != end:
+            return None
+        end += x.shape[axis] * x.strides[axis]
+    shape = (*lead, sum(x.shape[axis] for x in arrays), *trail)
+    return np.lib.stride_tricks.as_strided(first, shape, writeable=False)
 
 
 def row_softmax(a: Tensor) -> Tensor:
@@ -605,18 +630,21 @@ def row_l2_normalize(a: Tensor) -> Tensor:
 
 
 def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
-    """Column slice of a matrix; supporting primitive for group extraction."""
+    """Column slice of a matrix, as a read-only view, for group extraction."""
     a = _as_tensor(a)
     if a.values.ndim != 2:
         raise DimensionError(f"slice-cols: expected matrix, got shape {a.shape}")
     shape = a.shape
+    out = a.values[:, start:stop]
+    out.setflags(write=False)
 
+    @_owned
     def vjp(g):
         gx = np.zeros(shape)
         gx[:, start:stop] = g
         return gx
 
-    return _result("slice-cols", a.values[:, start:stop].copy(), [(a, vjp)], moves_only=True)
+    return _result("slice-cols", out, [(a, vjp)], moves_only=True)
 
 
 class EdgePlan:

@@ -225,13 +225,15 @@ def _lowest_per_graph(key, owner, k):
     return low
 
 
-@given(sizes=st.lists(st.integers(0, 40), min_size=1, max_size=8), data=st.data())
+@given(sizes=st.lists(st.integers(0, 40) | st.integers(41, 300), min_size=1, max_size=8),
+       data=st.data())
 @example(sizes=[0, 3, 0, 3, 1, 0], data=None)
 @example(sizes=[40, 0, 40, 17], data=None)
+@example(sizes=[300, 4, 0, 157, 60, 5, 300, 23], data=None)
 def test_lowest_marks_each_graphs_k_lowest_keys(sizes, data):
-    # graphs of equal and of differing sizes, empty ones among them, keys
-    # with ties, and k from 0 past the graph's size. Rows of over 16 ties
-    # tell a stable sort from numpy's default
+    # graphs of equal and of mixed sizes up to 300 nodes, empty ones among
+    # them, keys with ties, and k from 0 past the graph's size. Rows of over
+    # 16 ties tell a stable sort from numpy's default
     owner = np.repeat(np.arange(len(sizes)), sizes)
     if data is None:
         rng = np.random.default_rng(sum(sizes))
@@ -243,6 +245,20 @@ def test_lowest_marks_each_graphs_k_lowest_keys(sizes, data):
         k = np.array([data.draw(st.integers(0, n + 1)) for n in sizes], dtype=np.intp)
     got = _lowest(key, owner, k)
     assert got.dtype == bool and np.array_equal(got, _lowest_per_graph(key, owner, k))
+
+
+def test_lowest_over_65536_graphs_sorts_by_the_full_owner():
+    # past 65536 graphs the owner does not fit 16 bits and is sorted as it
+    # is; the mask is that of one lexsort by owner, then key
+    rng = np.random.default_rng(0)
+    sizes = rng.integers(0, 3, (1 << 16) + 9)
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    key = rng.integers(0, 2, len(owner)) / 2
+    k = rng.integers(0, 3, len(sizes))
+    order = np.lexsort((key, owner))
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order)) - np.searchsorted(owner[order], owner[order])
+    assert np.array_equal(_lowest(key, owner, k), rank < k[owner])
 
 
 _GIN = {name: T.Tensor(value) for name, value in

@@ -495,6 +495,65 @@ def test_concat_gradcheck(shape, data, seed):
     assert err <= 1e-6
 
 
+def _copies(out, inputs, axis, source):
+    """out is np.concatenate of the inputs' values, in a new array."""
+    want = np.concatenate([t.values for t in inputs], axis=axis)
+    return _bits(out.values).tobytes() == _bits(want).tobytes() \
+        and not np.shares_memory(out.values, source)
+
+
+@given(rows=dims, widths=st.lists(dims, min_size=1, max_size=4), data=st.data(),
+       seed=st.integers(0, 2**16))
+def test_concat_of_consecutive_column_slices_is_a_view_of_their_matrix(rows, widths, data, seed):
+    # a matrix split into consecutive slice_cols views joins back into a
+    # read-only view of it; gaps, reordered or overlapping slices, slices of
+    # two matrices, another axis and inputs that are no views copy, as
+    # np.concatenate does. Signed zeros in the matrix test the gradient's
+    # bits
+    tape = Tape()
+    xv = data.draw(hnp.arrays(np.float64, (rows, sum(widths)), elements=st.sampled_from(
+        [0.0, -0.0]) | st.floats(-3.0, 3.0)))
+    x, y = tape.leaf(xv), tape.leaf(_array(seed + 1, xv.shape))
+    bounds = np.cumsum([0, *widths]).tolist()
+    views = [T.slice_cols(x, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    cat = T.concat(views, axis=1)
+    assert _bits(cat.values).tobytes() == _bits(np.concatenate(
+        [v.values for v in views], axis=1)).tobytes()
+    assert np.shares_memory(cat.values, xv) and not cat.values.flags.writeable
+    for t in (*views, cat):
+        with pytest.raises(ValueError, match="read-only"):
+            t.values[0, 0] = 1.0
+    assert np.array_equal(xv, x.values)
+
+    cases = [([T.slice_cols(x, 0, bounds[-1]), T.slice_cols(x, 0, 1)], 1),    # overlap
+             ([T.slice_cols(x, 0, 1), T.slice_cols(y, 1, bounds[-1])], 1),    # two matrices
+             ([Tensor(v.values.copy()) for v in views], 1)]                  # no views
+    if len(views) > 1:
+        cases.append((views[::-1], 1))
+    if len(views) > 2:
+        cases.append((views[::2], 1))                                        # a gap
+    if len(views) > 1 and len(set(widths)) == 1:
+        cases.append((views, 0))
+    for inputs, axis in cases:
+        assert _copies(T.concat(inputs, axis=axis), inputs, axis, xv)
+
+    # the gradient through the views has the bits of the one through a
+    # copying concat, and of the copying path's sum of the p zero-padded
+    # slice gradients: 0.0 added to each entry turns -0.0 into 0.0 for p > 1
+    w = _array(seed + 2, xv.shape)
+
+    def grad():
+        tape = Tape()
+        x = tape.leaf(xv)
+        cat = T.concat([T.slice_cols(x, lo, hi) for lo, hi in zip(bounds, bounds[1:])], axis=1)
+        return backward(tape, T.tsum(T.mul(T.square(cat), Tensor(w))))[x.node_id]
+
+    want = 2.0 * xv * w + (0.0 if len(widths) > 1 else -0.0)
+    with mock.patch.object(T, "_joined_view", lambda arrays, axis: None):
+        copied = grad()
+    assert _bits(grad()).tobytes() == _bits(copied).tobytes() == _bits(want).tobytes()
+
+
 @given(sizes=st.lists(st.integers(1, 3), min_size=1, max_size=5), p=dims, d=dims,
        seed=st.integers(0, 2**16))
 def test_gathered_dot_gradcheck(sizes, p, d, seed):
